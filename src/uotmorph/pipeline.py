@@ -27,6 +27,7 @@ from .errors import ConfigError, DataError, UotmorphError
 from .features import extract_features
 from .grid import downsample, load_manifest, load_measure, save_measure
 from .solver import (
+    SOLVER_VERSION,
     AllocationSpec,
     CostSpec,
     QuantizationSpec,
@@ -362,6 +363,7 @@ def stage_template(cfg: PipelineConfig, manifest_path, log: _RunLog) -> str:
         {
             "template": cfg.template,
             "downsample": cfg.downsample_factor,
+            "solver_version": SOLVER_VERSION,
             "images": [_digest_file(_resolve(manifest_path, e.image_path))
                        for e in manifest.entries],
         }
@@ -440,6 +442,7 @@ def stage_transport(cfg: PipelineConfig, manifest_path, template_path,
         "multiscale": cfg.multiscale,
         "downsample": cfg.downsample_factor,
         "cost": cfg.cost.kind,
+        "solver_version": SOLVER_VERSION,
     }
     for lam in cfg.lambdas:
         stage_dir = os.path.join(cfg.output_dir, "solutions", _lambda_dirname(lam))

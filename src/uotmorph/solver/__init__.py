@@ -15,7 +15,13 @@ from .specs import (
     quantize_to_total,
 )
 
+# Part of every cached transport result's key: raise it with any change that
+# can alter a solution (network build, pivot rule, multiscale refinement), so
+# plans cached by an older solver are solved again.
+SOLVER_VERSION = 1
+
 __all__ = [
+    "SOLVER_VERSION",
     "AllocationSpec",
     "CostSpec",
     "QuantizationSpec",

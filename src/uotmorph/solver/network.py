@@ -120,8 +120,11 @@ def build_unbalanced_problem(
 
     n_src = len(src_voxels)
     n_tgt = len(tgt_voxels)
-    src_node = {int(v): k for k, v in enumerate(src_voxels)}
-    tgt_node = {int(v): n_src + k for k, v in enumerate(tgt_voxels)}
+    # voxel -> node lookup per side
+    src_node = np.full(len(w_flat), -1, dtype=np.int64)
+    src_node[src_voxels] = np.arange(n_src)
+    tgt_node = np.full(len(z_flat), -1, dtype=np.int64)
+    tgt_node[tgt_voxels] = np.arange(n_src, n_src + n_tgt)
 
     n_nodes = n_src + n_tgt
     bank_src = bank_tgt = -1
@@ -165,43 +168,25 @@ def build_unbalanced_problem(
             keep = pc <= prune_bound
             pair_i, pair_j, pair_c = ai[keep], aj[keep], pc[keep]
 
-        tails.append(
-            np.fromiter((src_node[int(v)] for v in pair_i), np.int64, len(pair_i))
-        )
-        heads.append(
-            np.fromiter((tgt_node[int(v)] for v in pair_j), np.int64, len(pair_j))
-        )
+        tails.append(src_node[pair_i])
+        heads.append(tgt_node[pair_j])
         costs.append(np.asarray(pair_c, dtype=np.float64))
         kinds.append(np.full(len(pair_i), ARC_TRANSPORT, dtype=np.int8))
         vox_a.append(pair_i.astype(np.int64))
         vox_b.append(pair_j.astype(np.int64))
 
-    # self arcs for every voxel present on both sides (cost 0); when
-    # allowed_pairs is given the block above excluded them, and without
-    # restriction the pruning mask always keeps them, so add the missing ones
-    if allowed_pairs is not None and n_tgt:
-        both = np.intersect1d(src_voxels, tgt_voxels)
-        tails.append(
-            np.fromiter((src_node[int(v)] for v in both), np.int64, len(both))
-        )
-        heads.append(
-            np.fromiter((tgt_node[int(v)] for v in both), np.int64, len(both))
-        )
-        costs.append(np.zeros(len(both)))
-        kinds.append(np.full(len(both), ARC_TRANSPORT, dtype=np.int8))
-        vox_a.append(both.astype(np.int64))
-        vox_b.append(both.astype(np.int64))
-    elif allowed_pairs is None and n_tgt:
-        # zero-supply sites were excluded from the pair matrix; give them
-        # their self arc when the voxel also carries target mass
-        zero_sites = src_voxels[w_units_full[src_voxels] == 0]
-        both = np.intersect1d(zero_sites, tgt_voxels)
-        tails.append(
-            np.fromiter((src_node[int(v)] for v in both), np.int64, len(both))
-        )
-        heads.append(
-            np.fromiter((tgt_node[int(v)] for v in both), np.int64, len(both))
-        )
+    # self arcs (cost 0) for voxels present on both sides.  Without a
+    # restriction the pair matrix above already holds them for every site
+    # with supply, so only zero-supply sites need one; allowed_pairs
+    # excludes them, so then every site does.
+    if n_tgt:
+        if allowed_pairs is None:
+            sites = src_voxels[w_units_full[src_voxels] == 0]
+        else:
+            sites = src_voxels
+        both = np.intersect1d(sites, tgt_voxels)
+        tails.append(src_node[both])
+        heads.append(tgt_node[both])
         costs.append(np.zeros(len(both)))
         kinds.append(np.full(len(both), ARC_TRANSPORT, dtype=np.int8))
         vox_a.append(both.astype(np.int64))
@@ -216,9 +201,7 @@ def build_unbalanced_problem(
         vox_a.append(src_voxels.astype(np.int64))
         vox_b.append(np.full(n_src, -1, dtype=np.int64))
 
-        rem_sites = np.array(
-            [src_node[int(v)] for v in positive_src], dtype=np.int64
-        )
+        rem_sites = src_node[positive_src]
         tails.append(rem_sites)
         heads.append(np.full(len(rem_sites), bank_src, dtype=np.int64))
         costs.append(np.full(len(rem_sites), lam))

@@ -1,13 +1,26 @@
 """Primal network simplex for uncapacitated min-cost flow on integer supplies.
 
-Flows are kept as exact Python integers; arc costs are float64.  The basis
-is a spanning tree stored with parent/thread/size arrays, initialized from
-an artificial root with big-M arcs (strongly feasible start).  The entering
-arc is chosen by a candidate-list rule: arcs are scanned cyclically in
-fixed index order in blocks of ~sqrt(m), taking the most negative reduced
-cost within a block, ties broken by lowest arc index.  The leaving arc is
-the last blocking arc around the cycle, which preserves strong feasibility
-and prevents cycling.
+Flows are exact integers (int64); arc costs are float64.  The basis is a
+spanning tree stored with parent/thread/size arrays, initialized from an
+artificial root with big-M arcs (strongly feasible start).
+
+Pivot rule.  The entering arc is chosen by a candidate-list rule: arcs are
+scanned cyclically in fixed index order in blocks of ceil(sqrt(m)), taking
+the most negative reduced cost ``C - pi[S] + pi[T]`` within a block, ties
+broken by lowest arc index (so on a block that wraps past the last arc,
+the wrapped part wins ties).  The leaving arc is the last blocking arc
+around the cycle, which preserves strong feasibility and prevents cycling.
+Potentials are recomputed exactly from the tree every max(64, n) pivots.
+
+Each pivot is one straight-line pass over the tree arrays that builds no
+list of the cycle's nodes or arcs: the apex is found by subtree sizes, each
+side of the cycle is walked once to find the leaving arc (from the entering
+arc's tail upward with ``<``, then from its head upward with ``<=``, so the
+head side wins ties) and once more to augment, and the potentials of the
+re-rooted subtree are shifted in place along the thread.  Scalars are read
+and written through ``memoryview``s of the arc, flow and potential arrays,
+which share memory with the numpy arrays that pricing reads, so nothing
+per arc is copied into Python objects.
 """
 
 from __future__ import annotations
@@ -38,29 +51,19 @@ def solve_min_cost_flow(problem: FlowProblem):
     max_cost = float(np.max(problem.costs)) if e else 0.0
     faux = 1.0 + 3.0 * (n + 1) * max(max_cost, 1.0)
 
-    # arc arrays; artificial arcs live at indices e..e+n-1
-    S = np.empty(e + n, dtype=np.int64)
-    T = np.empty(e + n, dtype=np.int64)
-    C = np.empty(e + n, dtype=np.float64)
-    S[:e] = problem.tails
-    T[:e] = problem.heads
-    C[:e] = problem.costs
-    C[e:] = faux
-
-    x = [0] * (e + n)
-    pi = np.zeros(n + 1, dtype=np.float64)
-    for v in range(n):
-        sup = int(b[v])
-        if sup < 0:
-            S[e + v] = root
-            T[e + v] = v
-            pi[v] = -faux
-        else:
-            S[e + v] = v
-            T[e + v] = root
-            pi[v] = faux
-        x[e + v] = abs(sup)
-    pi[root] = 0.0
+    # arc arrays; artificial arcs live at indices e..e+n-1, node v's one
+    # from the root to v when v has demand, else from v to the root
+    nodes = np.arange(n, dtype=np.int64)
+    demand = b < 0
+    S = np.concatenate([problem.tails, np.where(demand, root, nodes)],
+                       dtype=np.int64)
+    T = np.concatenate([problem.heads, np.where(demand, nodes, root)],
+                       dtype=np.int64)
+    C = np.concatenate([problem.costs, np.full(n, faux)], dtype=np.float64)
+    x = np.zeros(e + n, dtype=np.int64)
+    x[e:] = np.abs(b)
+    pi = np.append(np.where(demand, -faux, faux), 0.0)
+    Sv, Tv, Cv, xv, piv = (memoryview(a) for a in (S, T, C, x, pi))
 
     parent = [root] * n + [None]
     edge = [e + v for v in range(n)] + [None]
@@ -70,118 +73,104 @@ def solve_min_cost_flow(problem: FlowProblem):
     last = list(range(n)) + [n - 1]
 
     tol = 1e-11 * (1.0 + max_cost)
-
     block = int(math.ceil(math.sqrt(e))) if e else 0
     n_blocks = (e + block - 1) // block if block else 0
-
-    scan_start = 0
-
-    def find_entering():
-        nonlocal scan_start
-        if e == 0:
-            return -1
-        misses = 0
-        f = scan_start
-        while misses < n_blocks:
+    refresh_every = max(64, n)
+    f = 0
+    pivots = 0
+    while True:
+        # entering arc: first block, from where the last scan stopped, whose
+        # most negative reduced cost is below -tol
+        i = -1
+        for _ in range(n_blocks):
             l = f + block
             if l <= e:
-                idx0 = f
                 rc = C[f:l] - pi[S[f:l]] + pi[T[f:l]]
-                k = int(np.argmin(rc))
+                k = int(rc.argmin())
                 best = rc[k]
-                best_idx = idx0 + k
+                best_idx = f + k
             else:
+                # f < e < f + block, so both parts are non-empty
                 l -= e
                 rc1 = C[f:e] - pi[S[f:e]] + pi[T[f:e]]
                 rc2 = C[:l] - pi[S[:l]] + pi[T[:l]]
-                k1 = int(np.argmin(rc1)) if len(rc1) else -1
-                k2 = int(np.argmin(rc2)) if len(rc2) else -1
+                k1 = int(rc1.argmin())
+                k2 = int(rc2.argmin())
                 # on ties prefer the wrapped segment: lower global arc index
-                if k2 < 0 or (k1 >= 0 and rc1[k1] < rc2[k2]):
+                if rc1[k1] < rc2[k2]:
                     best = rc1[k1]
                     best_idx = f + k1
                 else:
                     best = rc2[k2]
                     best_idx = k2
-            f = l % e if e else 0
+            f = l % e
             if best < -tol:
-                scan_start = f
-                return best_idx
-            misses += 1
-        return -1
+                i = best_idx
+                break
+        if i < 0:
+            break
 
-    def find_apex(p, q):
-        sp, sq = size[p], size[q]
-        while True:
-            while sp < sq:
-                p = parent[p]
-                sp = size[p]
-            while sp > sq:
-                q = parent[q]
-                sq = size[q]
-            if sp == sq:
-                if p == q:
-                    return p
-                p = parent[p]
-                sp = size[p]
-                q = parent[q]
-                sq = size[q]
-
-    def trace_path(p, w):
-        nodes = [p]
-        arcs = []
-        while p != w:
-            arcs.append(edge[p])
-            p = parent[p]
-            nodes.append(p)
-        return nodes, arcs
-
-    def find_cycle(i, p, q):
-        w = find_apex(p, q)
-        nodes, arcs = trace_path(p, w)
-        nodes.reverse()
-        arcs.reverse()
-        arcs.append(i)
-        nodes_r, arcs_r = trace_path(q, w)
-        del nodes_r[-1]
-        nodes += nodes_r
-        arcs += arcs_r
-        return nodes, arcs
-
-    def residual(i, p):
-        # direction away from p along the cycle; forward arcs are uncapacitated
-        return None if S[i] == p else x[i]
-
-    def find_leaving(Wn, We):
-        j = s = None
-        best = None
-        for arc, node in zip(reversed(We), reversed(Wn)):
-            r = residual(arc, node)
-            if r is None:
-                continue
-            if best is None or r < best:
-                best, j, s = r, arc, node
-        if j is None:
-            raise SolverError("unbounded flow (negative cycle of forward arcs)")
-        t = int(T[j]) if S[j] == s else int(S[j])
-        return j, s, t, best
-
-    def augment(Wn, We, f):
-        for arc, node in zip(We, Wn):
-            if S[arc] == node:
-                x[arc] += f
+        # apex of the cycle closed by arc i (p -> q)
+        p = Sv[i]
+        q = Tv[i]
+        u, v = p, q
+        while u != v:
+            if size[u] < size[v]:
+                u = parent[u]
             else:
-                x[arc] -= f
+                v = parent[v]
+        apex = u
 
-    def subtree_nodes(p):
-        out = [p]
-        l = last[p]
-        while p != l:
-            p = next_[p]
-            out.append(p)
-        return out
+        # leaving arc: the last blocking arc in cycle order (apex down to p,
+        # arc i, q up to apex); blocking arcs are traversed against their
+        # direction.  ``out`` is the node whose tree edge leaves.
+        delta = None
+        u = p
+        while u != apex:
+            a = edge[u]
+            if Sv[a] == u:
+                r = xv[a]
+                if delta is None or r < delta:
+                    delta, out, out_on_p_side = r, u, True
+            u = parent[u]
+        u = q
+        while u != apex:
+            a = edge[u]
+            if Sv[a] != u:
+                r = xv[a]
+                if delta is None or r <= delta:
+                    delta, out, out_on_p_side = r, u, False
+            u = parent[u]
+        if delta is None:
+            raise SolverError("unbounded flow (negative cycle of forward arcs)")
 
-    def remove_edge(s, t):
+        if delta > 0:
+            xv[i] += delta
+            u = p
+            while u != apex:
+                a = edge[u]
+                if Sv[a] == u:
+                    xv[a] -= delta
+                else:
+                    xv[a] += delta
+                u = parent[u]
+            u = q
+            while u != apex:
+                a = edge[u]
+                if Sv[a] == u:
+                    xv[a] += delta
+                else:
+                    xv[a] -= delta
+                u = parent[u]
+
+        # the subtree cut off by the leaving edge is re-rooted at q and hung
+        # from p by arc i
+        if out_on_p_side:
+            p, q = q, p
+
+        # remove the edge (s, t) from the tree, t the child
+        t = out
+        s = parent[t]
         size_t = size[t]
         prev_t = prev[t]
         last_t = last[t]
@@ -198,38 +187,39 @@ def solve_min_cost_flow(problem: FlowProblem):
                 last[s] = prev_t
             s = parent[s]
 
-    def make_root(q):
+        # re-root the cut subtree at q, reversing the path from t to q
         ancestors = []
-        while q is not None:
-            ancestors.append(q)
-            q = parent[q]
+        u = q
+        while u is not None:
+            ancestors.append(u)
+            u = parent[u]
         ancestors.reverse()
-        for p, q in zip(ancestors, ancestors[1:]):
-            size_p = size[p]
-            last_p = last[p]
-            prev_q = prev[q]
-            last_q = last[q]
-            next_last_q = next_[last_q]
-            parent[p] = q
-            parent[q] = None
-            edge[p] = edge[q]
-            edge[q] = None
-            size[p] = size_p - size[q]
-            size[q] = size_p
-            next_[prev_q] = next_last_q
-            prev[next_last_q] = prev_q
-            next_[last_q] = q
-            prev[q] = last_q
-            if last_p == last_q:
-                last[p] = prev_q
-                last_p = prev_q
-            prev[p] = last_q
-            next_[last_q] = p
-            next_[last_p] = q
-            prev[q] = last_p
-            last[q] = last_p
+        for u, v in zip(ancestors, ancestors[1:]):
+            size_u = size[u]
+            last_u = last[u]
+            prev_v = prev[v]
+            last_v = last[v]
+            next_last_v = next_[last_v]
+            parent[u] = v
+            parent[v] = None
+            edge[u] = edge[v]
+            edge[v] = None
+            size[u] = size_u - size[v]
+            size[v] = size_u
+            next_[prev_v] = next_last_v
+            prev[next_last_v] = prev_v
+            next_[last_v] = v
+            prev[v] = last_v
+            if last_u == last_v:
+                last[u] = prev_v
+                last_u = prev_v
+            prev[u] = last_v
+            next_[last_v] = u
+            next_[last_u] = v
+            prev[v] = last_u
+            last[v] = last_u
 
-    def add_edge(i, p, q):
+        # hang the subtree rooted at q from p by arc i
         last_p = last[p]
         next_last_p = next_[last_p]
         size_q = size[q]
@@ -240,61 +230,41 @@ def solve_min_cost_flow(problem: FlowProblem):
         prev[q] = last_p
         prev[next_last_p] = last_q
         next_[last_q] = next_last_p
-        while p is not None:
-            size[p] += size_q
-            if last[p] == last_p:
-                last[p] = last_q
-            p = parent[p]
+        u = p
+        while u is not None:
+            size[u] += size_q
+            if last[u] == last_p:
+                last[u] = last_q
+            u = parent[u]
 
-    def update_potentials(i, p, q):
-        if q == T[i]:
-            d = pi[p] - C[i] - pi[q]
+        # shift the potentials of the moved subtree along the thread
+        if q == Tv[i]:
+            d = piv[p] - Cv[i] - piv[q]
         else:
-            d = pi[p] + C[i] - pi[q]
-        nodes = subtree_nodes(q)
-        pi[np.asarray(nodes, dtype=np.int64)] += d
+            d = piv[p] + Cv[i] - piv[q]
+        u = q
+        piv[u] += d
+        while u != last_q:
+            u = next_[u]
+            piv[u] += d
 
-    def refresh_potentials():
-        # exact potentials from the tree: thread order visits parents first
-        pi[root] = 0.0
-        v = next_[root]
-        while v != root:
-            a = edge[v]
-            pv = parent[v]
-            if T[a] == v:
-                pi[v] = pi[pv] - C[a]
-            else:
-                pi[v] = pi[pv] + C[a]
-            v = next_[v]
-
-    refresh_every = max(64, n)
-    pivots = 0
-    while True:
-        i = find_entering()
-        if i < 0:
-            break
-        p, q = int(S[i]), int(T[i])
-        Wn, We = find_cycle(i, p, q)
-        j, s, t, flow = find_leaving(Wn, We)
-        if flow > 0:
-            augment(Wn, We, flow)
-        if i != j:
-            if parent[t] != s:
-                s, t = t, s
-            if We.index(i) > We.index(j):
-                p, q = q, p
-            remove_edge(s, t)
-            make_root(q)
-            add_edge(i, p, q)
-            update_potentials(i, p, q)
         pivots += 1
         if pivots % refresh_every == 0:
-            refresh_potentials()
+            # exact potentials from the tree: thread order visits parents first
+            piv[root] = 0.0
+            v = next_[root]
+            while v != root:
+                a = edge[v]
+                if Tv[a] == v:
+                    piv[v] = piv[parent[v]] - Cv[a]
+                else:
+                    piv[v] = piv[parent[v]] + Cv[a]
+                v = next_[v]
 
-    if any(x[e + v] != 0 for v in range(n)):
+    if x[e:].any():
         raise InfeasibleError("no flow satisfies the node supplies")
 
-    flows = np.asarray(x[:e], dtype=np.int64)
+    flows = x[:e].copy()
     nz = np.flatnonzero(flows > 0)
     objective_units = float(np.dot(C[nz], flows[nz].astype(np.float64)))
     return flows, objective_units

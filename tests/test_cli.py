@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 
+from uotmorph import pipeline
 from uotmorph.cli import main
 from uotmorph.grid import GridDomain, save_field
 from uotmorph.pipeline import tree_checksums
@@ -91,6 +92,31 @@ def test_full_run_and_stage_idempotence(tmp_path):
     after = {p: p.stat().st_mtime_ns for p in out.rglob("*") if p.is_file()
              and p.name != "run_log.jsonl"}
     assert before == after
+
+
+def test_solver_version_change_invalidates_cached_plans(tmp_path, monkeypatch):
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    marker = out / "solutions" / "lambda=150.0" / ".stage.json"
+    assert main(["run", "--config", str(path)]) == 0
+    current = json.loads(marker.read_text())["input_hash"]
+
+    # rewrite the marker as another solver version would have left it
+    monkeypatch.setattr(pipeline, "SOLVER_VERSION", pipeline.SOLVER_VERSION + 1)
+    assert main(["transport", "--config", str(path), "--stage-only"]) == 0
+    assert json.loads(marker.read_text())["input_hash"] != current
+    monkeypatch.undo()
+
+    log = out / "run_log.jsonl"
+
+    def transport_solves():
+        lines = log.read_text().splitlines()
+        return sum(json.loads(line)["stage"] == "transport" for line in lines)
+
+    before = transport_solves()
+    assert main(["run", "--config", str(path)]) == 0
+    assert transport_solves() == before + 1
+    assert json.loads(marker.read_text())["input_hash"] == current
 
 
 def test_stage_commands_chain(tmp_path):

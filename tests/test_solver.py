@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import line_measure, random_measure_pair
-from uotmorph.errors import InfeasibleError, MassImbalanceError
+from uotmorph.errors import InfeasibleError, MassImbalanceError, SolverError
 from uotmorph.grid import GridDomain, GridMeasure
 from uotmorph.solver import (
     AllocationSpec,
@@ -18,7 +18,7 @@ from uotmorph.solver import (
     solve_unbalanced,
     uot_distance,
 )
-from uotmorph.solver import network
+from uotmorph.solver import network, simplex, ssp
 from uotmorph.solver.api import _run
 
 COST = CostSpec()
@@ -250,3 +250,84 @@ def test_marginal_feasibility_exact_in_units():
         assert sol.net_allocation() == pytest.approx(
             sol.delta, abs=2 * sol.mass_per_unit
         )
+
+
+def flow_problem(n_nodes, arcs, supplies):
+    """Hand-built FlowProblem from (tail, head, cost) triples."""
+    tails, heads, costs = zip(*arcs) if arcs else ((), (), ())
+    e = len(arcs)
+    return network.FlowProblem(
+        n_nodes=n_nodes,
+        tails=np.asarray(tails, dtype=np.int64),
+        heads=np.asarray(heads, dtype=np.int64),
+        costs=np.asarray(costs, dtype=np.float64),
+        supplies=np.asarray(supplies, dtype=np.int64),
+        arc_kind=np.zeros(e, dtype=np.int8),
+        arc_voxel_a=np.arange(e, dtype=np.int64),
+        arc_voxel_b=np.arange(e, dtype=np.int64),
+        mass_per_unit=1.0,
+        delta_real=0.0,
+        delta_units=0,
+    )
+
+
+def net_outflow(problem, flows):
+    out = np.zeros(problem.n_nodes, dtype=np.int64)
+    np.add.at(out, problem.tails, flows)
+    np.subtract.at(out, problem.heads, flows)
+    return out
+
+
+def test_simplex_no_arcs_zero_supplies():
+    flows, objective = simplex.solve_min_cost_flow(flow_problem(3, [], [0, 0, 0]))
+    assert flows.dtype == np.int64 and len(flows) == 0
+    assert objective == 0.0
+
+
+def test_simplex_unbalanced_supplies_infeasible():
+    with pytest.raises(InfeasibleError):
+        simplex.solve_min_cost_flow(flow_problem(2, [(0, 1, 1.0)], [2, -1]))
+
+
+def test_simplex_disconnected_pair_infeasible():
+    # the only arc points from the demand node to the supply node
+    with pytest.raises(InfeasibleError):
+        simplex.solve_min_cost_flow(flow_problem(2, [(1, 0, 1.0)], [1, -1]))
+
+
+def test_simplex_negative_forward_cycle_unbounded():
+    problem = flow_problem(2, [(0, 1, -1.0), (1, 0, -1.0)], [0, 0])
+    with pytest.raises(SolverError):
+        simplex.solve_min_cost_flow(problem)
+
+
+def test_simplex_wrapped_pricing_block_matches_ssp():
+    # 10 arcs price in blocks of ceil(sqrt(10)) = 4, so every third block
+    # wraps past the last arc
+    rng = np.random.default_rng(5)
+    pairs = [(s, t) for s in range(2) for t in range(2, 5)]
+    pairs += [(0, 1), (1, 0), (2, 3), (4, 3)]
+    for _ in range(100):
+        costs = rng.integers(0, 10, size=len(pairs)).astype(float)
+        arcs = [(s, t, c) for (s, t), c in zip(pairs, costs)]
+        supply = rng.integers(0, 6, size=2)
+        demand = rng.multinomial(supply.sum(), [1 / 3] * 3)
+        problem = flow_problem(5, arcs, [*supply, *(-demand)])
+        assert problem.n_arcs == 10
+        flows, objective = simplex.solve_min_cost_flow(problem)
+        assert (net_outflow(problem, flows) == problem.supplies).all()
+        assert objective == pytest.approx(
+            ssp.solve_min_cost_flow(problem)[1], rel=1e-12, abs=1e-12
+        )
+
+
+def test_simplex_flows_exact_at_max_units():
+    quant = QuantizationSpec(units=2**40)
+    rng = np.random.default_rng(40)
+    mu, nu = random_measure_pair(rng, dims=(4, 4))
+    alloc = AllocationSpec(lam=0.8)
+    problem = network.build_unbalanced_problem(mu, nu, COST, alloc, quant)
+    flows, _ = simplex.solve_min_cost_flow(problem)
+    assert (net_outflow(problem, flows) == problem.supplies).all()
+    sol = solve_unbalanced(mu, nu, COST, alloc, quant)
+    assert feasibility_violation_units(sol, mu.flat, nu.flat, quant.units) == 0
