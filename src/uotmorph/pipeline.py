@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 import shutil
 import time
@@ -46,6 +47,9 @@ from .synth import (
     save_dataset,
 )
 from .templates import TemplateSpec, build_template
+
+# progress of each stage; log records never enter the artifact tree
+logger = logging.getLogger("uotmorph.pipeline")
 
 
 class StageFailure(UotmorphError):
@@ -311,7 +315,9 @@ def stage_synth(cfg: PipelineConfig, log: _RunLog) -> str | None:
     synth.setdefault("seed", cfg.seed)
     input_hash = _stage_hash({"synth": cfg.synth, "seed": cfg.seed, "kind": kind})
     if _stage_complete(dataset_dir, input_hash):
+        logger.info("synth: up to date, skipped")
         return None if kind == "sweep" else manifest_path
+    logger.info("synth: start")
     t0 = time.perf_counter()
     try:
         if os.path.isdir(dataset_dir):
@@ -349,8 +355,9 @@ def stage_synth(cfg: PipelineConfig, log: _RunLog) -> str | None:
     except Exception as exc:
         shutil.rmtree(dataset_dir, ignore_errors=True)
         raise StageFailure("synth", exc) from exc
-    log.record(stage="synth", wall_time=time.perf_counter() - t0,
-               subjects=n_subjects)
+    wall_time = time.perf_counter() - t0
+    logger.info("synth: done, %d subjects in %.2f s", n_subjects, wall_time)
+    log.record(stage="synth", wall_time=wall_time, subjects=n_subjects)
     return None if kind == "sweep" else manifest_path
 
 
@@ -369,7 +376,9 @@ def stage_template(cfg: PipelineConfig, manifest_path, log: _RunLog) -> str:
         }
     )
     if _stage_complete(template_dir, input_hash):
+        logger.info("template: up to date, skipped")
         return out_path
+    logger.info("template: start")
     t0 = time.perf_counter()
     try:
         if os.path.isdir(template_dir):
@@ -400,7 +409,9 @@ def stage_template(cfg: PipelineConfig, manifest_path, log: _RunLog) -> str:
     except Exception as exc:
         shutil.rmtree(template_dir, ignore_errors=True)
         raise StageFailure("template", exc) from exc
-    log.record(stage="template", wall_time=time.perf_counter() - t0,
+    wall_time = time.perf_counter() - t0
+    logger.info("template: done in %.2f s", wall_time)
+    log.record(stage="template", wall_time=wall_time,
                total_mass=template.total_mass)
     return out_path
 
@@ -447,8 +458,11 @@ def stage_transport(cfg: PipelineConfig, manifest_path, template_path,
     for lam in cfg.lambdas:
         stage_dir = os.path.join(cfg.output_dir, "solutions", _lambda_dirname(lam))
         input_hash = _stage_hash({**base_hash, "lambda": lam})
+        name = f"transport[{_lambda_dirname(lam)}]"
         if _stage_complete(stage_dir, input_hash):
+            logger.info("%s: up to date, skipped", name)
             continue
+        logger.info("%s: start, %d subjects", name, len(images))
         t0 = time.perf_counter()
         alloc = AllocationSpec(
             lam=lam, side=cfg.allocation_side,
@@ -474,9 +488,11 @@ def stage_transport(cfg: PipelineConfig, manifest_path, template_path,
             _write_marker(stage_dir, "transport", input_hash)
         except Exception as exc:
             shutil.rmtree(stage_dir, ignore_errors=True)
-            raise StageFailure(f"transport[{_lambda_dirname(lam)}]", exc) from exc
-        log.record(stage="transport", lam=lam,
-                   wall_time=time.perf_counter() - t0, objectives=objectives)
+            raise StageFailure(name, exc) from exc
+        wall_time = time.perf_counter() - t0
+        logger.info("%s: done in %.2f s", name, wall_time)
+        log.record(stage="transport", lam=lam, wall_time=wall_time,
+                   objectives=objectives)
 
 
 def stage_features(cfg: PipelineConfig, manifest_path, template_path,
@@ -505,8 +521,11 @@ def stage_features(cfg: PipelineConfig, manifest_path, template_path,
                 "smoothing": cfg.smoothing,
             }
         )
+        name = f"features[{_lambda_dirname(lam)}]"
         if _stage_complete(stage_dir, input_hash):
+            logger.info("%s: up to date, skipped", name)
             continue
+        logger.info("%s: start", name)
         t0 = time.perf_counter()
         try:
             if os.path.isdir(stage_dir):
@@ -533,9 +552,10 @@ def stage_features(cfg: PipelineConfig, manifest_path, template_path,
             raise
         except Exception as exc:
             shutil.rmtree(stage_dir, ignore_errors=True)
-            raise StageFailure(f"features[{_lambda_dirname(lam)}]", exc) from exc
-        log.record(stage="features", lam=lam,
-                   wall_time=time.perf_counter() - t0)
+            raise StageFailure(name, exc) from exc
+        wall_time = time.perf_counter() - t0
+        logger.info("%s: done in %.2f s", name, wall_time)
+        log.record(stage="features", lam=lam, wall_time=wall_time)
 
 
 def stage_correlate(cfg: PipelineConfig, manifest_path, log: _RunLog) -> None:
@@ -572,8 +592,11 @@ def stage_correlate(cfg: PipelineConfig, manifest_path, log: _RunLog) -> None:
             input_hash = _stage_hash(
                 {"features": feature_digests, "alpha": cfg.alpha, "covariate": cov}
             )
+            name = f"correlate[{_lambda_dirname(lam)}/{cov}]"
             if _stage_complete(stage_dir, input_hash):
+                logger.info("%s: up to date, skipped", name)
                 continue
+            logger.info("%s: start", name)
             t0 = time.perf_counter()
             try:
                 if os.path.isdir(stage_dir):
@@ -602,11 +625,11 @@ def stage_correlate(cfg: PipelineConfig, manifest_path, log: _RunLog) -> None:
                 _write_marker(stage_dir, "correlate", input_hash)
             except Exception as exc:
                 shutil.rmtree(stage_dir, ignore_errors=True)
-                raise StageFailure(
-                    f"correlate[{_lambda_dirname(lam)}/{cov}]", exc
-                ) from exc
+                raise StageFailure(name, exc) from exc
+            wall_time = time.perf_counter() - t0
+            logger.info("%s: done in %.2f s", name, wall_time)
             log.record(stage="correlate", lam=lam, covariate=cov,
-                       wall_time=time.perf_counter() - t0)
+                       wall_time=wall_time)
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:

@@ -16,9 +16,11 @@ from .specs import (
 )
 
 # Part of every cached transport result's key: raise it with any change that
-# can alter a solution (network build, pivot rule, multiscale refinement), so
-# plans cached by an older solver are solved again.
-SOLVER_VERSION = 1
+# can alter a solution (network build, starting basis, pivot rule, multiscale
+# refinement), so plans cached by an older solver are solved again.  Version 2
+# starts finite-lambda solves from the bank basis, which can pick a different
+# optimum where several tie.
+SOLVER_VERSION = 2
 
 __all__ = [
     "SOLVER_VERSION",

@@ -7,6 +7,13 @@ of coarse plan arcs whose endpoints are dilated by ``neighborhood_radius``
 coarse cells.  Self arcs and virtual (allocation) arcs are always admitted,
 so every level stays feasible and the final solution is feasible for the
 full problem; its objective upper-bounds the exact optimum.
+
+Each refinement level is warm-started from the coarse plan: a target voxel
+starts fed from the voxel at the same offset in the coarse source cell that
+sends its cell the most mass (the voxel itself where the cell keeps most of
+its own mass), when that arc is in the restricted network, and by its self
+arc otherwise.  This only changes where the simplex starts; the result is
+still an upper bound.
 """
 
 from __future__ import annotations
@@ -89,6 +96,37 @@ def _admitted_pairs(coarse_sol: TransportSolution, coarse_dims, fine_dims, radiu
     return keys // size, keys % size
 
 
+def _feeder(coarse_sol: TransportSolution, coarse_dims, fine_dims):
+    """Per fine voxel, the source voxel whose arc should hang it at the start.
+
+    For a voxel in coarse cell c this is the voxel at the same offset inside
+    the coarse cell that sends the most mass to c in the coarse plan.  It is
+    the voxel itself when c keeps most of its own mass, receives nothing, or
+    the shifted voxel falls off the fine grid.
+    """
+    size = int(np.prod(fine_dims))
+    feeder = np.arange(size, dtype=np.int64)
+    if not coarse_sol.plan_arcs:
+        return feeder
+    src, tgt, mass = (np.array(col) for col in zip(*coarse_sol.plan_arcs))
+    # per target cell, its largest inflow; ties go to the lowest source cell
+    order = np.lexsort((-mass, tgt))
+    tgt, src = tgt[order], src[order].astype(np.int64)
+    first = np.r_[True, tgt[1:] != tgt[:-1]]
+    best = np.arange(int(np.prod(coarse_dims)), dtype=np.int64)
+    best[tgt[first].astype(np.int64)] = src[first]
+
+    fine = np.array(np.unravel_index(feeder, fine_dims))
+    cell = fine // 2
+    src_cell = np.array(np.unravel_index(
+        best[np.ravel_multi_index(cell, coarse_dims)], coarse_dims
+    ))
+    moved = fine + 2 * (src_cell - cell)
+    ok = (moved < np.array(fine_dims)[:, None]).all(axis=0)
+    feeder[ok] = np.ravel_multi_index(moved[:, ok], fine_dims)
+    return feeder
+
+
 def solve_multiscale(
     mu: GridMeasure,
     nu: GridMeasure,
@@ -124,9 +162,11 @@ def solve_multiscale(
         pairs = _admitted_pairs(
             sol, coarse_dims, fine_mu.domain.dims, neighborhood_radius
         )
+        feeder = _feeder(sol, coarse_dims, fine_mu.domain.dims)
         try:
             problem = network.build_unbalanced_problem(
-                fine_mu, fine_nu, cost, alloc, quant, allowed_pairs=pairs
+                fine_mu, fine_nu, cost, alloc, quant,
+                allowed_pairs=pairs, feeder=feeder,
             )
             flows, _ = solve_min_cost_flow(problem)
         except InfeasibleError:

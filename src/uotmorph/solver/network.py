@@ -15,6 +15,12 @@ Two exact reductions keep networks small without changing the optimum:
 * a zero-mass source site can only ever forward freshly added mass, which
   is never cheaper than adding at the destination itself, so such sites
   keep only their self arc.
+
+For finite lambda the problem also carries a starting tree for the simplex,
+the bank basis: each voxel's target mass is fed in place by its self arc
+(or by the arc from a given feeder voxel) and each site settles the rest
+with the bank.  The tree is strongly feasible, and at lambda = 0 it is
+already optimal.
 """
 
 from __future__ import annotations
@@ -56,6 +62,9 @@ class FlowProblem:
     mass_per_unit: float
     delta_real: float
     delta_units: int
+    # per node, the arc hanging it from its parent in the simplex's starting
+    # tree, or -1 for its artificial arc to the root; None means all -1
+    basis: np.ndarray | None = None
 
     @property
     def n_arcs(self) -> int:
@@ -83,12 +92,16 @@ def build_unbalanced_problem(
     alloc: AllocationSpec,
     quant: QuantizationSpec,
     allowed_pairs=None,
+    feeder=None,
 ) -> FlowProblem:
     """Network for the unbalanced program between measures on one domain.
 
     ``allowed_pairs`` optionally restricts transport arcs to the given
     (source_voxel, target_voxel) index arrays (multiscale refinement);
-    self arcs and virtual arcs are always admitted.
+    self arcs and virtual arcs are always admitted.  For finite lambda the
+    problem carries a bank basis (see ``_bank_basis``); ``feeder`` (one
+    source voxel per voxel of the domain) picks the transport arc that
+    hangs each target from the tree, where that arc was built.
     """
     if mu.domain != nu.domain:
         raise DataError("unbalanced solve requires measures on the same domain")
@@ -147,6 +160,7 @@ def build_unbalanced_problem(
     pos_tgt = voxel_positions(domain, tgt_voxels)
     positive_src = src_voxels[w_units_full[src_voxels] > 0]
     prune_bound = 2.0 * lam if finite_lam else math.inf
+    pair_i = pair_j = np.zeros(0, dtype=np.int64)
     if n_tgt and len(positive_src):
         if allowed_pairs is None:
             pos_src = voxel_positions(domain, positive_src)
@@ -179,6 +193,7 @@ def build_unbalanced_problem(
     # restriction the pair matrix above already holds them for every site
     # with supply, so only zero-supply sites need one; allowed_pairs
     # excludes them, so then every site does.
+    both = np.zeros(0, dtype=np.int64)
     if n_tgt:
         if allowed_pairs is None:
             sites = src_voxels[w_units_full[src_voxels] == 0]
@@ -231,7 +246,7 @@ def build_unbalanced_problem(
             return np.zeros(0, dtype=dtype)
         return np.concatenate([np.asarray(p, dtype=dtype) for p in parts])
 
-    return FlowProblem(
+    problem = FlowProblem(
         n_nodes=n_nodes,
         tails=cat(tails, np.int64),
         heads=cat(heads, np.int64),
@@ -244,6 +259,61 @@ def build_unbalanced_problem(
         delta_real=delta_real,
         delta_units=delta_units,
     )
+    if finite_lam:
+        problem.basis = _bank_basis(
+            problem, n_src, len(w_flat), pair_i, pair_j, both, tgt_voxels, feeder
+        )
+    return problem
+
+
+def _bank_basis(problem, n_src, size, pair_i, pair_j, both, tgt_voxels, feeder):
+    """Strongly feasible starting tree of a finite-lambda network.
+
+    Relies on the arc order of ``build_unbalanced_problem``: the transport
+    pairs, the self-arc block ``both``, one add arc per site, then one
+    remove arc per site with supply; ``size`` is the number of voxels of
+    the domain.  Each target with demand hangs from a site by a transport
+    arc (its own voxel's self arc, or the built arc from ``feeder[voxel]``);
+    each site hangs from the bank by its remove arc when its supply covers
+    the demand hung on it, else by its add arc; the bank nodes, targets
+    without demand and sites with neither supply nor demand hang from the
+    simplex's root.  Every tree flow is then >= 0 and every zero-flow tree
+    arc points towards the root.  At lambda = 0 this tree is optimal:
+    keeping mass in place beats every other arc.
+    """
+    n_pairs = len(pair_i)
+    n_tgt = len(tgt_voxels)
+    hang = np.full(size, -1, dtype=np.int64)
+    own = np.flatnonzero(pair_i == pair_j)
+    hang[pair_i[own]] = own
+    hang[both] = n_pairs + np.arange(len(both))
+    if feeder is not None and n_pairs:
+        keys = pair_i * size + pair_j
+        order = np.argsort(keys, kind="stable")
+        want = np.asarray(feeder, dtype=np.int64)[tgt_voxels] * size + tgt_voxels
+        at = np.searchsorted(keys, want, sorter=order)
+        at = order[np.minimum(at, n_pairs - 1)]
+        found = keys[at] == want
+        hang[tgt_voxels[found]] = at[found]
+
+    basis = np.full(problem.n_nodes, -1, dtype=np.int64)
+    demand = -problem.supplies[n_src : n_src + n_tgt]
+    fed = np.flatnonzero(demand > 0)
+    arcs = hang[tgt_voxels[fed]]
+    basis[n_src + fed] = arcs
+    hung = np.zeros(n_src, dtype=np.int64)
+    np.add.at(hung, problem.tails[arcs], demand[fed])
+
+    supply = problem.supplies[:n_src]
+    add0 = n_pairs + len(both)
+    remove = (supply > 0) & (supply >= hung)
+    add = ~remove & ((supply > 0) | (hung > 0))
+    basis[:n_src] = np.where(
+        remove,
+        add0 + n_src + np.cumsum(supply > 0) - 1,
+        np.where(add, add0 + np.arange(n_src), -1),
+    )
+    return basis
 
 
 def build_balanced_problem(

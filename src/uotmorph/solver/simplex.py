@@ -1,8 +1,15 @@
 """Primal network simplex for uncapacitated min-cost flow on integer supplies.
 
 Flows are exact integers (int64); arc costs are float64.  The basis is a
-spanning tree stored with parent/thread/size arrays, initialized from an
-artificial root with big-M arcs (strongly feasible start).
+spanning tree over the nodes and an artificial root, stored with
+parent/thread/size arrays.  The solve starts from the problem's ``basis``,
+which names for each node the arc hanging it from its parent, or -1 for a
+big-M artificial arc to the root.  One DFS from the root builds the tree
+arrays from it; each tree arc carries its subtree's supply, each artificial
+arc is directed so that its flow is non-negative, and potentials follow
+from the tree.  The start must be strongly feasible (every zero-flow tree
+arc points towards the root); a basis that is not is a ``SolverError``.
+No basis is the all -1 basis: the classic artificial star.
 
 Pivot rule.  The entering arc is chosen by a candidate-list rule: arcs are
 scanned cyclically in fixed index order in blocks of ceil(sqrt(m)), taking
@@ -50,27 +57,8 @@ def solve_min_cost_flow(problem: FlowProblem):
     root = n
     max_cost = float(np.max(problem.costs)) if e else 0.0
     faux = 1.0 + 3.0 * (n + 1) * max(max_cost, 1.0)
-
-    # arc arrays; artificial arcs live at indices e..e+n-1, node v's one
-    # from the root to v when v has demand, else from v to the root
-    nodes = np.arange(n, dtype=np.int64)
-    demand = b < 0
-    S = np.concatenate([problem.tails, np.where(demand, root, nodes)],
-                       dtype=np.int64)
-    T = np.concatenate([problem.heads, np.where(demand, nodes, root)],
-                       dtype=np.int64)
-    C = np.concatenate([problem.costs, np.full(n, faux)], dtype=np.float64)
-    x = np.zeros(e + n, dtype=np.int64)
-    x[e:] = np.abs(b)
-    pi = np.append(np.where(demand, -faux, faux), 0.0)
+    S, T, C, x, pi, parent, edge, size, next_, prev, last = _start(problem, faux)
     Sv, Tv, Cv, xv, piv = (memoryview(a) for a in (S, T, C, x, pi))
-
-    parent = [root] * n + [None]
-    edge = [e + v for v in range(n)] + [None]
-    size = [1] * n + [n + 1]
-    next_ = list(range(1, n)) + [root, 0]
-    prev = [root] + list(range(0, n - 1)) + [n - 1]
-    last = list(range(n)) + [n - 1]
 
     tol = 1e-11 * (1.0 + max_cost)
     block = int(math.ceil(math.sqrt(e))) if e else 0
@@ -268,3 +256,108 @@ def solve_min_cost_flow(problem: FlowProblem):
     nz = np.flatnonzero(flows > 0)
     objective_units = float(np.dot(C[nz], flows[nz].astype(np.float64)))
     return flows, objective_units
+
+
+def _start(problem: FlowProblem, faux: float):
+    """Arc arrays, flows, potentials and tree arrays of the starting basis.
+
+    Node v hangs from its parent by arc ``problem.basis[v]``, or by its
+    artificial arc (index e + v) to the root where the entry is -1; ``None``
+    means all -1.  The artificial arc runs root -> v when the supply of v's
+    subtree is negative, else v -> root.  Raises ``SolverError`` naming the
+    first node at fault when the basis is not a strongly feasible tree: a
+    node that does not reach the root, a negative tree flow, or a zero-flow
+    tree arc directed away from the root.
+    """
+    n = problem.n_nodes
+    e = problem.n_arcs
+    root = n
+    nodes = np.arange(n, dtype=np.int64)
+    if problem.basis is None:
+        basis = np.full(n, -1, dtype=np.int64)
+    else:
+        basis = np.asarray(problem.basis, dtype=np.int64)
+        if basis.shape != (n,):
+            raise SolverError(f"basis has shape {basis.shape}, expected ({n},)")
+    bad = np.flatnonzero((basis < -1) | (basis >= e))
+    if len(bad):
+        raise SolverError(f"basis: node {bad[0]} names no arc ({basis[bad[0]]})")
+    real = basis >= 0
+    edge = np.where(real, basis, e + nodes)
+    arc = basis[real]
+    tails = problem.tails[arc]
+    heads = problem.heads[arc]
+    bad = np.flatnonzero((tails != nodes[real]) & (heads != nodes[real]))
+    if len(bad):
+        v = nodes[real][bad[0]]
+        raise SolverError(f"basis: arc {basis[v]} of node {v} does not touch it")
+    parent = np.full(n + 1, root, dtype=np.int64)
+    parent[:n][real] = np.where(tails == nodes[real], heads, tails)
+
+    # preorder from the root, children in increasing node order
+    order = np.lexsort((-nodes, parent[:n]))
+    kids = order.tolist()
+    first = np.searchsorted(parent[order], np.arange(n + 2)).tolist()
+    thread = []
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        thread.append(u)
+        stack.extend(kids[first[u] : first[u + 1]])
+    if len(thread) <= n:
+        reached = np.zeros(n + 1, dtype=bool)
+        reached[thread] = True
+        v = int(np.argmin(reached))
+        raise SolverError(f"basis: node {v} does not reach the root (cycle)")
+
+    # subtree supplies and sizes, children before parents
+    par = parent.tolist()
+    sub = problem.supplies.tolist() + [0]
+    size = [1] * (n + 1)
+    for u in reversed(thread[1:]):
+        p = par[u]
+        sub[p] += sub[u]
+        size[p] += size[u]
+
+    subtree = np.array(sub[:n], dtype=np.int64)
+    below = subtree < 0
+    S = np.concatenate([problem.tails, np.where(below, root, nodes)],
+                       dtype=np.int64)
+    T = np.concatenate([problem.heads, np.where(below, nodes, root)],
+                       dtype=np.int64)
+    C = np.concatenate([problem.costs, np.full(n, faux)], dtype=np.float64)
+
+    # each tree arc carries its subtree's supply towards the root
+    up = S[edge] == nodes
+    flow = np.where(up, subtree, -subtree)
+    bad = np.flatnonzero(flow < 0)
+    if len(bad):
+        v = bad[0]
+        raise SolverError(f"basis: negative flow {flow[v]} on the arc of node {v}")
+    bad = np.flatnonzero((flow == 0) & ~up)
+    if len(bad):
+        raise SolverError(
+            f"basis: zero-flow arc of node {bad[0]} points away from the root"
+        )
+    x = np.zeros(e + n, dtype=np.int64)
+    x[edge] = flow
+
+    # potentials in thread order, parents first; reduced cost 0 on tree arcs
+    step = np.where(T[edge] == nodes, -C[edge], C[edge]).tolist()
+    pi = [0.0] * (n + 1)
+    for u in thread[1:]:
+        pi[u] = pi[par[u]] + step[u]
+
+    thread = np.array(thread, dtype=np.int64)
+    pos = np.empty(n + 1, dtype=np.int64)
+    pos[thread] = np.arange(n + 1)
+    next_ = np.empty(n + 1, dtype=np.int64)
+    next_[thread] = np.roll(thread, -1)
+    prev = np.empty(n + 1, dtype=np.int64)
+    prev[thread] = np.roll(thread, 1)
+    last = thread[pos + np.array(size) - 1]
+
+    par[root] = None
+    edge = edge.tolist() + [None]
+    return (S, T, C, x, np.array(pi), par, edge, size, next_.tolist(),
+            prev.tolist(), last.tolist())

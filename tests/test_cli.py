@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 
@@ -317,3 +318,31 @@ def test_export_slice_zero_map_is_mid_gray(tmp_path):
     ) == 0
     pixels = (tmp_path / "s.pgm").read_bytes().split(b"255\n", 1)[1]
     assert pixels == bytes([128] * 16)
+
+
+def test_pipeline_logs_stage_progress(tmp_path, caplog):
+    names = ["synth", "template", "transport[lambda=150.0]",
+             "features[lambda=150.0]", "correlate[lambda=150.0/total_mass]"]
+
+    def pipeline_messages():
+        return [r.getMessage() for r in caplog.records
+                if r.name == "uotmorph.pipeline" and r.levelno == logging.INFO]
+
+    path = write_config(tmp_path)
+    with caplog.at_level(logging.INFO, logger="uotmorph.pipeline"):
+        assert main(["run", "--config", str(path)]) == 0
+    messages = pipeline_messages()
+    for name in names:
+        assert f"{name}: start" in [m.split(",")[0] for m in messages]
+        assert any(m.startswith(f"{name}: done") for m in messages)
+
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="uotmorph.pipeline"):
+        assert main(["run", "--config", str(path)]) == 0
+    assert pipeline_messages() == [f"{name}: up to date, skipped" for name in names]
+
+    # the same run without logging leaves an identical artifact tree
+    quiet = write_config(tmp_path, name="quiet.json",
+                         output_dir=str(tmp_path / "quiet"))
+    assert main(["run", "--config", str(quiet)]) == 0
+    assert tree_checksums(tmp_path / "out") == tree_checksums(tmp_path / "quiet")

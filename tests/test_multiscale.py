@@ -1,14 +1,22 @@
 import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_measure_pair
+from conftest import line_measure, random_measure_pair
 from uotmorph.grid import GridDomain, GridMeasure
 from uotmorph.solver import (
     AllocationSpec,
     CostSpec,
     QuantizationSpec,
+    TransportSolution,
+    feasibility_violation_units,
     solve_multiscale,
     solve_unbalanced,
 )
+from uotmorph.solver import network, simplex, ssp
+from uotmorph.solver.multiscale import _feeder
+from uotmorph.solver.specs import ARC_TRANSPORT
 
 COST = CostSpec()
 QUANT = QuantizationSpec(units=10**6)
@@ -68,3 +76,109 @@ def test_multiscale_radius_widens_admission():
     assert objs[1] <= objs[0] + 1e-9
     assert objs[2] <= objs[1] + 1e-9
     assert objs[2] >= exact.objective - 1e-9 * max(1.0, exact.objective)
+
+
+def test_feeder_follows_the_largest_coarse_inflow():
+    # coarse 2x2 over fine 4x4: cell 3 gets most of its mass from cell 0,
+    # cell 1 keeps most of its own, cells 0 and 2 receive nothing
+    plan = ((0, 3, 2.0), (1, 1, 1.0), (2, 1, 0.5), (3, 3, 1.0))
+    feeder = _feeder(TransportSolution(plan_arcs=plan), (2, 2), (4, 4))
+    expected = np.arange(16).reshape(4, 4)
+    expected[2:, 2:] = expected[:2, :2]
+    assert feeder.tolist() == expected.ravel().tolist()
+
+    # 3x3 fine under 2x2 coarse: a shift into the partial cell 1 falls off
+    # the grid for voxels in its missing column
+    plan = ((1, 0, 1.0),)
+    feeder = _feeder(TransportSolution(plan_arcs=plan), (2, 2), (3, 3))
+    assert feeder.reshape(3, 3).tolist() == [[2, 1, 2], [5, 4, 5], [6, 7, 8]]
+
+
+def _target_nodes(problem, mu, nu):
+    """Voxel -> node of the target side, from the builder's node order."""
+    n_src = len(np.union1d(np.flatnonzero(mu.flat), np.flatnonzero(nu.flat)))
+    tgt_voxels = np.flatnonzero(nu.flat)
+    return dict(zip(tgt_voxels.tolist(), range(n_src, n_src + len(tgt_voxels))))
+
+
+def _check_fed_solve(mu, nu, alloc, problem):
+    """The warm-started restricted solve is feasible, matches SSP on the same
+    network and upper-bounds the exact optimum."""
+    flows, _ = simplex.solve_min_cost_flow(problem)
+    sol = network.extract_solution(problem, flows)
+    assert feasibility_violation_units(sol, mu.flat, nu.flat, QUANT.units) == 0
+    oracle = network.extract_solution(problem, ssp.solve_min_cost_flow(problem)[0])
+    assert sol.objective == pytest.approx(oracle.objective, rel=1e-9, abs=1e-12)
+    exact = solve_unbalanced(mu, nu, COST, alloc, QUANT)
+    assert sol.objective >= exact.objective * (1 - 1e-9)
+
+
+def test_feeder_falls_back_to_self_arc():
+    w = [3.0, 0.0, 1.0, 0.0, 0.0, 2.0]
+    z = [0.0, 2.0, 0.0, 1.0, 2.0, 1.0]
+    mu, nu = line_measure(w), line_measure(z)
+    alloc = AllocationSpec(lam=2.0)  # prunes pairs farther apart than 2
+    pairs = [(i, j) for i in range(6) for j in range(6) if i != j and (i, j) != (2, 3)]
+    allowed = tuple(np.array(col) for col in zip(*pairs))
+    feeder = np.arange(6)
+    feeder[1] = 0  # built and admitted
+    feeder[3] = 2  # within the pruning bound, but not admitted
+    feeder[4] = 3  # zero-mass source
+    feeder[5] = 0  # admitted, but pruned by the 2-lambda rule
+    problem = network.build_unbalanced_problem(
+        mu, nu, COST, alloc, QUANT, allowed_pairs=allowed, feeder=feeder
+    )
+    node = _target_nodes(problem, mu, nu)
+    hung = {
+        v: (int(problem.arc_voxel_a[a]), int(problem.arc_voxel_b[a]))
+        for v, a in ((v, problem.basis[node[v]]) for v in node)
+    }
+    assert hung == {1: (0, 1), 3: (3, 3), 4: (4, 4), 5: (5, 5)}
+    _check_fed_solve(mu, nu, alloc, problem)
+
+
+@st.composite
+def fed_cases(draw):
+    dims = draw(st.sampled_from([(1, 5), (3, 3), (2, 2, 2)]))
+    dom = GridDomain(dims=dims, spacing=(1.0,) * len(dims), origin=(0.0,) * len(dims))
+    size = int(np.prod(dims))
+    masses = st.lists(st.integers(0, 4), min_size=size, max_size=size)
+    w = np.array(draw(masses), dtype=float)
+    z = np.array(draw(masses), dtype=float)
+    assume(w.sum() > 0 and z.sum() > 0)
+    alloc = AllocationSpec(
+        lam=draw(st.sampled_from([0.0, 0.6, 2.0, 50.0])),
+        side=draw(st.sampled_from(["source_only", "both_sides"])),
+    )
+    feeder = np.array(
+        draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+    )
+    allowed = None
+    if draw(st.booleans()):
+        keep = draw(st.lists(st.booleans(), min_size=size * size, max_size=size * size))
+        keys = np.flatnonzero(keep)
+        allowed = (keys // size, keys % size)
+    mu = GridMeasure(dom, w.reshape(dims))
+    nu = GridMeasure(dom, z.reshape(dims))
+    return mu, nu, alloc, feeder, allowed
+
+
+@given(case=fed_cases())
+@settings(max_examples=100, deadline=None)
+def test_feeder_arcs_or_self_arcs_start_a_feasible_solve(case):
+    mu, nu, alloc, feeder, allowed = case
+    problem = network.build_unbalanced_problem(
+        mu, nu, COST, alloc, QUANT, allowed_pairs=allowed, feeder=feeder
+    )
+    transport = problem.arc_kind == ARC_TRANSPORT
+    demand = {v: int(-problem.supplies[n]) for v, n in _target_nodes(problem, mu, nu).items()}
+    for v, n in _target_nodes(problem, mu, nu).items():
+        a = problem.basis[n]
+        if demand[v] == 0:
+            assert a == -1
+            continue
+        built = transport & (problem.arc_voxel_b == v)
+        want = feeder[v] if (built & (problem.arc_voxel_a == feeder[v])).any() else v
+        assert transport[a] and problem.arc_voxel_b[a] == v
+        assert problem.arc_voxel_a[a] == want
+    _check_fed_solve(mu, nu, alloc, problem)

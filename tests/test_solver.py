@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from uotmorph.solver import (
 )
 from uotmorph.solver import network, simplex, ssp
 from uotmorph.solver.api import _run
+from uotmorph.solver.specs import ARC_ADD_SRC, ARC_REM_SRC, ARC_TRANSPORT
 
 COST = CostSpec()
 QUANT = QuantizationSpec(units=10**7)
@@ -331,3 +333,93 @@ def test_simplex_flows_exact_at_max_units():
     assert (net_outflow(problem, flows) == problem.supplies).all()
     sol = solve_unbalanced(mu, nu, COST, alloc, quant)
     assert feasibility_violation_units(sol, mu.flat, nu.flat, quant.units) == 0
+
+
+def with_basis(problem, basis):
+    return dataclasses.replace(problem, basis=np.asarray(basis, dtype=np.int64))
+
+
+def test_simplex_rejects_basis_with_cycle():
+    # node 0 hangs from node 1 and node 1 from node 0
+    problem = flow_problem(2, [(0, 1, 1.0), (1, 0, 1.0)], [1, -1])
+    with pytest.raises(SolverError, match="node 0 does not reach the root"):
+        simplex.solve_min_cost_flow(with_basis(problem, [0, 1]))
+
+
+def test_simplex_rejects_basis_with_negative_flow():
+    # node 1 (demand 1) would have to send its subtree supply up arc 1 -> 0
+    problem = flow_problem(2, [(1, 0, 1.0), (0, 1, 1.0)], [1, -1])
+    with pytest.raises(SolverError, match="negative flow -1 on the arc of node 1"):
+        simplex.solve_min_cost_flow(with_basis(problem, [-1, 0]))
+
+
+def test_simplex_rejects_zero_flow_arc_away_from_root():
+    problem = flow_problem(3, [(0, 1, 1.0), (2, 0, 1.0)], [0, 0, 0])
+    with pytest.raises(SolverError, match="zero-flow arc of node 1 points away"):
+        simplex.solve_min_cost_flow(with_basis(problem, [-1, 0, -1]))
+    # a zero-flow arc pointing up (2 -> 0) is accepted
+    flows, objective = simplex.solve_min_cost_flow(with_basis(problem, [-1, -1, 1]))
+    assert flows.tolist() == [0, 0] and objective == 0.0
+
+
+def test_simplex_rejects_basis_arc_not_at_node():
+    problem = flow_problem(3, [(0, 1, 1.0)], [1, -1, 0])
+    with pytest.raises(SolverError, match="arc 0 of node 2 does not touch it"):
+        simplex.solve_min_cost_flow(with_basis(problem, [-1, 0, 0]))
+    with pytest.raises(SolverError, match="node 1 names no arc"):
+        simplex.solve_min_cost_flow(with_basis(problem, [-1, 1, -1]))
+
+
+@pytest.mark.parametrize("side", ["source_only", "both_sides"])
+def test_all_artificial_basis_equals_default_start(side):
+    rng = np.random.default_rng(8)
+    for lam in (0.5, 3.0, 30.0):
+        mu, nu = random_measure_pair(rng, dims=(4, 4))
+        problem = network.build_unbalanced_problem(
+            mu, nu, COST, AllocationSpec(lam=lam, side=side), QUANT
+        )
+        star = np.full(problem.n_nodes, -1)
+        default = dataclasses.replace(problem, basis=None)
+        flows, objective = simplex.solve_min_cost_flow(default)
+        flows_star, objective_star = simplex.solve_min_cost_flow(
+            with_basis(problem, star)
+        )
+        assert np.array_equal(flows_star, flows)
+        assert objective_star == objective
+
+
+@pytest.mark.parametrize("side", ["source_only", "both_sides"])
+def test_bank_basis_is_optimal_at_lambda_zero(side):
+    # every target is fed by its own voxel's self arc and every site settles
+    # with the bank: the solve returns exactly that tree's flows
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        mu, nu = random_measure_pair(rng, dims=(4, 4))
+        problem = network.build_unbalanced_problem(
+            mu, nu, COST, AllocationSpec(lam=0.0, side=side), QUANT
+        )
+        flows, _ = simplex.solve_min_cost_flow(problem)
+        tree_arcs = problem.basis[problem.basis >= 0]
+        assert np.isin(np.flatnonzero(flows), tree_arcs).all()
+        kinds = problem.arc_kind[tree_arcs]
+        transport = tree_arcs[kinds == ARC_TRANSPORT]
+        assert (
+            problem.arc_voxel_a[transport] == problem.arc_voxel_b[transport]
+        ).all()
+        assert set(kinds.tolist()) <= {ARC_TRANSPORT, ARC_ADD_SRC, ARC_REM_SRC}
+        assert (net_outflow(problem, flows) == problem.supplies).all()
+
+
+def test_bank_basis_only_for_finite_lambda():
+    mu = line_measure([1.0, 0.0, 2.0])
+    nu = line_measure([0.0, 1.0, 2.0])
+    finite = network.build_unbalanced_problem(
+        mu, nu, COST, AllocationSpec(lam=1.0), QUANT
+    )
+    assert finite.basis is not None and len(finite.basis) == finite.n_nodes
+    infinite = network.build_unbalanced_problem(
+        mu, line_measure([0.0, 1.0, 2.0]), COST, AllocationSpec(lam=math.inf), QUANT
+    )
+    assert infinite.basis is None
+    balanced = network.build_balanced_problem(mu, nu, COST, QUANT)
+    assert balanced.basis is None

@@ -5,7 +5,7 @@ quantization primitive under hypothesis.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uotmorph.grid import GridDomain, GridMeasure, downsample
@@ -138,3 +138,61 @@ def test_quantize_total_and_per_entry_bounds(values, total):
         assert np.max(np.abs(out - scaled)) < 1.0 + 1e-9
         # zero entries never receive units
         assert not out[v == 0].any()
+
+
+@st.composite
+def transport_cases(draw):
+    """Measure pair, allocation and quantization for a differential solve.
+
+    Grids are 1D (a 1 x n line), 2D, or 3D with anisotropic spacing; masses
+    are small integers, so totals are exact and lambda = inf can be drawn on
+    balanced totals (the target is a permutation of the source).
+    """
+    ndim = draw(st.sampled_from([1, 2, 3]))
+    if ndim == 1:
+        dims = (1, draw(st.integers(2, 9)))
+    else:
+        dims = tuple(draw(st.integers(2, 4 if ndim == 2 else 3)) for _ in range(ndim))
+    if ndim == 3:
+        spacing = tuple(
+            draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])) for _ in range(3)
+        )
+    else:
+        spacing = (1.0,) * len(dims)
+    dom = GridDomain(dims=dims, spacing=spacing, origin=(0.0,) * len(dims))
+    size = int(np.prod(dims))
+    masses = st.lists(st.integers(0, 5), min_size=size, max_size=size)
+    w = np.array(draw(masses), dtype=float)
+    lam_kind = draw(st.sampled_from(["zero", "one", "half", "above", "inf"]))
+    if lam_kind == "inf":
+        z = w[draw(st.permutations(range(size)))]
+    else:
+        z = np.array(draw(masses), dtype=float)
+    assume(w.sum() > 0 and z.sum() > 0)
+    max_cost = COST.max_on_domain(dom)
+    lam = {
+        "zero": 0.0,
+        "one": 1.0,
+        "half": max_cost / 2,
+        "above": max_cost / 2 * 1.25 + 0.5,
+        "inf": np.inf,
+    }[lam_kind]
+    alloc = AllocationSpec(
+        lam=lam, side=draw(st.sampled_from(["source_only", "both_sides"]))
+    )
+    units = draw(st.sampled_from([1, 10**6, 2**40]))
+    mu = GridMeasure(dom, w.reshape(dims))
+    nu = GridMeasure(dom, z.reshape(dims))
+    return mu, nu, alloc, QuantizationSpec(units=units)
+
+
+@given(case=transport_cases())
+@settings(max_examples=150, deadline=None)
+def test_simplex_matches_ssp_differential(case):
+    mu, nu, alloc, quant = case
+    problem = network.build_unbalanced_problem(mu, nu, COST, alloc, quant)
+    s1 = _run(problem, "simplex")
+    s2 = _run(problem, "ssp")
+    scale = max(1.0, COST.max_on_domain(mu.domain)) * (mu.total_mass + nu.total_mass)
+    assert s1.objective == pytest.approx(s2.objective, rel=1e-9, abs=1e-15 * scale)
+    assert feasibility_violation_units(s1, mu.flat, nu.flat, quant.units) == 0
