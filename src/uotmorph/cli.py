@@ -1,13 +1,14 @@
 """Command-line driver.
 
-    uotmorph <command> --config <path> [--stage-only] [--workers N] [--seed S]
+    uotmorph run --config <path> [--workers N] [--seed S]
+    uotmorph <stage> --config <path> [--stage-only] [--workers N] [--seed S]
 
-Commands: run, synth, template, transport, features, correlate, analytic,
-export-slice.  Stage commands run their upstream stages first when needed
-(completed stages are content-hash no-ops); with --stage-only they require
-the upstream artifacts to exist already.  Exit codes: 0 success, 2 config
-error, 3 data error, 4 solver failure.  The UOTMORPH_LOG environment
-variable (debug/info/warning) selects log verbosity.
+Commands: run, the stages synth, template, transport, features and
+correlate, analytic, export-slice.  A stage command runs the pipeline up to
+that stage (completed stages are content-hash no-ops); with --stage-only it
+runs that stage alone and requires the upstream artifacts to exist already.
+Exit codes: 0 success, 2 config error, 3 data error, 4 solver failure.  The
+UOTMORPH_LOG environment variable (debug/info/warning) selects log verbosity.
 """
 
 from __future__ import annotations
@@ -22,23 +23,10 @@ import sys
 from .analytic import correlation_curves, write_curves_csv
 from .errors import ConfigError, DataError, SolverError, UotmorphError
 from .grid import load_field
-from .pipeline import (
-    PipelineConfig,
-    StageFailure,
-    _RunLog,
-    load_config,
-    run_pipeline,
-    stage_correlate,
-    stage_features,
-    stage_synth,
-    stage_template,
-    stage_transport,
-)
+from .pipeline import STAGES, PipelineConfig, StageFailure, load_config, run_pipeline
 from .stats import render_pgm_slice
 
 log = logging.getLogger("uotmorph")
-
-_STAGE_ORDER = ("synth", "template", "transport", "features", "correlate")
 
 
 def _setup_logging():
@@ -59,64 +47,10 @@ def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-def _manifest_path(cfg: PipelineConfig) -> str:
-    if cfg.synth is not None:
-        return os.path.join(cfg.output_dir, "dataset", "manifest.csv")
-    return cfg.manifest
-
-
-def _run_stages(cfg: PipelineConfig, upto: str, stage_only: bool) -> None:
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    runlog = _RunLog(os.path.join(cfg.output_dir, "run_log.jsonl"))
-    want = _STAGE_ORDER.index(upto)
-
-    manifest = _manifest_path(cfg)
-    template = os.path.join(cfg.output_dir, "template", "template.otfg")
-
-    def require(path, what, producer):
-        if not path or not os.path.exists(path):
-            raise DataError(
-                f"{what} not found at {path!r}; run the {producer} stage first"
-            )
-
-    if stage_only:
-        if upto == "synth":
-            stage_synth(cfg, runlog)
-            return
-        require(manifest, "manifest", "synth")
-        if upto == "template":
-            stage_template(cfg, manifest, runlog)
-            return
-        require(template, "template", "template")
-        if upto == "transport":
-            stage_transport(cfg, manifest, template, runlog)
-        elif upto == "features":
-            stage_features(cfg, manifest, template, runlog)
-        else:
-            stage_correlate(cfg, manifest, runlog)
-        return
-
-    manifest = stage_synth(cfg, runlog)
-    if want == 0:
-        return
-    require(manifest, "manifest", "synth")
-    if want >= 1:
-        template = stage_template(cfg, manifest, runlog)
-    if want >= 2:
-        stage_transport(cfg, manifest, template, runlog)
-    if want >= 3:
-        stage_features(cfg, manifest, template, runlog)
-    if want >= 4:
-        stage_correlate(cfg, manifest, runlog)
-
-
 def _cmd_pipeline(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    if args.command == "run":
-        run_pipeline(cfg)
-        log.info("pipeline complete: %s", cfg.output_dir)
-    else:
-        _run_stages(cfg, args.command, args.stage_only)
+    run_pipeline(cfg, args.upto, args.stage_only)
+    log.info("%s complete: %s", args.command, cfg.output_dir)
     return 0
 
 
@@ -172,15 +106,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("run",) + _STAGE_ORDER:
+    for name in ("run",) + STAGES:
         p = sub.add_parser(name, help=f"{name} stage" if name != "run" else
                            "run the full pipeline")
         p.add_argument("--config", required=True)
-        p.add_argument("--stage-only", action="store_true",
-                       help="do not run missing upstream stages")
+        if name != "run":
+            p.add_argument("--stage-only", action="store_true",
+                           help="do not run missing upstream stages")
         p.add_argument("--workers", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.set_defaults(func=_cmd_pipeline)
+        p.set_defaults(func=_cmd_pipeline, stage_only=False,
+                       upto=STAGES[-1] if name == "run" else name)
 
     p = sub.add_parser("analytic", help="closed-form correlation curves")
     p.add_argument("--config", required=True)

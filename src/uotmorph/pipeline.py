@@ -1,13 +1,27 @@
 """End-to-end batch pipeline: generate, template, transport, features, maps.
 
 A single JSON config drives every stage.  Unknown config keys are errors.
+``run_pipeline`` alone knows the stage order (``STAGES``); it loads the
+manifest, images and image digests once and hands them to the stages.
 Each stage writes into its own directory under the output tree together
-with a ``.stage.json`` marker holding a content hash of its inputs;
-rerunning a completed stage with unchanged inputs is a no-op.  A failed
-stage removes its partial outputs and aborts, naming the stage, subject,
-and cause.  With a fixed config, seed, and worker count, the artifact tree
-(everything except the run_log.jsonl diagnostics) is byte-reproducible;
-results do not depend on the worker count.
+with a ``.stage.json`` marker holding a content hash of its inputs, and
+``_run_stage`` skips it when the marker matches:
+
+* synth: the ``synth`` config block and the seed;
+* template: the image digests, template spec, downsample factor and
+  ``SOLVER_VERSION``, plus for ``ot_barycenter`` the first lambda, the
+  allocation side, tiebreak, quantization units and cost;
+* transport (per lambda): the image digests, template file digest,
+  lambda, allocation side, tiebreak, quantization units, multiscale
+  settings, downsample factor, cost and ``SOLVER_VERSION``;
+* features (per lambda): the solution file digests and smoothing;
+* correlate (per lambda and covariate): the feature file digests, alpha,
+  the covariate's name and its values.
+
+A failed stage removes its partial outputs and aborts, naming the stage,
+lambda, covariate and cause.  With a fixed config, seed, and worker count,
+the artifact tree (everything except the run_log.jsonl diagnostics) is
+byte-reproducible; results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +61,7 @@ from .synth import (
     generate_sweep,
     save_dataset,
 )
-from .templates import TemplateSpec, build_template
+from .templates import METHOD_OT_BARYCENTER, TemplateSpec, build_template
 
 # progress of each stage; log records never enter the artifact tree
 logger = logging.getLogger("uotmorph.pipeline")
@@ -229,6 +244,8 @@ def load_config(path) -> PipelineConfig:
 # stage bookkeeping
 # ---------------------------------------------------------------------------
 
+STAGES = ("synth", "template", "transport", "features", "correlate")
+
 
 def _digest_file(path) -> str:
     h = hashlib.sha256()
@@ -257,11 +274,6 @@ def _stage_complete(stage_dir, input_hash) -> bool:
         return False
 
 
-def _write_marker(stage_dir, stage, input_hash) -> None:
-    with open(_marker_path(stage_dir), "w", encoding="utf-8") as fh:
-        json.dump({"stage": stage, "input_hash": input_hash}, fh, sort_keys=True)
-
-
 class _RunLog:
     def __init__(self, path):
         self.path = path
@@ -271,8 +283,76 @@ class _RunLog:
             fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
+def _run_stage(log: _RunLog, stage, label, stage_dir, input_hash, work, **record):
+    """Run ``work(stage_dir)`` unless the directory's marker holds ``input_hash``.
+
+    The directory is cleared before the work and marked complete after it;
+    a failure removes it and is raised as a StageFailure naming the stage
+    and ``label`` (lambda, covariate).  ``work`` may return extra run-log
+    fields.  The logged wall time spans everything after the skip check.
+    """
+    name = f"{stage}[{label}]" if label else stage
+    if _stage_complete(stage_dir, input_hash):
+        logger.info("%s: up to date, skipped", name)
+        return
+    logger.info("%s: start", name)
+    t0 = time.perf_counter()
+    try:
+        if os.path.isdir(stage_dir):
+            shutil.rmtree(stage_dir)
+        os.makedirs(stage_dir)
+        record.update(work(stage_dir) or {})
+        with open(_marker_path(stage_dir), "w", encoding="utf-8") as fh:
+            json.dump({"stage": stage, "input_hash": input_hash}, fh, sort_keys=True)
+    except Exception as exc:
+        shutil.rmtree(stage_dir, ignore_errors=True)
+        raise StageFailure(name, exc) from exc
+    wall_time = time.perf_counter() - t0
+    logger.info("%s: done in %.2f s", name, wall_time)
+    log.record(stage=stage, wall_time=wall_time, **record)
+
+
+def _require(name, paths, producer) -> None:
+    for path in paths:
+        if not os.path.exists(path):
+            raise StageFailure(
+                name, DataError(f"missing {path}; run the {producer} stage")
+            )
+
+
 def _lambda_dirname(lam: float) -> str:
     return f"lambda={lam!r}"
+
+
+class _Cohort:
+    """The manifest of one invocation; images and digests load on first use."""
+
+    def __init__(self, cfg: PipelineConfig, manifest_path):
+        self.manifest = load_manifest(manifest_path)
+        base = os.path.dirname(os.path.abspath(manifest_path))
+        self.ids = [e.subject_id for e in self.manifest.entries]
+        self.paths = [os.path.join(base, e.image_path) for e in self.manifest.entries]
+        self.downsample_factor = cfg.downsample_factor
+
+    @cached_property
+    def digests(self) -> list[str]:
+        return [_digest_file(p) for p in self.paths]
+
+    @cached_property
+    def images(self) -> list:
+        images = []
+        for sid, path in zip(self.ids, self.paths):
+            m = load_measure(path)
+            if self.downsample_factor > 1:
+                m = downsample(m, self.downsample_factor)
+            if images and m.domain != images[0].domain:
+                raise DataError(f"subject {sid}: domain mismatch")
+            images.append(m)
+        return images
+
+    @property
+    def domain(self):
+        return self.images[0].domain
 
 
 # ---------------------------------------------------------------------------
@@ -280,65 +360,24 @@ def _lambda_dirname(lam: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _load_cohort(cfg: PipelineConfig, manifest_path):
-    manifest = load_manifest(manifest_path)
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    images = []
-    for entry in manifest.entries:
-        path = entry.image_path
-        if not os.path.isabs(path):
-            path = os.path.join(base, path)
-        m = load_measure(path)
-        if cfg.downsample_factor > 1:
-            m = downsample(m, cfg.downsample_factor)
-        images.append(m)
-    domain = images[0].domain
-    for im, entry in zip(images[1:], manifest.entries[1:]):
-        if im.domain != domain:
-            raise DataError(f"subject {entry.subject_id}: domain mismatch")
-    return manifest, images
-
-
-def stage_synth(cfg: PipelineConfig, log: _RunLog) -> str | None:
+def stage_synth(cfg: PipelineConfig, log: _RunLog) -> None:
     """Generate the synthetic cohort (when configured).
 
-    Returns the manifest path, or None for the sweep kind, which emits one
-    dataset per sample size under dataset/n=<n>/ and cannot feed the
-    single-cohort pipeline directly.
+    The sweep kind emits one dataset per sample size under dataset/n=<n>/,
+    which cannot feed the single-cohort pipeline directly.
     """
     if cfg.synth is None:
-        return cfg.manifest
-    dataset_dir = os.path.join(cfg.output_dir, "dataset")
-    manifest_path = os.path.join(dataset_dir, "manifest.csv")
+        return
     synth = dict(cfg.synth)
     kind = synth.pop("kind")
     synth.setdefault("seed", cfg.seed)
-    input_hash = _stage_hash({"synth": cfg.synth, "seed": cfg.seed, "kind": kind})
-    if _stage_complete(dataset_dir, input_hash):
-        logger.info("synth: up to date, skipped")
-        return None if kind == "sweep" else manifest_path
-    logger.info("synth: start")
-    t0 = time.perf_counter()
-    try:
-        if os.path.isdir(dataset_dir):
-            shutil.rmtree(dataset_dir)
+
+    def work(dataset_dir):
         for key in ("dims", "inner_radii", "outer_radii", "removal_range",
                     "outer_fraction_range", "total_range"):
             if key in synth:
                 synth[key] = tuple(synth[key])
-        if kind == "strips":
-            spec = StripSpec(**synth)
-            measures, manifest = generate_strips(spec)
-            save_dataset(measures, manifest, dataset_dir)
-            provenance = {"kind": kind, **dataclasses.asdict(spec)}
-            n_subjects = len(measures)
-        elif kind == "annuli":
-            spec = AnnulusSpec(**synth)
-            measures, manifest = generate_annuli(spec)
-            save_dataset(measures, manifest, dataset_dir)
-            provenance = {"kind": kind, **dataclasses.asdict(spec)}
-            n_subjects = len(measures)
-        else:
+        if kind == "sweep":
             n_list = synth.pop("n_list")
             sigma_list = synth.pop("sigma_list")
             synth.pop("n_subjects", None)
@@ -348,78 +387,57 @@ def stage_synth(cfg: PipelineConfig, log: _RunLog) -> str | None:
             for n, (measures, manifest) in datasets.items():
                 save_dataset(measures, manifest, os.path.join(dataset_dir, f"n={n}"))
             n_subjects = sum(n_list)
+        else:
+            spec_type, generate = {"strips": (StripSpec, generate_strips),
+                                   "annuli": (AnnulusSpec, generate_annuli)}[kind]
+            spec = spec_type(**synth)
+            measures, manifest = generate(spec)
+            save_dataset(measures, manifest, dataset_dir)
+            provenance = {"kind": kind, **dataclasses.asdict(spec)}
+            n_subjects = len(measures)
         with open(os.path.join(dataset_dir, "generation.json"), "w",
                   encoding="utf-8") as fh:
             json.dump(provenance, fh, sort_keys=True, indent=2)
-        _write_marker(dataset_dir, "synth", input_hash)
-    except Exception as exc:
-        shutil.rmtree(dataset_dir, ignore_errors=True)
-        raise StageFailure("synth", exc) from exc
-    wall_time = time.perf_counter() - t0
-    logger.info("synth: done, %d subjects in %.2f s", n_subjects, wall_time)
-    log.record(stage="synth", wall_time=wall_time, subjects=n_subjects)
-    return None if kind == "sweep" else manifest_path
+        return {"subjects": n_subjects}
+
+    input_hash = _stage_hash({"synth": cfg.synth, "seed": cfg.seed, "kind": kind})
+    _run_stage(log, "synth", None, os.path.join(cfg.output_dir, "dataset"),
+               input_hash, work)
 
 
-def stage_template(cfg: PipelineConfig, manifest_path, log: _RunLog) -> str:
-    """Build and save the template; returns its OTFG path."""
-    template_dir = os.path.join(cfg.output_dir, "template")
-    out_path = os.path.join(template_dir, "template.otfg")
-    manifest, images = _load_cohort(cfg, manifest_path)
-    input_hash = _stage_hash(
-        {
-            "template": cfg.template,
-            "downsample": cfg.downsample_factor,
-            "solver_version": SOLVER_VERSION,
-            "images": [_digest_file(_resolve(manifest_path, e.image_path))
-                       for e in manifest.entries],
-        }
+def stage_template(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
+    """Build and save the template as template/template.otfg."""
+    alloc = AllocationSpec(
+        lam=cfg.lambdas[0], side=cfg.allocation_side,
+        tiebreak_epsilon=cfg.tiebreak_epsilon,
     )
-    if _stage_complete(template_dir, input_hash):
-        logger.info("template: up to date, skipped")
-        return out_path
-    logger.info("template: start")
-    t0 = time.perf_counter()
-    try:
-        if os.path.isdir(template_dir):
-            shutil.rmtree(template_dir)
-        os.makedirs(template_dir)
-        alloc = AllocationSpec(
-            lam=cfg.lambdas[0] if cfg.lambdas else 1.0,
-            side=cfg.allocation_side,
-            tiebreak_epsilon=cfg.tiebreak_epsilon,
-        )
+    quant = QuantizationSpec(units=cfg.quantization_units)
+    inputs = {
+        "template": cfg.template,
+        "downsample": cfg.downsample_factor,
+        "solver_version": SOLVER_VERSION,
+        "images": cohort.digests,
+    }
+    if cfg.template.method == METHOD_OT_BARYCENTER:
+        # only the barycenter solves transport, so only it reads these
+        inputs.update({"lambda": alloc.lam, "side": alloc.side,
+                       "tiebreak": alloc.tiebreak_epsilon, "units": quant.units,
+                       "cost": cfg.cost.kind})
+
+    def work(template_dir):
         template, meta = build_template(
-            images,
-            cfg.template,
-            cost=cfg.cost,
-            alloc=alloc,
-            quant=QuantizationSpec(units=cfg.quantization_units),
+            cohort.images, cfg.template, cost=cfg.cost, alloc=alloc, quant=quant,
             workers=cfg.workers,
         )
-        save_measure(template, out_path)
+        save_measure(template, os.path.join(template_dir, "template.otfg"))
         with open(os.path.join(template_dir, "template.txt"), "w",
                   encoding="utf-8") as fh:
             for key in sorted(meta):
                 fh.write(f"{key}={meta[key]}\n")
-        _write_marker(template_dir, "template", input_hash)
-    except StageFailure:
-        shutil.rmtree(template_dir, ignore_errors=True)
-        raise
-    except Exception as exc:
-        shutil.rmtree(template_dir, ignore_errors=True)
-        raise StageFailure("template", exc) from exc
-    wall_time = time.perf_counter() - t0
-    logger.info("template: done in %.2f s", wall_time)
-    log.record(stage="template", wall_time=wall_time,
-               total_mass=template.total_mass)
-    return out_path
+        return {"total_mass": template.total_mass}
 
-
-def _resolve(manifest_path, image_path):
-    if os.path.isabs(image_path):
-        return image_path
-    return os.path.join(os.path.dirname(os.path.abspath(manifest_path)), image_path)
+    _run_stage(log, "template", None, os.path.join(cfg.output_dir, "template"),
+               _stage_hash(inputs), work)
 
 
 def _solve_subject(args):
@@ -433,20 +451,15 @@ def _solve_subject(args):
     return solve_unbalanced(template, subject, cost, alloc, quant)
 
 
-def stage_transport(cfg: PipelineConfig, manifest_path, template_path,
-                    log: _RunLog) -> None:
+def stage_transport(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
     """Solve template -> subject transport for every lambda and subject."""
-    manifest, images = _load_cohort(cfg, manifest_path)
+    template_path = os.path.join(cfg.output_dir, "template", "template.otfg")
+    _require("transport", [template_path], "template")
     template = load_measure(template_path)
-    if cfg.downsample_factor > 1 and template.domain != images[0].domain:
-        raise StageFailure(
-            "transport", DataError("template domain does not match cohort")
-        )
     quant = QuantizationSpec(units=cfg.quantization_units)
     base_hash = {
         "template": _digest_file(template_path),
-        "images": [_digest_file(_resolve(manifest_path, e.image_path))
-                   for e in manifest.entries],
+        "images": cohort.digests,
         "side": cfg.allocation_side,
         "tiebreak": cfg.tiebreak_epsilon,
         "units": cfg.quantization_units,
@@ -456,185 +469,118 @@ def stage_transport(cfg: PipelineConfig, manifest_path, template_path,
         "solver_version": SOLVER_VERSION,
     }
     for lam in cfg.lambdas:
-        stage_dir = os.path.join(cfg.output_dir, "solutions", _lambda_dirname(lam))
-        input_hash = _stage_hash({**base_hash, "lambda": lam})
-        name = f"transport[{_lambda_dirname(lam)}]"
-        if _stage_complete(stage_dir, input_hash):
-            logger.info("%s: up to date, skipped", name)
-            continue
-        logger.info("%s: start, %d subjects", name, len(images))
-        t0 = time.perf_counter()
-        alloc = AllocationSpec(
-            lam=lam, side=cfg.allocation_side,
-            tiebreak_epsilon=cfg.tiebreak_epsilon,
-        )
-        args = [(template, img, cfg.cost, alloc, quant, cfg.multiscale)
-                for img in images]
-        try:
-            if os.path.isdir(stage_dir):
-                shutil.rmtree(stage_dir)
-            os.makedirs(stage_dir)
+
+        def work(stage_dir):
+            if template.domain != cohort.domain:
+                raise DataError("template domain does not match cohort")
+            alloc = AllocationSpec(
+                lam=lam, side=cfg.allocation_side,
+                tiebreak_epsilon=cfg.tiebreak_epsilon,
+            )
+            args = [(template, img, cfg.cost, alloc, quant, cfg.multiscale)
+                    for img in cohort.images]
             if cfg.workers > 1:
                 with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
                     sols = list(pool.map(_solve_subject, args))
             else:
                 sols = [_solve_subject(a) for a in args]
-            objectives = {}
-            for entry, sol in zip(manifest.entries, sols):
-                export_solution(
-                    sol, os.path.join(stage_dir, f"{entry.subject_id}.plan.csv")
-                )
-                objectives[entry.subject_id] = sol.objective
-            _write_marker(stage_dir, "transport", input_hash)
-        except Exception as exc:
-            shutil.rmtree(stage_dir, ignore_errors=True)
-            raise StageFailure(name, exc) from exc
-        wall_time = time.perf_counter() - t0
-        logger.info("%s: done in %.2f s", name, wall_time)
-        log.record(stage="transport", lam=lam, wall_time=wall_time,
-                   objectives=objectives)
+            for sid, sol in zip(cohort.ids, sols):
+                export_solution(sol, os.path.join(stage_dir, f"{sid}.plan.csv"))
+            return {"objectives": {sid: sol.objective
+                                   for sid, sol in zip(cohort.ids, sols)}}
+
+        label = _lambda_dirname(lam)
+        _run_stage(log, "transport", label,
+                   os.path.join(cfg.output_dir, "solutions", label),
+                   _stage_hash({**base_hash, "lambda": lam}), work, lam=lam)
 
 
-def stage_features(cfg: PipelineConfig, manifest_path, template_path,
-                   log: _RunLog) -> None:
+def stage_features(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
     """Turn solutions into smoothed allocation / transport-cost images."""
-    manifest, images = _load_cohort(cfg, manifest_path)
-    domain = images[0].domain
     from .grid import save_field  # local import to keep module top tidy
 
     for lam in cfg.lambdas:
-        sol_dir = os.path.join(cfg.output_dir, "solutions", _lambda_dirname(lam))
-        stage_dir = os.path.join(cfg.output_dir, "features", _lambda_dirname(lam))
-        sol_paths = [
-            os.path.join(sol_dir, f"{e.subject_id}.plan.csv")
-            for e in manifest.entries
-        ]
-        for p in sol_paths:
-            if not os.path.exists(p):
-                raise StageFailure(
-                    f"features[{_lambda_dirname(lam)}]",
-                    DataError(f"missing solution {p}; run the transport stage"),
-                )
-        input_hash = _stage_hash(
-            {
-                "solutions": [_digest_file(p) for p in sol_paths],
-                "smoothing": cfg.smoothing,
-            }
-        )
-        name = f"features[{_lambda_dirname(lam)}]"
-        if _stage_complete(stage_dir, input_hash):
-            logger.info("%s: up to date, skipped", name)
-            continue
-        logger.info("%s: start", name)
-        t0 = time.perf_counter()
-        try:
-            if os.path.isdir(stage_dir):
-                shutil.rmtree(stage_dir)
-            os.makedirs(stage_dir)
-            for entry, sol_path in zip(manifest.entries, sol_paths):
-                sol = load_solution(sol_path)
+        label = _lambda_dirname(lam)
+        sol_dir = os.path.join(cfg.output_dir, "solutions", label)
+        sol_paths = [os.path.join(sol_dir, f"{sid}.plan.csv") for sid in cohort.ids]
+        _require(f"features[{label}]", sol_paths, "transport")
+
+        def work(stage_dir):
+            domain = cohort.domain
+            for sid, sol_path in zip(cohort.ids, sol_paths):
                 feats = extract_features(
-                    entry.subject_id, sol, cfg.cost, domain,
+                    sid, load_solution(sol_path), cfg.cost, domain,
                     sigma=cfg.smoothing.sigma,
                     truncation_radius=cfg.smoothing.truncation_radius,
                 )
-                save_field(
-                    domain, feats.allocation,
-                    os.path.join(stage_dir, f"{entry.subject_id}.alloc.otfg"),
-                )
-                save_field(
-                    domain, feats.transport_cost,
-                    os.path.join(stage_dir, f"{entry.subject_id}.tcost.otfg"),
-                )
-            _write_marker(stage_dir, "features", input_hash)
-        except StageFailure:
-            shutil.rmtree(stage_dir, ignore_errors=True)
-            raise
-        except Exception as exc:
-            shutil.rmtree(stage_dir, ignore_errors=True)
-            raise StageFailure(name, exc) from exc
-        wall_time = time.perf_counter() - t0
-        logger.info("%s: done in %.2f s", name, wall_time)
-        log.record(stage="features", lam=lam, wall_time=wall_time)
+                save_field(domain, feats.allocation,
+                           os.path.join(stage_dir, f"{sid}.alloc.otfg"))
+                save_field(domain, feats.transport_cost,
+                           os.path.join(stage_dir, f"{sid}.tcost.otfg"))
+
+        input_hash = _stage_hash({
+            "solutions": [_digest_file(p) for p in sol_paths],
+            "smoothing": cfg.smoothing,
+        })
+        _run_stage(log, "features", label,
+                   os.path.join(cfg.output_dir, "features", label),
+                   input_hash, work, lam=lam)
 
 
-def stage_correlate(cfg: PipelineConfig, manifest_path, log: _RunLog) -> None:
+def stage_correlate(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
     """Voxel-wise correlation maps for every lambda and covariate."""
     from .grid import load_field
 
-    manifest = load_manifest(manifest_path)
-    covariates = cfg.covariates or manifest.covariate_names
+    covariates = cfg.covariates or cohort.manifest.covariate_names
+    try:
+        values = {cov: cohort.manifest.covariate_vector(cov) for cov in covariates}
+    except DataError as exc:
+        raise StageFailure("correlate", exc) from exc
+    kinds = (("allocation", "alloc"), ("transport_cost", "tcost"))
     for lam in cfg.lambdas:
-        feat_dir = os.path.join(cfg.output_dir, "features", _lambda_dirname(lam))
-        for kind, suffix in (("allocation", "alloc"), ("transport_cost", "tcost")):
-            paths = [
-                os.path.join(feat_dir, f"{e.subject_id}.{suffix}.otfg")
-                for e in manifest.entries
-            ]
-            for p in paths:
-                if not os.path.exists(p):
-                    raise StageFailure(
-                        f"correlate[{_lambda_dirname(lam)}]",
-                        DataError(f"missing feature image {p}; run features"),
-                    )
+        label = _lambda_dirname(lam)
+        feat_dir = os.path.join(cfg.output_dir, "features", label)
+        paths = {kind: [os.path.join(feat_dir, f"{sid}.{suffix}.otfg")
+                        for sid in cohort.ids]
+                 for kind, suffix in kinds}
+        for kind_paths in paths.values():
+            _require(f"correlate[{label}]", kind_paths, "features")
+        digests = {kind: [_digest_file(p) for p in kind_paths]
+                   for kind, kind_paths in paths.items()}
         for cov in covariates:
-            stage_dir = os.path.join(
-                cfg.output_dir, "maps", _lambda_dirname(lam), cov
-            )
-            feature_digests = {}
-            for kind, suffix in (("allocation", "alloc"), ("transport_cost", "tcost")):
-                feature_digests[kind] = [
-                    _digest_file(
-                        os.path.join(feat_dir, f"{e.subject_id}.{suffix}.otfg")
-                    )
-                    for e in manifest.entries
-                ]
-            input_hash = _stage_hash(
-                {"features": feature_digests, "alpha": cfg.alpha, "covariate": cov}
-            )
-            name = f"correlate[{_lambda_dirname(lam)}/{cov}]"
-            if _stage_complete(stage_dir, input_hash):
-                logger.info("%s: up to date, skipped", name)
-                continue
-            logger.info("%s: start", name)
-            t0 = time.perf_counter()
-            try:
-                if os.path.isdir(stage_dir):
-                    shutil.rmtree(stage_dir)
-                os.makedirs(stage_dir)
-                values = manifest.covariate_vector(cov)
-                for kind, suffix in (
-                    ("allocation", "alloc"),
-                    ("transport_cost", "tcost"),
-                ):
-                    stack, domain = [], None
-                    for e in manifest.entries:
-                        domain, arr = load_field(
-                            os.path.join(feat_dir, f"{e.subject_id}.{suffix}.otfg")
-                        )
-                        stack.append(arr)
-                    cmap = correlate_stack(
-                        np.stack(stack), values, alpha=cfg.alpha, domain=domain
-                    )
+
+            def work(stage_dir):
+                for kind, kind_paths in paths.items():
+                    domains, arrays = zip(*(load_field(p) for p in kind_paths))
+                    cmap = correlate_stack(np.stack(arrays), values[cov],
+                                           alpha=cfg.alpha, domain=domains[-1])
                     export_map(
                         cmap,
                         r_path=os.path.join(stage_dir, f"{kind}.r.otfg"),
                         p_path=os.path.join(stage_dir, f"{kind}.p_adj.otfg"),
                         csv_path=os.path.join(stage_dir, f"{kind}.summary.csv"),
                     )
-                _write_marker(stage_dir, "correlate", input_hash)
-            except Exception as exc:
-                shutil.rmtree(stage_dir, ignore_errors=True)
-                raise StageFailure(name, exc) from exc
-            wall_time = time.perf_counter() - t0
-            logger.info("%s: done in %.2f s", name, wall_time)
-            log.record(stage="correlate", lam=lam, covariate=cov,
-                       wall_time=wall_time)
+
+            input_hash = _stage_hash({
+                "features": digests, "alpha": cfg.alpha, "covariate": cov,
+                "values": values[cov].tolist(),
+            })
+            _run_stage(log, "correlate", f"{label}/{cov}",
+                       os.path.join(cfg.output_dir, "maps", label, cov),
+                       input_hash, work, lam=lam, covariate=cov)
 
 
-def run_pipeline(cfg: PipelineConfig) -> dict:
-    """Run all stages; returns a summary dict of key artifact paths."""
-    if cfg.synth is not None and cfg.synth.get("kind") == "sweep":
+def run_pipeline(cfg: PipelineConfig, upto: str = "correlate",
+                 stage_only: bool = False) -> None:
+    """Run the stages up to ``upto`` in order, skipping completed ones.
+
+    With ``stage_only`` only the ``upto`` stage runs, and it fails with a
+    DataError cause when its upstream artifacts are missing.  The manifest,
+    images and image digests are loaded once and shared by the stages.
+    """
+    last = STAGES.index(upto)
+    runs = {upto} if stage_only else set(STAGES[:last + 1])
+    if last > 0 and cfg.synth is not None and cfg.synth.get("kind") == "sweep":
         raise ConfigError(
             "sweep datasets emit one cohort per sample size and cannot drive "
             "the full pipeline; use the 'synth' stage command and point "
@@ -642,20 +588,25 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         )
     os.makedirs(cfg.output_dir, exist_ok=True)
     log = _RunLog(os.path.join(cfg.output_dir, "run_log.jsonl"))
-    manifest_path = stage_synth(cfg, log)
-    if manifest_path is None or not os.path.exists(manifest_path):
+    if "synth" in runs:
+        stage_synth(cfg, log)
+    if last == 0:
+        return
+    manifest_path = (cfg.manifest if cfg.synth is None
+                     else os.path.join(cfg.output_dir, "dataset", "manifest.csv"))
+    if not os.path.exists(manifest_path):
         raise StageFailure(
             "synth", DataError(f"manifest {manifest_path!r} not found")
         )
-    template_path = stage_template(cfg, manifest_path, log)
-    stage_transport(cfg, manifest_path, template_path, log)
-    stage_features(cfg, manifest_path, template_path, log)
-    stage_correlate(cfg, manifest_path, log)
-    return {
-        "manifest": manifest_path,
-        "template": template_path,
-        "output_dir": cfg.output_dir,
-    }
+    cohort = _Cohort(cfg, manifest_path)
+    if "template" in runs:
+        stage_template(cfg, cohort, log)
+    if "transport" in runs:
+        stage_transport(cfg, cohort, log)
+    if "features" in runs:
+        stage_features(cfg, cohort, log)
+    if "correlate" in runs:
+        stage_correlate(cfg, cohort, log)
 
 
 def tree_checksums(root, exclude=("run_log.jsonl",)) -> dict:

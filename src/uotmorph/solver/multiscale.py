@@ -32,68 +32,51 @@ def _support_size(m: GridMeasure) -> int:
     return int(np.count_nonzero(m.flat))
 
 
-def _children_of_cells(fine_dims, coarse_multi, factor=2):
-    """Fine linear indices covered by the given coarse multi-indices."""
-    ndim = len(fine_dims)
-    offsets = np.stack(
-        np.meshgrid(*([np.arange(factor)] * ndim), indexing="ij"), axis=-1
-    ).reshape(-1, ndim)
-    base = coarse_multi[:, None, :] * factor + offsets[None, :, :]
-    base = base.reshape(-1, ndim)
-    ok = np.ones(len(base), dtype=bool)
-    for a in range(ndim):
-        ok &= base[:, a] < fine_dims[a]
-    base = base[ok]
-    return np.ravel_multi_index(base.T, fine_dims)
+def _offset_cells(cells, dims, out_dims, scale, offsets):
+    """Cells ``scale * c + o`` of grid ``out_dims`` for each cell c and offset o.
+
+    ``cells`` are linear indices on grid ``dims``.  Returns, for every
+    result on the grid, the position in ``cells`` it came from and its
+    linear index; results off the grid are dropped.
+    """
+    multi = np.stack(np.unravel_index(cells, dims), axis=-1)
+    grown = multi[:, None, :] * scale + offsets[None, :, :]
+    ok = ((grown >= 0) & (grown < np.asarray(out_dims))).all(axis=-1)
+    return np.nonzero(ok)[0], np.ravel_multi_index(grown[ok].T, out_dims)
 
 
-def _dilate_cells(dims, cells, radius):
-    """Chebyshev dilation of coarse linear indices by `radius` cells."""
-    if radius <= 0:
-        return np.unique(cells)
-    ndim = len(dims)
-    multi = np.column_stack(np.unravel_index(cells, dims))
-    offsets = np.stack(
-        np.meshgrid(*([np.arange(-radius, radius + 1)] * ndim), indexing="ij"),
-        axis=-1,
-    ).reshape(-1, ndim)
-    grown = (multi[:, None, :] + offsets[None, :, :]).reshape(-1, ndim)
-    ok = np.ones(len(grown), dtype=bool)
-    for a in range(ndim):
-        ok &= (grown[:, a] >= 0) & (grown[:, a] < dims[a])
-    grown = grown[ok]
-    return np.unique(np.ravel_multi_index(grown.T, dims))
+def _box(lo, hi, ndim):
+    """All integer offsets in [lo, hi]^ndim, one per row."""
+    axes = np.meshgrid(*([np.arange(lo, hi + 1)] * ndim), indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, ndim)
 
 
 def _admitted_pairs(coarse_sol: TransportSolution, coarse_dims, fine_dims, radius):
-    """Fine (source, target) voxel pairs admitted by a coarse plan."""
+    """Fine (source, target) voxel pairs admitted by a coarse plan.
+
+    A pair is admitted when its voxels' coarse cells lie within ``radius``
+    cells (Chebyshev) of the two ends of one coarse plan arc.  Pairs come
+    sorted by source, then target.
+    """
     if not coarse_sol.plan_arcs:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    src_cells = np.array([a[0] for a in coarse_sol.plan_arcs], dtype=np.int64)
-    tgt_cells = np.array([a[1] for a in coarse_sol.plan_arcs], dtype=np.int64)
-
-    # cache the fine children of each dilated coarse cell
-    child_cache: dict[int, np.ndarray] = {}
-
-    def children(cell):
-        got = child_cache.get(cell)
-        if got is None:
-            grown = _dilate_cells(coarse_dims, np.array([cell]), radius)
-            multi = np.column_stack(np.unravel_index(grown, coarse_dims))
-            got = _children_of_cells(fine_dims, multi)
-            child_cache[cell] = got
-        return got
-
-    size = 1
-    for d in fine_dims:
-        size *= d
-    chunks = []
-    for sc, tc in zip(src_cells, tgt_cells):
-        ci = children(int(sc))
-        cj = children(int(tc))
-        chunks.append((ci[:, None] * size + cj[None, :]).ravel())
-    keys = np.unique(np.concatenate(chunks))
-    return keys // size, keys % size
+    ndim = len(fine_dims)
+    n_coarse = int(np.prod(coarse_dims))
+    n_fine = int(np.prod(fine_dims))
+    ring = _box(-max(radius, 0), max(radius, 0), ndim)
+    src, tgt = np.array([a[:2] for a in coarse_sol.plan_arcs], dtype=np.int64).T
+    # dilate one end at a time on the coarse grid, deduplicating in between
+    owner, src = _offset_cells(src, coarse_dims, coarse_dims, 1, ring)
+    src, tgt = np.divmod(np.unique(src * n_coarse + tgt[owner]), n_coarse)
+    owner, tgt = _offset_cells(tgt, coarse_dims, coarse_dims, 1, ring)
+    src, tgt = np.divmod(np.unique(src[owner] * n_coarse + tgt), n_coarse)
+    # each fine voxel has one coarse cell, so distinct coarse pairs give
+    # distinct fine pairs
+    kids = _box(0, 1, ndim)
+    owner, src = _offset_cells(src, coarse_dims, fine_dims, 2, kids)
+    owner, tgt = _offset_cells(tgt[owner], coarse_dims, fine_dims, 2, kids)
+    keys = np.sort(src[owner] * n_fine + tgt)
+    return keys // n_fine, keys % n_fine
 
 
 def _feeder(coarse_sol: TransportSolution, coarse_dims, fine_dims):

@@ -1,7 +1,9 @@
 import json
 import logging
+import os
 
 import numpy as np
+import pytest
 
 from uotmorph import pipeline
 from uotmorph.cli import main
@@ -346,3 +348,116 @@ def test_pipeline_logs_stage_progress(tmp_path, caplog):
                          output_dir=str(tmp_path / "quiet"))
     assert main(["run", "--config", str(quiet)]) == 0
     assert tree_checksums(tmp_path / "out") == tree_checksums(tmp_path / "quiet")
+
+
+def artifact_mtimes(out):
+    return {p: p.stat().st_mtime_ns for p in out.rglob("*")
+            if p.is_file() and p.name != "run_log.jsonl"}
+
+
+@pytest.mark.parametrize("stage", ["transport", "features", "correlate"])
+def test_stage_only_on_fresh_output_exit_3(tmp_path, stage):
+    path = write_config(tmp_path)
+    assert main([stage, "--config", str(path), "--stage-only"]) == 3
+
+
+def test_stage_only_after_run_touches_nothing(tmp_path):
+    path = write_config(tmp_path)
+    assert main(["run", "--config", str(path)]) == 0
+    before = artifact_mtimes(tmp_path / "out")
+    for stage in pipeline.STAGES:
+        assert main([stage, "--config", str(path), "--stage-only"]) == 0
+        assert artifact_mtimes(tmp_path / "out") == before
+
+
+def test_template_on_sweep_config_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path, synth={"kind": "sweep", "dims": [8, 16],
+                                         "n_list": [2], "sigma_list": [0.0]})
+    assert main(["template", "--config", str(path)]) == 2
+    assert "sweep datasets emit one cohort per sample size" in capsys.readouterr().err
+
+
+def test_run_stage_only_is_rejected(tmp_path):
+    path = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(path), "--stage-only"])
+    assert exc.value.code == 2
+
+
+def test_cold_run_loads_each_subject_image_once(tmp_path, monkeypatch):
+    loaded = []
+    load = pipeline.load_measure
+
+    def counting_load(path):
+        loaded.append(os.path.basename(path))
+        return load(path)
+
+    monkeypatch.setattr(pipeline, "load_measure", counting_load)
+    path = write_config(tmp_path)
+    assert main(["run", "--config", str(path)]) == 0
+    subjects = sorted(name for name in loaded if name != "template.otfg")
+    assert subjects == [f"s{k:04d}.otfg" for k in range(5)]
+
+
+def test_template_cache_follows_barycenter_settings(tmp_path):
+    template = tmp_path / "out" / "template" / "template.otfg"
+    # a sparse template does not solve transport: quantization leaves it cached
+    path = write_config(tmp_path)
+    assert main(["template", "--config", str(path)]) == 0
+    before = artifact_mtimes(tmp_path / "out")
+    path = write_config(tmp_path, quantization_units=7)
+    assert main(["template", "--config", str(path)]) == 0
+    assert artifact_mtimes(tmp_path / "out") == before
+
+    barycenter = {"method": "ot_barycenter", "barycenter_max_iters": 3}
+    path = write_config(tmp_path, template=barycenter)
+    assert main(["template", "--config", str(path)]) == 0
+    first = template.read_bytes()
+    changed = {"template": barycenter, "quantization_units": 7, "lambdas": [0.5]}
+    path = write_config(tmp_path, **changed)
+    assert main(["template", "--config", str(path)]) == 0
+    fresh = write_config(tmp_path, "fresh.json",
+                         output_dir=str(tmp_path / "fresh"), **changed)
+    assert main(["template", "--config", str(fresh)]) == 0
+    expected = (tmp_path / "fresh" / "template" / "template.otfg").read_bytes()
+    assert expected != first
+    assert template.read_bytes() == expected
+
+
+def test_correlate_cache_follows_covariate_values(tmp_path):
+    from uotmorph.grid import (GridDomain, GridMeasure, ManifestEntry,
+                               SubjectManifest, save_manifest, save_measure)
+
+    rng = np.random.default_rng(11)
+    dom = GridDomain(dims=(6, 6), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+    data = tmp_path / "data"
+    data.mkdir()
+    for k in range(6):
+        save_measure(GridMeasure(dom, rng.random((6, 6))), data / f"s{k}.otfg")
+
+    def write_manifest(scores):
+        save_manifest(SubjectManifest(
+            covariate_names=("score",),
+            entries=tuple(ManifestEntry(f"s{k}", f"s{k}.otfg", {"score": score})
+                          for k, score in enumerate(scores)),
+        ), data / "manifest.csv")
+
+    def run(out):
+        cfg = {"output_dir": str(tmp_path / out),
+               "manifest": str(data / "manifest.csv"), "lambdas": [5.0],
+               "covariates": ["score"], "smoothing": {"sigma": 0.0},
+               "template": {"method": "euclidean"}}
+        path = tmp_path / f"{out}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 0
+        return (tmp_path / out / "maps" / "lambda=5.0" / "score"
+                / "allocation.summary.csv").read_text()
+
+    scores = [float(k * k) for k in range(6)]
+    write_manifest(scores)
+    first = run("out")
+    write_manifest(scores[::-1])
+    rerun = run("out")
+    fresh = run("fresh")
+    assert fresh != first
+    assert rerun == fresh

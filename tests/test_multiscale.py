@@ -15,7 +15,7 @@ from uotmorph.solver import (
     solve_unbalanced,
 )
 from uotmorph.solver import network, simplex, ssp
-from uotmorph.solver.multiscale import _feeder
+from uotmorph.solver.multiscale import _admitted_pairs, _feeder
 from uotmorph.solver.specs import ARC_TRANSPORT
 
 COST = CostSpec()
@@ -182,3 +182,39 @@ def test_feeder_arcs_or_self_arcs_start_a_feasible_solve(case):
         assert transport[a] and problem.arc_voxel_b[a] == v
         assert problem.arc_voxel_a[a] == want
     _check_fed_solve(mu, nu, alloc, problem)
+
+
+def brute_admitted_pairs(arcs, coarse_dims, fine_dims, radius):
+    """Every fine pair whose coarse cells lie within radius of one arc's ends."""
+    n = int(np.prod(fine_dims))
+    cell = np.array(np.unravel_index(np.arange(n), fine_dims)).T // 2
+    pairs = set()
+    for sc, tc in arcs:
+        near = [np.flatnonzero(np.abs(cell - np.unravel_index(c, coarse_dims)).max(1)
+                               <= radius) for c in (sc, tc)]
+        pairs.update((int(i), int(j)) for i in near[0] for j in near[1])
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2])
+@pytest.mark.parametrize("ndim", [2, 3])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_admitted_pairs_match_brute_force(ndim, radius, data):
+    # odd fine dims leave boundary coarse cells with clipped children
+    odd = st.integers(1, 4 if ndim == 2 else 3).map(lambda k: 2 * k - 1)
+    fine_dims = tuple(data.draw(st.lists(odd, min_size=ndim, max_size=ndim)))
+    coarse_dims = tuple((d + 1) // 2 for d in fine_dims)
+    cells = st.integers(0, int(np.prod(coarse_dims)) - 1)
+    arcs = data.draw(st.lists(st.tuples(cells, cells), max_size=6, unique=True))
+    sol = TransportSolution(plan_arcs=tuple((s, t, 1.0) for s, t in arcs))
+    src, tgt = _admitted_pairs(sol, coarse_dims, fine_dims, radius)
+    assert src.dtype == tgt.dtype == np.int64
+    assert list(zip(src.tolist(), tgt.tolist())) == brute_admitted_pairs(
+        arcs, coarse_dims, fine_dims, radius)
+
+
+def test_admitted_pairs_of_an_empty_plan():
+    src, tgt = _admitted_pairs(TransportSolution(plan_arcs=()), (3, 3), (5, 5), 1)
+    assert src.dtype == tgt.dtype == np.int64
+    assert len(src) == len(tgt) == 0
