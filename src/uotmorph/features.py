@@ -19,6 +19,7 @@ from scipy.ndimage import convolve1d
 
 from .grid import GridDomain, voxel_positions
 from .solver import CostSpec, TransportSolution
+from .solver.specs import NET_SIGN
 
 
 @dataclass(frozen=True)
@@ -34,14 +35,8 @@ class FeatureImages:
 def allocation_image(sol: TransportSolution, domain: GridDomain) -> np.ndarray:
     """Signed allocation field, template-minus-subject orientation."""
     field = np.zeros(domain.size)
-    for vox, m in sol.alloc_remove_src.items():
-        field[vox] += m
-    for vox, m in sol.alloc_add_src.items():
-        field[vox] -= m
-    for vox, m in sol.alloc_remove_tgt.items():
-        field[vox] -= m
-    for vox, m in sol.alloc_add_tgt.items():
-        field[vox] += m
+    kind, vox, units = sol.allocation.T
+    np.add.at(field, vox, -NET_SIGN[kind] * (units * sol.mass_per_unit))
     return field.reshape(domain.dims)
 
 
@@ -50,17 +45,11 @@ def transport_cost_image(
 ) -> np.ndarray:
     """Outgoing minus incoming transported cost per voxel."""
     field = np.zeros(domain.size)
-    if sol.plan_arcs:
-        src = np.array([a[0] for a in sol.plan_arcs], dtype=np.int64)
-        tgt = np.array([a[1] for a in sol.plan_arcs], dtype=np.int64)
-        mass = np.array([a[2] for a in sol.plan_arcs])
-        d = voxel_positions(domain, src) - voxel_positions(domain, tgt)
-        if cost.kind != "squared_euclidean":  # pragma: no cover - single kind
-            raise NotImplementedError(cost.kind)
-        c = np.einsum("ij,ij->i", d, d)
-        moved = mass * c
-        np.add.at(field, src, moved)
-        np.subtract.at(field, tgt, moved)
+    src, tgt, units = sol.plan_arcs.T
+    d = voxel_positions(domain, src) - voxel_positions(domain, tgt)
+    moved = (units * sol.mass_per_unit) * np.einsum("ij,ij->i", d, d)
+    np.add.at(field, src, moved)
+    np.subtract.at(field, tgt, moved)
     return field.reshape(domain.dims)
 
 

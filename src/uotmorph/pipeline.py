@@ -306,7 +306,7 @@ def _run_stage(log: _RunLog, stage, label, stage_dir, input_hash, work, **record
             json.dump({"stage": stage, "input_hash": input_hash}, fh, sort_keys=True)
     except Exception as exc:
         shutil.rmtree(stage_dir, ignore_errors=True)
-        raise StageFailure(name, exc) from exc
+        raise StageFailure(name, exc, getattr(exc, "subject", None)) from exc
     wall_time = time.perf_counter() - t0
     logger.info("%s: done in %.2f s", name, wall_time)
     log.record(stage=stage, wall_time=wall_time, **record)
@@ -441,14 +441,19 @@ def stage_template(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
 
 
 def _solve_subject(args):
-    (template, subject, cost, alloc, quant, ms) = args
-    if ms.enabled:
-        return solve_multiscale(
-            template, subject, cost, alloc, quant,
-            coarsen_threshold=ms.coarsen_threshold,
-            neighborhood_radius=ms.neighborhood_radius,
-        )
-    return solve_unbalanced(template, subject, cost, alloc, quant)
+    """Solve one subject; a failure carries the subject id as ``subject``."""
+    (sid, template, subject, cost, alloc, quant, ms) = args
+    try:
+        if ms.enabled:
+            return solve_multiscale(
+                template, subject, cost, alloc, quant,
+                coarsen_threshold=ms.coarsen_threshold,
+                neighborhood_radius=ms.neighborhood_radius,
+            )
+        return solve_unbalanced(template, subject, cost, alloc, quant)
+    except Exception as exc:
+        exc.subject = sid  # pickled with the exception out of a worker
+        raise
 
 
 def stage_transport(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
@@ -477,8 +482,8 @@ def stage_transport(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
                 lam=lam, side=cfg.allocation_side,
                 tiebreak_epsilon=cfg.tiebreak_epsilon,
             )
-            args = [(template, img, cfg.cost, alloc, quant, cfg.multiscale)
-                    for img in cohort.images]
+            args = [(sid, template, img, cfg.cost, alloc, quant, cfg.multiscale)
+                    for sid, img in zip(cohort.ids, cohort.images)]
             if cfg.workers > 1:
                 with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
                     sols = list(pool.map(_solve_subject, args))
@@ -508,8 +513,13 @@ def stage_features(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
         def work(stage_dir):
             domain = cohort.domain
             for sid, sol_path in zip(cohort.ids, sol_paths):
+                sol = load_solution(sol_path)
+                voxels = (sol.plan_arcs[:, :2], sol.allocation[:, 1])
+                if max(v.max(initial=0) for v in voxels) >= domain.size:
+                    raise DataError(f"{sol_path}: voxel index outside the "
+                                    f"{domain.dims} domain")
                 feats = extract_features(
-                    sid, load_solution(sol_path), cfg.cost, domain,
+                    sid, sol, cfg.cost, domain,
                     sigma=cfg.smoothing.sigma,
                     truncation_radius=cfg.smoothing.truncation_radius,
                 )

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-import csv
+import math
+import re
+
+import numpy as np
 
 from ..errors import DataError
 from ..grid import GridMeasure
@@ -16,11 +19,7 @@ _ENGINES = {
 
 
 def _run(problem, engine: str) -> TransportSolution:
-    try:
-        solver = _ENGINES[engine]
-    except KeyError:
-        raise DataError(f"unknown solver engine {engine!r}") from None
-    flows, _ = solver(problem)
+    flows, _ = _ENGINES[engine](problem)
     return network.extract_solution(problem, flows)
 
 
@@ -29,11 +28,10 @@ def solve_balanced(
     nu: GridMeasure,
     cost: CostSpec,
     quant: QuantizationSpec = QuantizationSpec(),
-    engine: str = "simplex",
 ) -> TransportSolution:
     """Optimal coupling between measures of equal total mass."""
     problem = network.build_balanced_problem(mu, nu, cost, quant)
-    return _run(problem, engine)
+    return _run(problem, "simplex")
 
 
 def solve_unbalanced(
@@ -42,11 +40,10 @@ def solve_unbalanced(
     cost: CostSpec,
     alloc: AllocationSpec,
     quant: QuantizationSpec = QuantizationSpec(),
-    engine: str = "simplex",
 ) -> TransportSolution:
     """Unbalanced transport with priced mass allocation between two measures."""
     problem = network.build_unbalanced_problem(mu, nu, cost, alloc, quant)
-    return _run(problem, engine)
+    return _run(problem, "simplex")
 
 
 def uot_distance(
@@ -60,63 +57,80 @@ def uot_distance(
     return solve_unbalanced(mu, nu, cost, alloc, quant).objective
 
 
-_KIND_LABELS = [
-    ("arc", None),
-    ("add_src", "alloc_add_src"),
-    ("rem_src", "alloc_remove_src"),
-    ("add_tgt", "alloc_add_tgt"),
-    ("rem_tgt", "alloc_remove_tgt"),
-]
+# row label per arc kind (ARC_* constants index this tuple)
+_KIND_LABELS = ("arc", "add_src", "rem_src", "add_tgt", "rem_tgt")
+_HEADER = "kind,source_index,target_index,mass"
+# an arc row with two indices or an allocation row with an empty target, then
+# a non-negative decimal mass; indices below 2**53 are exact in float64
+_ROW = re.compile(r"(?:arc,\d{1,15},\d{1,15}|(?:add_src|rem_src|add_tgt|rem_tgt),"
+                  r"\d{1,15},),\d+(?:\.\d+)?(?:[eE][-+]?\d+)?", re.ASCII)
+_ROWS = re.compile(rf"(?:{_ROW.pattern}(?:\n{_ROW.pattern})*)?", re.ASCII)
 
 
 def export_solution(sol: TransportSolution, path) -> None:
-    """Write a solution as CSV rows `kind,source_index,target_index,mass`."""
+    """Write a solution as CSV rows ``kind,source_index,target_index,mass``.
+
+    Three ``# key=value`` lines (objective, delta, mass_per_unit) precede the
+    header.  Plan arcs come first as ``arc`` rows, then allocation rows
+    labelled ``add_src``, ``rem_src``, ``add_tgt`` or ``rem_tgt`` with an
+    empty target index.  Each mass is the ``repr`` of ``units *
+    mass_per_unit``, so it is an exact multiple of ``mass_per_unit``.
+    """
+    rows = ([f"arc,{i},{j}," for i, j in sol.plan_arcs[:, :2].tolist()]
+            + [f"{_KIND_LABELS[k]},{v},," for k, v in sol.allocation[:, :2].tolist()])
+    units = np.concatenate((sol.plan_arcs[:, 2], sol.allocation[:, 2]))
+    masses = (units * sol.mass_per_unit).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# objective={sol.objective!r}\n")
-        fh.write(f"# delta={sol.delta!r}\n")
-        fh.write(f"# mass_per_unit={sol.mass_per_unit!r}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "source_index", "target_index", "mass"])
-        for i, j, m in sol.plan_arcs:
-            writer.writerow(["arc", i, j, repr(m)])
-        for label, attr in _KIND_LABELS[1:]:
-            mapping = getattr(sol, attr)
-            for vox in sorted(mapping):
-                writer.writerow([label, vox, "", repr(mapping[vox])])
+        for key in ("objective", "delta", "mass_per_unit"):
+            fh.write(f"# {key}={getattr(sol, key)!r}\n")
+        # CSV rows end in \r\n
+        fh.write(_HEADER + "\r\n")
+        fh.writelines(f"{row}{m!r}\r\n" for row, m in zip(rows, masses))
 
 
 def load_solution(path) -> TransportSolution:
-    """Read back a solution written by export_solution."""
+    """Read back a solution written by export_solution.
+
+    Masses are converted back to flow units, giving the int64 arrays of
+    ``extract_solution``.  A row that is malformed (see ``_ROW``) or whose
+    mass is not a positive multiple of ``mass_per_unit``, and a
+    ``mass_per_unit`` that is not finite and positive, raise DataError naming
+    the path and line.  Indices are not checked against a grid.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = list(enumerate(fh.read().splitlines(), 1))
     meta = {}
-    plan = []
-    maps = {label: {} for label, attr in _KIND_LABELS[1:]}
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = []
-        for line in fh:
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
+    for lineno, line in lines:
+        if line.startswith("#"):
+            key, _, value = line[1:].partition("=")
+            try:
                 meta[key.strip()] = float(value)
-            else:
-                rows.append(line)
-        reader = csv.reader(rows)
-        header = next(reader, None)
-        if header != ["kind", "source_index", "target_index", "mass"]:
-            raise DataError(f"{path}: not a transport solution CSV")
-        for row in reader:
-            kind, src, tgt, mass = row
-            if kind == "arc":
-                plan.append((int(src), int(tgt), float(mass)))
-            elif kind in maps:
-                maps[kind][int(src)] = float(mass)
-            else:
-                raise DataError(f"{path}: unknown row kind {kind!r}")
-    return TransportSolution(
-        plan_arcs=tuple(plan),
-        alloc_add_src=maps["add_src"],
-        alloc_remove_src=maps["rem_src"],
-        alloc_add_tgt=maps["add_tgt"],
-        alloc_remove_tgt=maps["rem_tgt"],
+            except ValueError:
+                raise DataError(f"{path}, line {lineno}: bad value {value!r}") from None
+    mpu = meta.get("mass_per_unit", 1.0)
+    if not (math.isfinite(mpu) and mpu > 0):
+        raise DataError(f"{path}: mass_per_unit must be finite and positive")
+    body = [(lineno, line) for lineno, line in lines if not line.startswith("#")]
+    if not body or body[0][1] != _HEADER:
+        raise DataError(f"{path}: not a transport solution CSV")
+    rows = body[1:]
+    text = "\n".join(line for _, line in rows)
+    if not _ROWS.fullmatch(text):
+        lineno, line = next(row for row in rows if not _ROW.fullmatch(row[1]))
+        raise DataError(f"{path}, line {lineno}: malformed row {line!r}")
+    for kind, label in enumerate(_KIND_LABELS):
+        text = text.replace(f"{label},", f"{kind},")
+    fields = text.replace(",,", ",-1,").replace("\n", ",").split(",") if text else []
+    kind, src, tgt, mass = np.array(fields, dtype=np.float64).reshape(-1, 4).T
+    units = np.rint(mass / mpu)
+    bad = ~((units >= 1) & (units < 2**53) & (units * mpu == mass))
+    if bad.any():
+        lineno, line = rows[np.flatnonzero(bad)[0]]
+        raise DataError(f"{path}, line {lineno}: the mass in {line!r} is not a "
+                        "positive multiple of mass_per_unit")
+    return TransportSolution.from_rows(
+        np.column_stack((kind, src, tgt, units)).astype(np.int64),
         objective=meta.get("objective", 0.0),
         delta=meta.get("delta", 0.0),
-        mass_per_unit=meta.get("mass_per_unit", 1.0),
+        mass_per_unit=mpu,
     )

@@ -58,13 +58,11 @@ def _admitted_pairs(coarse_sol: TransportSolution, coarse_dims, fine_dims, radiu
     cells (Chebyshev) of the two ends of one coarse plan arc.  Pairs come
     sorted by source, then target.
     """
-    if not coarse_sol.plan_arcs:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     ndim = len(fine_dims)
     n_coarse = int(np.prod(coarse_dims))
     n_fine = int(np.prod(fine_dims))
     ring = _box(-max(radius, 0), max(radius, 0), ndim)
-    src, tgt = np.array([a[:2] for a in coarse_sol.plan_arcs], dtype=np.int64).T
+    src, tgt = coarse_sol.plan_arcs[:, :2].T
     # dilate one end at a time on the coarse grid, deduplicating in between
     owner, src = _offset_cells(src, coarse_dims, coarse_dims, 1, ring)
     src, tgt = np.divmod(np.unique(src * n_coarse + tgt[owner]), n_coarse)
@@ -87,17 +85,14 @@ def _feeder(coarse_sol: TransportSolution, coarse_dims, fine_dims):
     the voxel itself when c keeps most of its own mass, receives nothing, or
     the shifted voxel falls off the fine grid.
     """
-    size = int(np.prod(fine_dims))
-    feeder = np.arange(size, dtype=np.int64)
-    if not coarse_sol.plan_arcs:
-        return feeder
-    src, tgt, mass = (np.array(col) for col in zip(*coarse_sol.plan_arcs))
+    feeder = np.arange(int(np.prod(fine_dims)), dtype=np.int64)
+    src, tgt, units = coarse_sol.plan_arcs.T
     # per target cell, its largest inflow; ties go to the lowest source cell
-    order = np.lexsort((-mass, tgt))
-    tgt, src = tgt[order], src[order].astype(np.int64)
-    first = np.r_[True, tgt[1:] != tgt[:-1]]
+    order = np.lexsort((-units, tgt))
+    tgt, src = tgt[order], src[order]
+    first = np.diff(tgt, prepend=-1) != 0
     best = np.arange(int(np.prod(coarse_dims)), dtype=np.int64)
-    best[tgt[first].astype(np.int64)] = src[first]
+    best[tgt[first]] = src[first]
 
     fine = np.array(np.unravel_index(feeder, fine_dims))
     cell = fine // 2

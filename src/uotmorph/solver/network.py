@@ -43,7 +43,7 @@ from .specs import (
     CostSpec,
     QuantizationSpec,
     TransportSolution,
-    quantize_to_total,
+    quantized_masses,
 )
 
 
@@ -71,20 +71,6 @@ class FlowProblem:
         return len(self.tails)
 
 
-def _quantized_masses(mu_flat, nu_flat, units):
-    mu_total = float(np.sum(mu_flat))
-    nu_total = float(np.sum(nu_flat))
-    if mu_total <= 0 and nu_total <= 0:
-        raise InfeasibleError("both measures are empty")
-    ref = mu_total if mu_total > 0 else nu_total
-    scale = units / ref
-    n_mu = units if mu_total > 0 else 0
-    n_nu = int(math.floor(nu_total * scale + 0.5))
-    w_units = quantize_to_total(mu_flat, n_mu)
-    z_units = quantize_to_total(nu_flat, n_nu)
-    return w_units, z_units, 1.0 / scale
-
-
 def build_unbalanced_problem(
     mu: GridMeasure,
     nu: GridMeasure,
@@ -108,7 +94,7 @@ def build_unbalanced_problem(
     domain = mu.domain
     w_flat = mu.flat
     z_flat = nu.flat
-    w_units_full, z_units_full, mass_per_unit = _quantized_masses(
+    w_units_full, z_units_full, mass_per_unit = quantized_masses(
         w_flat, z_flat, quant.units
     )
     delta_units = int(z_units_full.sum() - w_units_full.sum())
@@ -154,19 +140,24 @@ def build_unbalanced_problem(
     if finite_lam:
         supplies[bank_src] = delta_units
 
-    tails, heads, costs, kinds, vox_a, vox_b = [], [], [], [], [], []
+    # arc blocks of (tail, head, cost, kind, voxel a, voxel b); a scalar
+    # stands for the same value on every arc of its block
+    blocks = []
+
+    def add(tails, heads, costs, kind, vox_a, vox_b=-1):
+        cols = (tails, heads, costs, kind, vox_a, vox_b)
+        blocks.append([np.full(len(vox_a), v) if np.isscalar(v) else v for v in cols])
 
     # transport arcs
     pos_tgt = voxel_positions(domain, tgt_voxels)
     positive_src = src_voxels[w_units_full[src_voxels] > 0]
     prune_bound = 2.0 * lam if finite_lam else math.inf
     pair_i = pair_j = np.zeros(0, dtype=np.int64)
+    pair_c = np.zeros(0)
     if n_tgt and len(positive_src):
         if allowed_pairs is None:
-            pos_src = voxel_positions(domain, positive_src)
-            cmat = cost.pairwise(pos_src, pos_tgt)
-            keep = cmat <= prune_bound
-            ii, jj = np.nonzero(keep)
+            cmat = cost.pairwise(voxel_positions(domain, positive_src), pos_tgt)
+            ii, jj = np.nonzero(cmat <= prune_bound)
             pair_i = positive_src[ii]
             pair_j = tgt_voxels[jj]
             pair_c = cmat[ii, jj]
@@ -175,19 +166,11 @@ def build_unbalanced_problem(
             aj = np.asarray(allowed_pairs[1], dtype=np.int64)
             mask = (w_flat[ai] > 0) & (z_flat[aj] > 0) & (ai != aj)
             ai, aj = ai[mask], aj[mask]
-            pa = voxel_positions(domain, ai)
-            pb = voxel_positions(domain, aj)
-            d = pa - pb
+            d = voxel_positions(domain, ai) - voxel_positions(domain, aj)
             pc = np.einsum("ij,ij->i", d, d)
             keep = pc <= prune_bound
             pair_i, pair_j, pair_c = ai[keep], aj[keep], pc[keep]
-
-        tails.append(src_node[pair_i])
-        heads.append(tgt_node[pair_j])
-        costs.append(np.asarray(pair_c, dtype=np.float64))
-        kinds.append(np.full(len(pair_i), ARC_TRANSPORT, dtype=np.int8))
-        vox_a.append(pair_i.astype(np.int64))
-        vox_b.append(pair_j.astype(np.int64))
+    add(src_node[pair_i], tgt_node[pair_j], pair_c, ARC_TRANSPORT, pair_i, pair_j)
 
     # self arcs (cost 0) for voxels present on both sides.  Without a
     # restriction the pair matrix above already holds them for every site
@@ -200,61 +183,31 @@ def build_unbalanced_problem(
         else:
             sites = src_voxels
         both = np.intersect1d(sites, tgt_voxels)
-        tails.append(src_node[both])
-        heads.append(tgt_node[both])
-        costs.append(np.zeros(len(both)))
-        kinds.append(np.full(len(both), ARC_TRANSPORT, dtype=np.int8))
-        vox_a.append(both.astype(np.int64))
-        vox_b.append(both.astype(np.int64))
+    add(src_node[both], tgt_node[both], 0.0, ARC_TRANSPORT, both, both)
 
     if finite_lam:
         # bank -> site (mass added at source side), site -> bank (removed)
-        tails.append(np.full(n_src, bank_src, dtype=np.int64))
-        heads.append(np.arange(n_src, dtype=np.int64))
-        costs.append(np.full(n_src, lam))
-        kinds.append(np.full(n_src, ARC_ADD_SRC, dtype=np.int8))
-        vox_a.append(src_voxels.astype(np.int64))
-        vox_b.append(np.full(n_src, -1, dtype=np.int64))
-
-        rem_sites = src_node[positive_src]
-        tails.append(rem_sites)
-        heads.append(np.full(len(rem_sites), bank_src, dtype=np.int64))
-        costs.append(np.full(len(rem_sites), lam))
-        kinds.append(np.full(len(rem_sites), ARC_REM_SRC, dtype=np.int8))
-        vox_a.append(positive_src.astype(np.int64))
-        vox_b.append(np.full(len(rem_sites), -1, dtype=np.int64))
-
+        add(bank_src, np.arange(n_src), lam, ARC_ADD_SRC, src_voxels)
+        add(src_node[positive_src], bank_src, lam, ARC_REM_SRC, positive_src)
         if alloc.side == SIDE_BOTH and n_tgt:
             lam_t = lam * (1.0 + alloc.tiebreak_epsilon)
-            tgt_nodes = np.arange(n_src, n_src + n_tgt, dtype=np.int64)
-            tails.append(np.full(n_tgt, bank_tgt, dtype=np.int64))
-            heads.append(tgt_nodes)
-            costs.append(np.full(n_tgt, lam_t))
-            kinds.append(np.full(n_tgt, ARC_ADD_TGT, dtype=np.int8))
-            vox_a.append(tgt_voxels.astype(np.int64))
-            vox_b.append(np.full(n_tgt, -1, dtype=np.int64))
+            tgt_nodes = np.arange(n_src, n_src + n_tgt)
+            add(bank_tgt, tgt_nodes, lam_t, ARC_ADD_TGT, tgt_voxels)
+            add(tgt_nodes, bank_tgt, lam_t, ARC_REM_TGT, tgt_voxels)
 
-            tails.append(tgt_nodes)
-            heads.append(np.full(n_tgt, bank_tgt, dtype=np.int64))
-            costs.append(np.full(n_tgt, lam_t))
-            kinds.append(np.full(n_tgt, ARC_REM_TGT, dtype=np.int8))
-            vox_a.append(tgt_voxels.astype(np.int64))
-            vox_b.append(np.full(n_tgt, -1, dtype=np.int64))
-
-    def cat(parts, dtype):
-        if not parts:
-            return np.zeros(0, dtype=dtype)
-        return np.concatenate([np.asarray(p, dtype=dtype) for p in parts])
-
+    dtypes = (np.int64, np.int64, np.float64, np.int8, np.int64, np.int64)
+    tails, heads, costs, kinds, vox_a, vox_b = (
+        np.concatenate(col, dtype=dtype) for col, dtype in zip(zip(*blocks), dtypes)
+    )
     problem = FlowProblem(
         n_nodes=n_nodes,
-        tails=cat(tails, np.int64),
-        heads=cat(heads, np.int64),
-        costs=cat(costs, np.float64),
+        tails=tails,
+        heads=heads,
+        costs=costs,
         supplies=supplies,
-        arc_kind=cat(kinds, np.int8),
-        arc_voxel_a=cat(vox_a, np.int64),
-        arc_voxel_b=cat(vox_b, np.int64),
+        arc_kind=kinds,
+        arc_voxel_a=vox_a,
+        arc_voxel_b=vox_b,
         mass_per_unit=mass_per_unit,
         delta_real=delta_real,
         delta_units=delta_units,
@@ -327,7 +280,7 @@ def build_balanced_problem(
         raise MassImbalanceError(
             f"totals differ: |mu|={mu_total!r}, |nu|={nu_total!r}"
         )
-    w_units_full, z_units_full, mass_per_unit = _quantized_masses(
+    w_units_full, z_units_full, mass_per_unit = quantized_masses(
         mu.flat, nu.flat, quant.units
     )
     if int(w_units_full.sum()) != int(z_units_full.sum()):
@@ -365,37 +318,21 @@ def build_balanced_problem(
 
 
 def extract_solution(problem: FlowProblem, flows) -> TransportSolution:
-    """Convert integer arc flows into a TransportSolution with real masses."""
+    """Convert integer arc flows into a TransportSolution.
+
+    Arcs with positive flow become int64 rows: transport arcs as ``(source
+    voxel, target voxel, units)`` in ``plan_arcs``, virtual arcs as ``(ARC_*
+    kind, site voxel, units)`` in ``allocation``.  The objective is the real
+    cost, ``sum(cost * units) * mass_per_unit``.
+    """
     flows = np.asarray(flows, dtype=np.int64)
     mpu = problem.mass_per_unit
     nz = np.flatnonzero(flows > 0)
     objective = float(np.dot(problem.costs[nz], flows[nz].astype(np.float64)) * mpu)
-
-    plan = []
-    maps = {
-        ARC_ADD_SRC: {},
-        ARC_REM_SRC: {},
-        ARC_ADD_TGT: {},
-        ARC_REM_TGT: {},
-    }
-    for a in nz:
-        kind = int(problem.arc_kind[a])
-        mass = float(flows[a]) * mpu
-        if kind == ARC_TRANSPORT:
-            plan.append(
-                (int(problem.arc_voxel_a[a]), int(problem.arc_voxel_b[a]), mass)
-            )
-        else:
-            vox = int(problem.arc_voxel_a[a])
-            maps[kind][vox] = maps[kind].get(vox, 0.0) + mass
-    plan.sort()
-    return TransportSolution(
-        plan_arcs=tuple(plan),
-        alloc_add_src=maps[ARC_ADD_SRC],
-        alloc_remove_src=maps[ARC_REM_SRC],
-        alloc_add_tgt=maps[ARC_ADD_TGT],
-        alloc_remove_tgt=maps[ARC_REM_TGT],
-        objective=objective,
-        delta=problem.delta_real,
-        mass_per_unit=mpu,
+    rows = np.column_stack((
+        problem.arc_kind[nz], problem.arc_voxel_a[nz], problem.arc_voxel_b[nz],
+        flows[nz],
+    )).astype(np.int64)
+    return TransportSolution.from_rows(
+        rows, objective=objective, delta=problem.delta_real, mass_per_unit=mpu
     )

@@ -2,18 +2,18 @@
 
 Masses are quantized to integer flow units (largest-remainder rounding) so
 the min-cost-flow solvers run on exact integer flows; arc costs stay
-float64. A solution reports real masses that are exact multiples of
-``mass_per_unit``.
+float64. A solution keeps the integer flows; a flow of ``units`` carries
+the real mass ``units * mass_per_unit``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, InfeasibleError
 
 SIDE_SOURCE_ONLY = "source_only"
 SIDE_BOTH = "both_sides"
@@ -24,6 +24,8 @@ ARC_ADD_SRC = 1
 ARC_REM_SRC = 2
 ARC_ADD_TGT = 3
 ARC_REM_TGT = 4
+# per arc kind, the sign of its flow in the net allocation
+NET_SIGN = np.array([0, 1, -1, -1, 1], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -120,49 +122,63 @@ def quantize_to_total(values: np.ndarray, target_total: int) -> np.ndarray:
     return base
 
 
-@dataclass(frozen=True)
-class TransportSolution:
-    """Optimal transport plan plus allocation records.
+def quantized_masses(mu_flat, nu_flat, units: int):
+    """Flow units of two measures (the first totals ``units``), and one unit's mass."""
+    mu_total = float(np.sum(mu_flat))
+    nu_total = float(np.sum(nu_flat))
+    if mu_total <= 0 and nu_total <= 0:
+        raise InfeasibleError("both measures are empty")
+    ref = mu_total if mu_total > 0 else nu_total
+    scale = units / ref
+    n_mu = units if mu_total > 0 else 0
+    n_nu = int(math.floor(nu_total * scale + 0.5))
+    w_units = quantize_to_total(mu_flat, n_mu)
+    z_units = quantize_to_total(nu_flat, n_nu)
+    return w_units, z_units, 1.0 / scale
 
-    ``plan_arcs`` holds the coupling restricted to its support as
-    ``(source_voxel, target_voxel, mass)`` triples.  The four allocation
-    maps give mass added/removed at grid voxels on the source (template)
-    and target (subject) sides.  All masses are exact integer multiples of
-    ``mass_per_unit``.
+
+@dataclass(frozen=True, eq=False)
+class TransportSolution:
+    """Optimal transport plan plus allocation records, in integer flow units.
+
+    ``plan_arcs`` is an int64 array of shape (k, 3) whose rows are
+    ``(source voxel, target voxel, flow units)``: the coupling restricted to
+    its support, sorted by source, then target.  ``allocation`` is an int64
+    array of shape (a, 3) whose rows are ``(kind, site voxel, flow units)``
+    with ``kind`` one of ``ARC_ADD_SRC``, ``ARC_REM_SRC``, ``ARC_ADD_TGT``,
+    ``ARC_REM_TGT`` (mass added/removed on the source (template) and target
+    (subject) sides), sorted by kind, then voxel.  Every flow is positive;
+    its real mass is ``units * mass_per_unit``.
     """
 
-    plan_arcs: tuple[tuple[int, int, float], ...]
-    alloc_add_src: dict[int, float] = field(default_factory=dict)
-    alloc_remove_src: dict[int, float] = field(default_factory=dict)
-    alloc_add_tgt: dict[int, float] = field(default_factory=dict)
-    alloc_remove_tgt: dict[int, float] = field(default_factory=dict)
+    plan_arcs: np.ndarray
+    allocation: np.ndarray
     objective: float = 0.0
     delta: float = 0.0
     mass_per_unit: float = 1.0
 
-    def to_units(self, mass: float) -> int:
-        return int(round(mass / self.mass_per_unit))
-
-    def total_transported(self) -> float:
-        return sum(m for _, _, m in self.plan_arcs)
+    def __repr__(self) -> str:
+        # lists print every row, and far faster than numpy's abbreviating repr
+        return (f"TransportSolution(plan_arcs={self.plan_arcs.tolist()}, "
+                f"allocation={self.allocation.tolist()}, objective={self.objective!r}, "
+                f"delta={self.delta!r}, mass_per_unit={self.mass_per_unit!r})")
 
     def gross_allocation(self) -> float:
-        return (
-            sum(self.alloc_add_src.values())
-            + sum(self.alloc_remove_src.values())
-            + sum(self.alloc_add_tgt.values())
-            + sum(self.alloc_remove_tgt.values())
-        )
+        """Total mass added or removed on either side."""
+        return float(self.allocation[:, 2].sum()) * self.mass_per_unit
 
     def net_allocation(self) -> float:
         """Source-side net minus target-side net; equals delta by feasibility."""
-        net_src = sum(self.alloc_add_src.values()) - sum(
-            self.alloc_remove_src.values()
-        )
-        net_tgt = sum(self.alloc_add_tgt.values()) - sum(
-            self.alloc_remove_tgt.values()
-        )
-        return net_src - net_tgt
+        signed = NET_SIGN[self.allocation[:, 0]] * self.allocation[:, 2]
+        return float(signed.sum()) * self.mass_per_unit
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray, **scalars) -> TransportSolution:
+        """Solution from int64 rows ``(kind, voxel, target voxel, units)`` in any
+        order; allocation rows drop their target voxel."""
+        rows = rows[np.lexsort(rows.T[::-1])]
+        n_plan = int(np.searchsorted(rows[:, 0], ARC_TRANSPORT, side="right"))
+        return cls(rows[:n_plan, 1:], rows[n_plan:, [0, 1, 3]], **scalars)
 
 
 def feasibility_violation_units(
@@ -174,36 +190,15 @@ def feasibility_violation_units(
     constraint families of the unbalanced program. Returns the maximum
     absolute violation (0 for an exactly feasible solution).
     """
-    mu_total = float(np.sum(mu_flat))
-    nu_total = float(np.sum(nu_flat))
-    ref = mu_total if mu_total > 0 else nu_total
-    n_mu = units if mu_total > 0 else 0
-    n_nu = int(math.floor(nu_total * (units / ref) + 0.5))
-    w_units = quantize_to_total(mu_flat, n_mu)
-    z_units = quantize_to_total(nu_flat, n_nu)
-
-    size = len(mu_flat)
-    out = np.zeros(size, dtype=np.int64)
-    inflow = np.zeros(size, dtype=np.int64)
-    for i, j, m in sol.plan_arcs:
-        u = sol.to_units(m)
-        out[i] += u
-        inflow[j] += u
-
-    def units_map(d):
-        arr = np.zeros(size, dtype=np.int64)
-        for k, v in d.items():
-            arr[k] += sol.to_units(v)
-        return arr
-
-    add_s = units_map(sol.alloc_add_src)
-    rem_s = units_map(sol.alloc_remove_src)
-    add_t = units_map(sol.alloc_add_tgt)
-    rem_t = units_map(sol.alloc_remove_tgt)
-
-    src_violation = np.abs(out - add_s + rem_s - w_units).max() if size else 0
-    tgt_violation = np.abs(inflow + add_t - rem_t - z_units).max() if size else 0
-    delta_units = n_nu - n_mu
-    net = (add_s.sum() - rem_s.sum()) - (add_t.sum() - rem_t.sum())
-    delta_violation = abs(int(net) - delta_units)
-    return int(max(src_violation, tgt_violation, delta_violation))
+    w_units, z_units, _ = quantized_masses(mu_flat, nu_flat, units)
+    # per voxel, source side then target side: flow through it minus its mass
+    balance = -np.concatenate((w_units, z_units))
+    size = len(w_units)
+    i, j, flow = sol.plan_arcs.T
+    np.add.at(balance, i, flow)
+    np.add.at(balance, size + j, flow)
+    kind, site, flow = sol.allocation.T
+    signed = NET_SIGN[kind] * flow
+    np.subtract.at(balance, site + size * (kind >= ARC_ADD_TGT), signed)
+    delta_violation = abs(int(signed.sum()) - int(z_units.sum() - w_units.sum()))
+    return int(max(np.abs(balance).max(initial=0), delta_violation))

@@ -135,24 +135,18 @@ def ot_barycenter(
         prev_objective = objective
 
         # relocate each template atom to the centroid of its inbound mass
-        size = domain.size
-        inbound_mass = np.zeros(size)
-        inbound_centroid = np.zeros((size, domain.ndim))
-        for sol in sols:
-            for src, tgt, m in sol.plan_arcs:
-                inbound_mass[tgt] += m
-                inbound_centroid[tgt] += m * voxel_positions(domain, [src])[0]
-        new_values = np.zeros(size)
+        src, tgt, _ = np.concatenate([s.plan_arcs for s in sols]).T
+        mass = np.concatenate([s.plan_arcs[:, 2] * s.mass_per_unit for s in sols])
+        inbound_mass = np.zeros(domain.size)
+        inbound_centroid = np.zeros((domain.size, domain.ndim))
+        np.add.at(inbound_mass, tgt, mass)
+        np.add.at(inbound_centroid, tgt, mass[:, None] * voxel_positions(domain, src))
         active = np.flatnonzero(inbound_mass > 0)
-        spacing = np.asarray(domain.spacing)
-        origin = np.asarray(domain.origin)
-        for t in active:
-            centroid = inbound_centroid[t] / inbound_mass[t]
-            multi = np.rint((centroid - origin) / spacing).astype(int)
-            multi = np.clip(multi, 0, np.asarray(domain.dims) - 1)
-            new_values[np.ravel_multi_index(tuple(multi), domain.dims)] += (
-                inbound_mass[t] / n
-            )
+        centroid = inbound_centroid[active] / inbound_mass[active, None]
+        multi = np.rint((centroid - domain.origin) / domain.spacing).astype(int)
+        new_values = np.zeros(domain.size)
+        np.add.at(new_values, np.ravel_multi_index(multi.T, domain.dims, mode="clip"),
+                  inbound_mass[active] / n)
         template = GridMeasure(domain, new_values.reshape(domain.dims))
 
     sols = _barycenter_round(images, template, cost, alloc, quant, workers)

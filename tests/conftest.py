@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from uotmorph.grid import GridDomain, GridMeasure
+from uotmorph.solver import TransportSolution
 
 
 @pytest.fixture
@@ -17,6 +18,33 @@ def line_domain(n):
 def line_measure(values):
     values = np.asarray(values, dtype=np.float64)
     return GridMeasure(line_domain(len(values)), values.reshape(1, -1))
+
+
+def plan_masses(sol):
+    """Plan arcs as (source voxel, target voxel, mass) tuples."""
+    return [(i, j, u * sol.mass_per_unit) for i, j, u in sol.plan_arcs.tolist()]
+
+
+def allocated(sol, kind):
+    """Voxel -> mass of a solution's allocation arcs of one ARC_* kind."""
+    return {v: u * sol.mass_per_unit
+            for k, v, u in sol.allocation.tolist() if k == kind}
+
+
+def same_solution(a, b):
+    """Field-by-field equality of two TransportSolutions."""
+    return (np.array_equal(a.plan_arcs, b.plan_arcs)
+            and np.array_equal(a.allocation, b.allocation)
+            and (a.objective, a.delta, a.mass_per_unit)
+            == (b.objective, b.delta, b.mass_per_unit))
+
+
+def plan_solution(arcs):
+    """Solution holding only the given (source, target, units) plan arcs."""
+    return TransportSolution(
+        plan_arcs=np.array(arcs, dtype=np.int64).reshape(-1, 3),
+        allocation=np.zeros((0, 3), dtype=np.int64),
+    )
 
 
 def random_measure_pair(rng, dims=(4, 4), density=0.7, max_support=None):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_measure_pair
+from conftest import plan_masses, random_measure_pair
 from test_analytic import PANEL_GRID, simulate_otf_r, simulate_vbm_r
 from uotmorph.analytic import PopulationModel, otf_correlation, vbm_correlation
 from uotmorph.cli import main
@@ -111,7 +111,7 @@ def test_criterion_2_lambda_continuum_endpoints():
                 np.array([np.unravel_index(i, dims)], dtype=float),
                 np.array([np.unravel_index(j, dims)], dtype=float),
             )[0, 0]
-            for i, j, m in sol.plan_arcs
+            for i, j, m in plan_masses(sol)
         )
         assert transport_cost == 0.0
 

@@ -7,7 +7,7 @@ import pytest
 
 from uotmorph import pipeline
 from uotmorph.cli import main
-from uotmorph.grid import GridDomain, save_field
+from uotmorph.grid import GridDomain, load_manifest, save_field
 from uotmorph.pipeline import tree_checksums
 
 TINY_ANNULUS = {
@@ -72,10 +72,18 @@ def test_stage_only_requires_upstream(tmp_path):
     assert main(["template", "--config", str(path), "--stage-only"]) == 3
 
 
-def test_solver_failure_exit_4(tmp_path):
+def test_solver_failure_exit_4(tmp_path, capsys):
     # JSON 1e999 parses to infinity: allocation disabled, unbalanced cohort
     path = write_config(tmp_path, lambdas=[1e999])
     assert main(["run", "--config", str(path)]) == 4
+    message = capsys.readouterr().err
+    manifest = load_manifest(tmp_path / "out" / "dataset" / "manifest.csv")
+    ids = [e.subject_id for e in manifest.entries]
+    assert any(f"(subject {sid})" in message for sid in ids), message
+    # the same subject is named whether the solves run in workers or not
+    for workers in ("1", "2"):
+        assert main(["run", "--config", str(path), "--workers", workers]) == 4
+        assert capsys.readouterr().err == message
 
 
 def test_full_run_and_stage_idempotence(tmp_path):
@@ -461,3 +469,20 @@ def test_correlate_cache_follows_covariate_values(tmp_path):
     fresh = run("fresh")
     assert fresh != first
     assert rerun == fresh
+
+
+@pytest.mark.parametrize("row", [
+    "arc,0,1",  # three fields
+    "arc,0,400,{mass}",  # target voxel off the 20x20 grid
+    "add_src,-3,,{mass}",
+    "arc,0,0,nan",
+])
+def test_corrupted_plan_exit_3(tmp_path, capsys, row):
+    path = write_config(tmp_path)
+    assert main(["transport", "--config", str(path)]) == 0
+    plan = sorted((tmp_path / "out" / "solutions" / "lambda=150.0").glob("*.csv"))[0]
+    rows = plan.read_text().splitlines()
+    rows[-1] = row.format(mass=rows[-1].split(",")[3])
+    plan.write_text("\n".join(rows) + "\n")
+    assert main(["features", "--config", str(path), "--stage-only"]) == 3
+    assert str(plan) in capsys.readouterr().err

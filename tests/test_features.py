@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
 
-from conftest import line_measure, random_measure_pair
+from conftest import line_measure, plan_masses, random_measure_pair
 from uotmorph.features import (
     allocation_image,
     extract_features,
     smooth,
     transport_cost_image,
 )
-from uotmorph.solver import AllocationSpec, CostSpec, QuantizationSpec, solve_unbalanced
+from uotmorph.grid import GridDomain, voxel_positions
+from uotmorph.solver import (
+    AllocationSpec,
+    CostSpec,
+    QuantizationSpec,
+    TransportSolution,
+    solve_unbalanced,
+)
+from uotmorph.solver.specs import ARC_ADD_SRC, ARC_ADD_TGT, ARC_REM_SRC, ARC_REM_TGT
 
 COST = CostSpec()
 QUANT = QuantizationSpec(units=10**6)
@@ -49,6 +57,30 @@ def test_allocation_image_sums_to_minus_delta():
         assert img.sum() == pytest.approx(-sol.delta, abs=3 * sol.mass_per_unit)
 
 
+def test_images_match_loop_reference():
+    # every arc kind, with voxels hit more than once
+    dom = GridDomain(dims=(2, 3), spacing=(1.0, 2.0), origin=(0.5, -1.0))
+    rows = np.array([
+        [0, 0, 5, 3], [0, 0, 0, 7], [0, 4, 1, 2], [0, 2, 1, 9],
+        [ARC_ADD_SRC, 1, -1, 4], [ARC_REM_SRC, 0, -1, 6], [ARC_REM_SRC, 5, -1, 1],
+        [ARC_ADD_TGT, 1, -1, 8], [ARC_REM_TGT, 3, -1, 5], [ARC_ADD_TGT, 5, -1, 2],
+    ], dtype=np.int64)
+    sol = TransportSolution.from_rows(rows, mass_per_unit=0.1)
+    signs = {ARC_REM_SRC: 1, ARC_ADD_SRC: -1, ARC_REM_TGT: -1, ARC_ADD_TGT: 1}
+    alloc = np.zeros(dom.size)
+    for kind, vox, units in sol.allocation.tolist():
+        alloc[vox] += signs[kind] * (units * 0.1)
+    tcost = np.zeros(dom.size)
+    pos = voxel_positions(dom)
+    for i, j, units in sol.plan_arcs.tolist():
+        moved = units * 0.1 * float(((pos[i] - pos[j]) ** 2).sum())
+        tcost[i] += moved
+        tcost[j] -= moved
+    assert allocation_image(sol, dom).reshape(-1).tolist() == alloc.tolist()
+    assert transport_cost_image(sol, COST, dom).reshape(-1) == pytest.approx(
+        tcost, rel=1e-15, abs=1e-15)
+
+
 def test_transport_cost_image_single_arc():
     mu = line_measure([1.0, 0.0])
     nu = line_measure([0.0, 1.0])
@@ -65,7 +97,7 @@ def test_transport_cost_image_sums_to_zero():
         img = transport_cost_image(sol, COST, mu.domain)
         total_cost = sum(
             m * ((np.array(divmod(i, 4)) - np.array(divmod(j, 4))) ** 2).sum()
-            for i, j, m in sol.plan_arcs
+            for i, j, m in plan_masses(sol)
         )
         assert abs(img.sum()) <= 1e-9 * max(total_cost, 1.0)
 

@@ -3,13 +3,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import line_measure, random_measure_pair
+from conftest import (
+    line_measure,
+    plan_solution,
+    random_measure_pair,
+    same_solution,
+)
 from uotmorph.grid import GridDomain, GridMeasure
 from uotmorph.solver import (
     AllocationSpec,
     CostSpec,
     QuantizationSpec,
-    TransportSolution,
     feasibility_violation_units,
     solve_multiscale,
     solve_unbalanced,
@@ -28,7 +32,7 @@ def test_passthrough_below_threshold_is_bit_identical():
     alloc = AllocationSpec(lam=2.0)
     exact = solve_unbalanced(mu, nu, COST, alloc, QUANT)
     ms = solve_multiscale(mu, nu, COST, alloc, QUANT, coarsen_threshold=1000)
-    assert ms == exact
+    assert same_solution(ms, exact)
 
 
 def test_identity_zero_at_every_scale():
@@ -81,17 +85,20 @@ def test_multiscale_radius_widens_admission():
 def test_feeder_follows_the_largest_coarse_inflow():
     # coarse 2x2 over fine 4x4: cell 3 gets most of its mass from cell 0,
     # cell 1 keeps most of its own, cells 0 and 2 receive nothing
-    plan = ((0, 3, 2.0), (1, 1, 1.0), (2, 1, 0.5), (3, 3, 1.0))
-    feeder = _feeder(TransportSolution(plan_arcs=plan), (2, 2), (4, 4))
+    plan = ((0, 3, 4), (1, 1, 2), (2, 1, 1), (3, 3, 2))
+    feeder = _feeder(plan_solution(plan), (2, 2), (4, 4))
     expected = np.arange(16).reshape(4, 4)
     expected[2:, 2:] = expected[:2, :2]
     assert feeder.tolist() == expected.ravel().tolist()
 
     # 3x3 fine under 2x2 coarse: a shift into the partial cell 1 falls off
     # the grid for voxels in its missing column
-    plan = ((1, 0, 1.0),)
-    feeder = _feeder(TransportSolution(plan_arcs=plan), (2, 2), (3, 3))
+    plan = ((1, 0, 2),)
+    feeder = _feeder(plan_solution(plan), (2, 2), (3, 3))
     assert feeder.reshape(3, 3).tolist() == [[2, 1, 2], [5, 4, 5], [6, 7, 8]]
+
+    # an empty plan leaves every voxel to its own self arc
+    assert _feeder(plan_solution([]), (2, 2), (3, 3)).tolist() == list(range(9))
 
 
 def _target_nodes(problem, mu, nu):
@@ -207,7 +214,7 @@ def test_admitted_pairs_match_brute_force(ndim, radius, data):
     coarse_dims = tuple((d + 1) // 2 for d in fine_dims)
     cells = st.integers(0, int(np.prod(coarse_dims)) - 1)
     arcs = data.draw(st.lists(st.tuples(cells, cells), max_size=6, unique=True))
-    sol = TransportSolution(plan_arcs=tuple((s, t, 1.0) for s, t in arcs))
+    sol = plan_solution([(s, t, 1) for s, t in arcs])
     src, tgt = _admitted_pairs(sol, coarse_dims, fine_dims, radius)
     assert src.dtype == tgt.dtype == np.int64
     assert list(zip(src.tolist(), tgt.tolist())) == brute_admitted_pairs(
@@ -215,6 +222,6 @@ def test_admitted_pairs_match_brute_force(ndim, radius, data):
 
 
 def test_admitted_pairs_of_an_empty_plan():
-    src, tgt = _admitted_pairs(TransportSolution(plan_arcs=()), (3, 3), (5, 5), 1)
+    src, tgt = _admitted_pairs(plan_solution([]), (3, 3), (5, 5), 1)
     assert src.dtype == tgt.dtype == np.int64
     assert len(src) == len(tgt) == 0

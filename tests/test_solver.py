@@ -3,14 +3,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import line_measure, random_measure_pair
-from uotmorph.errors import InfeasibleError, MassImbalanceError, SolverError
+from conftest import (
+    allocated,
+    line_measure,
+    plan_masses,
+    random_measure_pair,
+    same_solution,
+)
+from uotmorph.errors import DataError, InfeasibleError, MassImbalanceError, SolverError
 from uotmorph.grid import GridDomain, GridMeasure
 from uotmorph.solver import (
     AllocationSpec,
     CostSpec,
     QuantizationSpec,
+    TransportSolution,
     export_solution,
     feasibility_violation_units,
     load_solution,
@@ -21,7 +30,13 @@ from uotmorph.solver import (
 )
 from uotmorph.solver import network, simplex, ssp
 from uotmorph.solver.api import _run
-from uotmorph.solver.specs import ARC_ADD_SRC, ARC_REM_SRC, ARC_TRANSPORT
+from uotmorph.solver.specs import (
+    ARC_ADD_SRC,
+    ARC_ADD_TGT,
+    ARC_REM_SRC,
+    ARC_REM_TGT,
+    ARC_TRANSPORT,
+)
 
 COST = CostSpec()
 QUANT = QuantizationSpec(units=10**7)
@@ -51,9 +66,9 @@ def test_balanced_two_voxel_line():
     mu = line_measure([1.0, 0.0])
     nu = line_measure([0.0, 1.0])
     sol = solve_balanced(mu, nu, COST)
-    assert sol.plan_arcs == ((0, 1, 1.0),)
+    assert plan_masses(sol) == [(0, 1, 1.0)]
     assert sol.objective == pytest.approx(1.0, rel=1e-12)
-    assert not sol.alloc_add_src and not sol.alloc_remove_src
+    assert not allocated(sol, ARC_ADD_SRC) and not allocated(sol, ARC_REM_SRC)
 
 
 def test_balanced_rejects_imbalance():
@@ -78,7 +93,7 @@ def test_unbalanced_prefers_transport_when_lambda_high():
     mu = line_measure([1.0, 0.0])
     nu = line_measure([0.0, 1.0])
     sol = solve_unbalanced(mu, nu, COST, AllocationSpec(lam=10.0))
-    assert sol.plan_arcs == ((0, 1, 1.0),)
+    assert plan_masses(sol) == [(0, 1, 1.0)]
     assert sol.objective == pytest.approx(1.0, rel=1e-12)
     assert sol.gross_allocation() == 0.0
 
@@ -92,8 +107,8 @@ def test_unbalanced_prefers_allocation_when_lambda_low():
     expected = min(candidates.values())
     sol = solve_unbalanced(mu, nu, COST, AllocationSpec(lam=0.4))
     assert sol.objective == pytest.approx(expected, rel=1e-12)
-    assert sol.alloc_remove_src == {0: 1.0}
-    assert sol.alloc_add_src == {1: 1.0}
+    assert allocated(sol, ARC_REM_SRC) == {0: 1.0}
+    assert allocated(sol, ARC_ADD_SRC) == {1: 1.0}
     assert all(i == j for i, j, _ in sol.plan_arcs)
 
 
@@ -105,13 +120,13 @@ def test_lambda_zero_reduces_to_pointwise_difference():
         # no transported mass off the diagonal
         assert all(i == j for i, j, _ in sol.plan_arcs)
         net = np.zeros(9)
-        for vox, m in sol.alloc_add_src.items():
+        for vox, m in allocated(sol, ARC_ADD_SRC).items():
             net[vox] += m
-        for vox, m in sol.alloc_remove_src.items():
+        for vox, m in allocated(sol, ARC_REM_SRC).items():
             net[vox] -= m
         expected = nu.flat - mu.flat
         assert np.max(np.abs(net - expected)) <= 2 * sol.mass_per_unit
-        assert not sol.alloc_add_tgt and not sol.alloc_remove_tgt
+        assert not allocated(sol, ARC_ADD_TGT) and not allocated(sol, ARC_REM_TGT)
 
 
 def test_unbalanced_matches_ssp_oracle_small():
@@ -198,10 +213,10 @@ def test_empty_measures():
         solve_unbalanced(mu, mu, COST, AllocationSpec(lam=1.0))
     nu = line_measure([0.0, 2.0])
     sol = solve_unbalanced(mu, nu, COST, AllocationSpec(lam=1.5))
-    assert sol.alloc_add_src == {1: 2.0}
+    assert allocated(sol, ARC_ADD_SRC) == {1: 2.0}
     assert sol.objective == pytest.approx(3.0)
     sol = solve_unbalanced(nu, mu, COST, AllocationSpec(lam=1.5))
-    assert sol.alloc_remove_src == {1: 2.0}
+    assert allocated(sol, ARC_REM_SRC) == {1: 2.0}
 
 
 def test_infinite_lambda_requires_balance():
@@ -221,25 +236,107 @@ def test_both_sides_tiebreak_prefers_source():
         mu, nu, COST, AllocationSpec(lam=0.4, side="both_sides")
     )
     assert sol.objective == pytest.approx(0.8, rel=1e-9)
-    assert not sol.alloc_add_tgt and not sol.alloc_remove_tgt
-    assert sol.alloc_remove_src == {0: 1.0}
+    assert not allocated(sol, ARC_ADD_TGT) and not allocated(sol, ARC_REM_TGT)
+    assert allocated(sol, ARC_REM_SRC) == {0: 1.0}
 
 
-def test_solution_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(77)
-    mu, nu = random_measure_pair(rng, dims=(3, 3))
-    sol = solve_unbalanced(mu, nu, COST, AllocationSpec(lam=0.7), QUANT)
-    path = tmp_path / "sol.csv"
+def assert_csv_round_trip(sol, path):
+    """load_solution gives sol back, and exporting it again rewrites path exactly."""
     export_solution(sol, path)
-    header = path.read_text().splitlines()[0]
-    assert header.startswith("# objective=")
+    written = path.read_bytes()
     back = load_solution(path)
-    assert back.plan_arcs == sol.plan_arcs
-    assert back.alloc_add_src == sol.alloc_add_src
-    assert back.alloc_remove_src == sol.alloc_remove_src
-    assert back.objective == sol.objective
-    assert back.delta == sol.delta
-    assert back.mass_per_unit == sol.mass_per_unit
+    assert back.plan_arcs.dtype == back.allocation.dtype == np.int64
+    assert same_solution(back, sol)
+    export_solution(back, path)
+    assert path.read_bytes() == written
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1),
+       side=st.sampled_from(["both_sides", "source_only"]),
+       lam=st.sampled_from([0.0, 0.7, math.inf]))
+def test_solution_csv_round_trip(tmp_path, seed, side, lam):
+    mu, nu = random_measure_pair(np.random.default_rng(seed), dims=(3, 3))
+    if lam == math.inf:
+        nu = GridMeasure(nu.domain, nu.values * (mu.total_mass / nu.total_mass))
+    sol = solve_unbalanced(mu, nu, COST, AllocationSpec(lam=lam, side=side), QUANT)
+    path = tmp_path / "sol.csv"
+    assert_csv_round_trip(sol, path)
+    assert path.read_text().splitlines()[0].startswith("# objective=")
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 99),
+                               st.integers(0, 99), st.integers(1, 2**40))),
+       mpu=st.floats(1e-12, 1e3))
+def test_solution_csv_round_trip_every_row_kind(tmp_path, rows, mpu):
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    rows[rows[:, 0] != ARC_TRANSPORT, 2] = -1  # allocation rows have no target
+    sol = TransportSolution.from_rows(rows, objective=1.5, delta=-0.25,
+                                      mass_per_unit=mpu)
+    assert_csv_round_trip(sol, tmp_path / "sol.csv")
+
+
+def test_repr_prints_every_row():
+    # numpy's own repr abbreviates arrays of more than 1000 elements
+    rows = np.array([[ARC_TRANSPORT, k, k + 1, 1] for k in range(400)])
+    sol = TransportSolution.from_rows(rows, objective=0.5)
+    assert repr(sol) == (
+        f"TransportSolution(plan_arcs={[[k, k + 1, 1] for k in range(400)]}, "
+        "allocation=[], objective=0.5, delta=0.0, mass_per_unit=1.0)"
+    )
+
+
+GOOD_CSV = """# objective=1.0
+# delta=0.5
+# mass_per_unit=0.5
+kind,source_index,target_index,mass
+arc,0,1,1.0
+add_src,1,,0.5
+"""
+
+
+def test_load_solution_reads_units(tmp_path):
+    path = tmp_path / "sol.csv"
+    path.write_text(GOOD_CSV)
+    sol = load_solution(path)
+    assert sol.plan_arcs.tolist() == [[0, 1, 2]]
+    assert sol.allocation.tolist() == [[ARC_ADD_SRC, 1, 1]]
+    assert (sol.objective, sol.delta, sol.mass_per_unit) == (1.0, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("row", [
+    "",
+    "arc,0,1",  # too few fields
+    "arc,0,1,1.0,x",  # too many fields
+    "add_src,-3,,0.5",  # negative index
+    "arc,0.5,1,1.0",  # non-integer index
+    "arc, 0,1,1.0",
+    "arc,0,,1.0",  # transport row without a target
+    "rem_src,1,2,0.5",  # allocation row with a target
+    "mov,0,1,1.0",  # unknown kind
+    "arc,0,1,nan",
+    "arc,0,1,inf",
+    "arc,0,1,0.0",
+    "arc,0,1,-1.0",
+    "arc,0,1,0.75",  # not a multiple of mass_per_unit
+    "arc,0,1,one",
+])
+def test_load_solution_rejects_malformed_row(tmp_path, row):
+    path = tmp_path / "sol.csv"
+    path.write_text(GOOD_CSV + row + "\n")
+    with pytest.raises(DataError, match=f"{path}, line 7"):
+        load_solution(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0.0", "-0.5", "half"])
+def test_load_solution_rejects_bad_mass_per_unit(tmp_path, value):
+    path = tmp_path / "sol.csv"
+    path.write_text(GOOD_CSV.replace("mass_per_unit=0.5", f"mass_per_unit={value}"))
+    with pytest.raises(DataError, match=str(path)):
+        load_solution(path)
 
 
 def test_marginal_feasibility_exact_in_units():
@@ -252,6 +349,24 @@ def test_marginal_feasibility_exact_in_units():
         assert sol.net_allocation() == pytest.approx(
             sol.delta, abs=2 * sol.mass_per_unit
         )
+
+
+def test_feasibility_violation_counts_units():
+    rng = np.random.default_rng(8)
+    mu, nu = random_measure_pair(rng, dims=(3, 3))
+    sol = solve_unbalanced(mu, nu, COST, AllocationSpec(lam=0.8), QUANT)
+
+    def violation(plan_arcs=sol.plan_arcs, allocation=sol.allocation):
+        bad = dataclasses.replace(sol, plan_arcs=plan_arcs, allocation=allocation)
+        return feasibility_violation_units(bad, mu.flat, nu.flat, QUANT.units)
+
+    assert violation() == 0
+    plan = sol.plan_arcs.copy()
+    plan[0, 2] += 3
+    assert violation(plan_arcs=plan) == 3
+    for kind in (ARC_ADD_SRC, ARC_REM_SRC, ARC_ADD_TGT, ARC_REM_TGT):
+        extra = np.array([[kind, 4, 5]], dtype=np.int64)
+        assert violation(allocation=np.vstack((sol.allocation, extra))) == 5
 
 
 def flow_problem(n_nodes, arcs, supplies):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import allocated
 from uotmorph.grid import GridDomain, GridMeasure, downsample
 from uotmorph.features import smooth
 from uotmorph.solver import (
@@ -21,6 +22,7 @@ from uotmorph.solver import (
 )
 from uotmorph.solver import network
 from uotmorph.solver.api import _run
+from uotmorph.solver.specs import ARC_ADD_TGT, ARC_REM_TGT
 
 COST = CostSpec()
 QUANT = QuantizationSpec(units=10**6)
@@ -85,7 +87,7 @@ def test_both_sides_oracle_equivalence():
         assert s1.objective == pytest.approx(s2.objective, rel=1e-9, abs=1e-12)
         assert feasibility_violation_units(s1, mu.flat, nu.flat, QUANT.units) == 0
         # the tiebreak surcharge keeps target-side virtuals out of the optimum
-        assert not s1.alloc_add_tgt and not s1.alloc_remove_tgt
+        assert not allocated(s1, ARC_ADD_TGT) and not allocated(s1, ARC_REM_TGT)
 
 
 def test_3d_downsample_values():
