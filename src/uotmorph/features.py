@@ -46,8 +46,8 @@ def transport_cost_image(
     """Outgoing minus incoming transported cost per voxel."""
     field = np.zeros(domain.size)
     src, tgt, units = sol.plan_arcs.T
-    d = voxel_positions(domain, src) - voxel_positions(domain, tgt)
-    moved = (units * sol.mass_per_unit) * np.einsum("ij,ij->i", d, d)
+    pair_cost = cost.rowwise(voxel_positions(domain, src), voxel_positions(domain, tgt))
+    moved = (units * sol.mass_per_unit) * pair_cost
     np.add.at(field, src, moved)
     np.subtract.at(field, tgt, moved)
     return field.reshape(domain.dims)

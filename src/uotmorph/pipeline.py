@@ -427,7 +427,7 @@ def stage_template(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
     def work(template_dir):
         template, meta = build_template(
             cohort.images, cfg.template, cost=cfg.cost, alloc=alloc, quant=quant,
-            workers=cfg.workers,
+            workers=cfg.workers, ids=cohort.ids,
         )
         save_measure(template, os.path.join(template_dir, "template.otfg"))
         with open(os.path.join(template_dir, "template.txt"), "w",
@@ -502,7 +502,9 @@ def stage_transport(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
 
 def stage_features(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
     """Turn solutions into smoothed allocation / transport-cost images."""
-    from .grid import save_field  # local import to keep module top tidy
+    # not imported at module top: the benchmark wraps grid.save_field and
+    # grid.load_field to time feature and map I/O, after this module loads
+    from .grid import save_field
 
     for lam in cfg.lambdas:
         label = _lambda_dirname(lam)

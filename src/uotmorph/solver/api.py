@@ -7,10 +7,11 @@ import re
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, InfeasibleError, MassImbalanceError
 from ..grid import GridMeasure
 from . import network, simplex, ssp
-from .specs import AllocationSpec, CostSpec, QuantizationSpec, TransportSolution
+from .specs import (AllocationSpec, CostSpec, QuantizationSpec, TransportSolution,
+                    quantized_masses)
 
 _ENGINES = {
     "simplex": simplex.solve_min_cost_flow,
@@ -29,9 +30,16 @@ def solve_balanced(
     cost: CostSpec,
     quant: QuantizationSpec = QuantizationSpec(),
 ) -> TransportSolution:
-    """Optimal coupling between measures of equal total mass."""
-    problem = network.build_balanced_problem(mu, nu, cost, quant)
-    return _run(problem, "simplex")
+    """Optimal coupling of equal totals on one domain: the program at lambda = inf."""
+    mu_total, nu_total = mu.total_mass, nu.total_mass
+    if mu_total <= 0 or nu_total <= 0:
+        raise InfeasibleError("balanced solve requires two non-empty measures")
+    if abs(mu_total - nu_total) > 1e-9 * max(mu_total, nu_total):
+        raise MassImbalanceError(f"totals differ: |mu|={mu_total!r}, |nu|={nu_total!r}")
+    w_units, z_units, _ = quantized_masses(mu.flat, nu.flat, quant.units)
+    if int(w_units.sum()) != int(z_units.sum()):
+        raise MassImbalanceError("quantized totals differ")
+    return solve_unbalanced(mu, nu, cost, AllocationSpec(lam=math.inf), quant)
 
 
 def solve_unbalanced(

@@ -28,10 +28,6 @@ from .simplex import solve_min_cost_flow
 from .specs import AllocationSpec, CostSpec, QuantizationSpec, TransportSolution
 
 
-def _support_size(m: GridMeasure) -> int:
-    return int(np.count_nonzero(m.flat))
-
-
 def _offset_cells(cells, dims, out_dims, scale, offsets):
     """Cells ``scale * c + o`` of grid ``out_dims`` for each cell c and offset o.
 
@@ -116,16 +112,11 @@ def solve_multiscale(
 ) -> TransportSolution:
     """Approximate unbalanced solve via coarse-to-fine refinement.
 
-    Instances whose support does not exceed ``coarsen_threshold`` are passed
-    through to the exact solver unchanged.
+    An instance whose support does not exceed ``coarsen_threshold`` has one
+    level, so it gets the exact solver's solution unchanged.
     """
-    if max(_support_size(mu), _support_size(nu)) <= coarsen_threshold:
-        return solve_unbalanced(mu, nu, cost, alloc, quant)
-
     pyramid = [(mu, nu)]
-    while max(_support_size(pyramid[-1][0]), _support_size(pyramid[-1][1])) > (
-        coarsen_threshold
-    ):
+    while max(np.count_nonzero(m.flat) for m in pyramid[-1]) > coarsen_threshold:
         cm, cn = pyramid[-1]
         if max(cm.domain.dims) <= 1:
             break

@@ -1,11 +1,11 @@
-"""Build min-cost-flow networks for balanced and unbalanced transport.
+"""Build the min-cost-flow network of unbalanced transport, the one builder.
 
-Nodes are the support voxels of the two measures plus, for the unbalanced
-program, a source-side bank node (net supply equal to the quantized mass
-imbalance) and, with both-sided allocation, a target-side bank node with
-zero net supply.  This realizes the three constraint families: source and
-target marginals, and net source allocation minus net target allocation
-equal to the imbalance.
+Balanced transport is this program at lambda = inf.  Nodes are the support
+voxels of the two measures plus, for finite lambda, a source-side bank node
+(net supply equal to the quantized mass imbalance) and, with both-sided
+allocation, a target-side bank node with zero net supply.  This realizes
+the three constraint families: source and target marginals, and net source
+allocation minus net target allocation equal to the imbalance.
 
 Two exact reductions keep networks small without changing the optimum:
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DataError, InfeasibleError, MassImbalanceError
+from ..errors import DataError, InfeasibleError
 from ..grid import GridMeasure, voxel_positions
 from .specs import (
     ARC_ADD_SRC,
@@ -90,7 +90,7 @@ def build_unbalanced_problem(
     hangs each target from the tree, where that arc was built.
     """
     if mu.domain != nu.domain:
-        raise DataError("unbalanced solve requires measures on the same domain")
+        raise DataError("transport requires measures on the same domain")
     domain = mu.domain
     w_flat = mu.flat
     z_flat = nu.flat
@@ -166,8 +166,7 @@ def build_unbalanced_problem(
             aj = np.asarray(allowed_pairs[1], dtype=np.int64)
             mask = (w_flat[ai] > 0) & (z_flat[aj] > 0) & (ai != aj)
             ai, aj = ai[mask], aj[mask]
-            d = voxel_positions(domain, ai) - voxel_positions(domain, aj)
-            pc = np.einsum("ij,ij->i", d, d)
+            pc = cost.rowwise(voxel_positions(domain, ai), voxel_positions(domain, aj))
             keep = pc <= prune_bound
             pair_i, pair_j, pair_c = ai[keep], aj[keep], pc[keep]
     add(src_node[pair_i], tgt_node[pair_j], pair_c, ARC_TRANSPORT, pair_i, pair_j)
@@ -267,54 +266,6 @@ def _bank_basis(problem, n_src, size, pair_i, pair_j, both, tgt_voxels, feeder):
         np.where(add, add0 + np.arange(n_src), -1),
     )
     return basis
-
-
-def build_balanced_problem(
-    mu: GridMeasure, nu: GridMeasure, cost: CostSpec, quant: QuantizationSpec
-) -> FlowProblem:
-    """Plain transport network; totals must agree to 1e-9 relative."""
-    mu_total, nu_total = mu.total_mass, nu.total_mass
-    if mu_total <= 0 or nu_total <= 0:
-        raise InfeasibleError("balanced solve requires two non-empty measures")
-    if abs(mu_total - nu_total) > 1e-9 * max(mu_total, nu_total):
-        raise MassImbalanceError(
-            f"totals differ: |mu|={mu_total!r}, |nu|={nu_total!r}"
-        )
-    w_units_full, z_units_full, mass_per_unit = quantized_masses(
-        mu.flat, nu.flat, quant.units
-    )
-    if int(w_units_full.sum()) != int(z_units_full.sum()):
-        raise MassImbalanceError("quantized totals differ")
-
-    src_voxels = np.flatnonzero(mu.flat > 0)
-    tgt_voxels = np.flatnonzero(nu.flat > 0)
-    n_src, n_tgt = len(src_voxels), len(tgt_voxels)
-    pos_src = voxel_positions(mu.domain, src_voxels)
-    pos_tgt = voxel_positions(nu.domain, tgt_voxels)
-    cmat = cost.pairwise(pos_src, pos_tgt)
-
-    ii, jj = np.meshgrid(np.arange(n_src), np.arange(n_tgt), indexing="ij")
-    tails = ii.ravel().astype(np.int64)
-    heads = (jj.ravel() + n_src).astype(np.int64)
-    costs = cmat.ravel().astype(np.float64)
-
-    supplies = np.zeros(n_src + n_tgt, dtype=np.int64)
-    supplies[:n_src] = w_units_full[src_voxels]
-    supplies[n_src:] -= z_units_full[tgt_voxels]
-
-    return FlowProblem(
-        n_nodes=n_src + n_tgt,
-        tails=tails,
-        heads=heads,
-        costs=costs,
-        supplies=supplies,
-        arc_kind=np.full(len(tails), ARC_TRANSPORT, dtype=np.int8),
-        arc_voxel_a=src_voxels[ii.ravel()].astype(np.int64),
-        arc_voxel_b=tgt_voxels[jj.ravel()].astype(np.int64),
-        mass_per_unit=mass_per_unit,
-        delta_real=nu_total - mu_total,
-        delta_units=0,
-    )
 
 
 def extract_solution(problem: FlowProblem, flows) -> TransportSolution:

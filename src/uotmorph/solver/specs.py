@@ -43,6 +43,11 @@ class CostSpec:
         diff = pos_a[:, None, :] - pos_b[None, :, :]
         return np.einsum("ijk,ijk->ij", diff, diff)
 
+    def rowwise(self, pos_a: np.ndarray, pos_b: np.ndarray) -> np.ndarray:
+        """Costs between matching rows of two coordinate arrays of shape (n, d)."""
+        diff = pos_a - pos_b
+        return np.einsum("ij,ij->i", diff, diff)
+
     def max_on_domain(self, domain) -> float:
         """Upper bound of the cost over a grid domain (corner to corner)."""
         span = [(d - 1) * s for d, s in zip(domain.dims, domain.spacing)]

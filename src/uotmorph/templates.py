@@ -72,12 +72,17 @@ def sparse_mean(images: list[GridMeasure], spec: TemplateSpec) -> GridMeasure:
 
 
 def _solve_to_template(args):
-    image, template, cost, alloc, quant = args
-    return solve_unbalanced(image, template, cost, alloc, quant)
+    """Solve one image to the template; a failure carries its id as ``subject``."""
+    sid, image, template, cost, alloc, quant = args
+    try:
+        return solve_unbalanced(image, template, cost, alloc, quant)
+    except Exception as exc:
+        exc.subject = sid  # pickled with the exception out of a worker
+        raise
 
 
-def _barycenter_round(images, template, cost, alloc, quant, workers):
-    args = [(im, template, cost, alloc, quant) for im in images]
+def _barycenter_round(images, ids, template, cost, alloc, quant, workers):
+    args = [(sid, im, template, cost, alloc, quant) for sid, im in zip(ids, images)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             sols = list(pool.map(_solve_to_template, args))
@@ -93,6 +98,7 @@ def ot_barycenter(
     alloc: AllocationSpec,
     quant: QuantizationSpec = QuantizationSpec(),
     workers: int = 1,
+    ids=None,
 ):
     """Approximate transport barycenter by fixed-point iteration.
 
@@ -101,11 +107,13 @@ def ot_barycenter(
     moves each template atom to the snapped transport-weighted centroid of
     its inbound mass and resets its mass to the average inbound mass.
     Stops when the summed objective changes by less than the relative
-    tolerance, or after ``barycenter_max_iters`` rounds.
+    tolerance, or after ``barycenter_max_iters`` rounds.  ``ids`` name the
+    images; a failed solve carries its image's id as ``subject``.
 
     Returns (template, objective, iterations).
     """
     domain = _check_cohort(images)
+    ids = [None] * len(images) if ids is None else ids
     template = sparse_mean(images, spec)
     if template.total_mass == 0:
         template = euclidean_mean(images)
@@ -116,7 +124,7 @@ def ot_barycenter(
     prev_objective = None
     iterations = 0
     for _ in range(spec.barycenter_max_iters):
-        sols = _barycenter_round(images, template, cost, alloc, quant, workers)
+        sols = _barycenter_round(images, ids, template, cost, alloc, quant, workers)
         objective = float(sum(s.objective for s in sols))
         iterations += 1
 
@@ -149,7 +157,7 @@ def ot_barycenter(
                   inbound_mass[active] / n)
         template = GridMeasure(domain, new_values.reshape(domain.dims))
 
-    sols = _barycenter_round(images, template, cost, alloc, quant, workers)
+    sols = _barycenter_round(images, ids, template, cost, alloc, quant, workers)
     final = float(sum(s.objective for s in sols))
     if prev_objective is not None and final > prev_objective * (1 + 1e-9) + 1e-15:
         raise BarycenterDivergenceError(
@@ -159,7 +167,7 @@ def ot_barycenter(
 
 
 def build_template(images, spec: TemplateSpec, cost=None, alloc=None,
-                   quant=QuantizationSpec(), workers: int = 1):
+                   quant=QuantizationSpec(), workers: int = 1, ids=None):
     """Dispatch on spec.method; returns (template, metadata dict)."""
     if spec.method == METHOD_EUCLIDEAN:
         return euclidean_mean(images), {"method": spec.method}
@@ -171,7 +179,7 @@ def build_template(images, spec: TemplateSpec, cost=None, alloc=None,
     if cost is None or alloc is None:
         raise ConfigError("ot_barycenter template needs cost and allocation specs")
     template, objective, iters = ot_barycenter(
-        images, spec, cost, alloc, quant, workers=workers
+        images, spec, cost, alloc, quant, workers=workers, ids=ids
     )
     return template, {
         "method": spec.method,

@@ -72,9 +72,14 @@ def test_stage_only_requires_upstream(tmp_path):
     assert main(["template", "--config", str(path), "--stage-only"]) == 3
 
 
-def test_solver_failure_exit_4(tmp_path, capsys):
-    # JSON 1e999 parses to infinity: allocation disabled, unbalanced cohort
-    path = write_config(tmp_path, lambdas=[1e999])
+@pytest.mark.parametrize("template", [
+    {"method": "sparse"},
+    {"method": "ot_barycenter", "barycenter_max_iters": 2},
+], ids=["sparse", "ot_barycenter"])
+def test_solver_failure_exit_4(tmp_path, capsys, template):
+    # JSON 1e999 parses to infinity: allocation disabled, unbalanced cohort;
+    # the sparse template fails in transport, the barycenter in template
+    path = write_config(tmp_path, lambdas=[1e999], template=template)
     assert main(["run", "--config", str(path)]) == 4
     message = capsys.readouterr().err
     manifest = load_manifest(tmp_path / "out" / "dataset" / "manifest.csv")
@@ -142,9 +147,15 @@ def test_stage_commands_chain(tmp_path):
     ).exists()
 
 
-def test_worker_count_does_not_change_results(tmp_path):
-    p1 = write_config(tmp_path, "c1.json", output_dir=str(tmp_path / "o1"), workers=1)
-    p2 = write_config(tmp_path, "c2.json", output_dir=str(tmp_path / "o2"), workers=2)
+@pytest.mark.parametrize("template", [
+    {"method": "sparse"},
+    {"method": "ot_barycenter", "barycenter_max_iters": 3},
+], ids=["sparse", "ot_barycenter"])
+def test_worker_count_does_not_change_results(tmp_path, template):
+    p1 = write_config(tmp_path, "c1.json", output_dir=str(tmp_path / "o1"), workers=1,
+                      template=template)
+    p2 = write_config(tmp_path, "c2.json", output_dir=str(tmp_path / "o2"), workers=2,
+                      template=template)
     assert main(["run", "--config", str(p1)]) == 0
     assert main(["run", "--config", str(p2)]) == 0
     assert tree_checksums(tmp_path / "o1") == tree_checksums(tmp_path / "o2")

@@ -76,6 +76,17 @@ def test_balanced_rejects_imbalance():
     nu = line_measure([0.0, 2.0])
     with pytest.raises(MassImbalanceError):
         solve_balanced(mu, nu, COST)
+    # equal to 1e-9 relative, but 2**40 units resolve the difference
+    nu = line_measure([0.0, 1.0 + 5e-10])
+    with pytest.raises(MassImbalanceError, match="quantized totals differ"):
+        solve_balanced(mu, nu, COST, QuantizationSpec(units=2**40))
+
+
+def test_balanced_requires_one_domain():
+    mu = line_measure([1.0, 0.0])
+    nu = line_measure([0.0, 0.0, 1.0])
+    with pytest.raises(DataError, match="same domain"):
+        solve_balanced(mu, nu, COST)
 
 
 def test_balanced_matches_ssp_oracle():
@@ -83,7 +94,9 @@ def test_balanced_matches_ssp_oracle():
     for _ in range(25):
         mu, nu = random_measure_pair(rng, dims=(4, 4))
         nu = GridMeasure(nu.domain, nu.values * (mu.total_mass / nu.total_mass))
-        prob = network.build_balanced_problem(mu, nu, COST, QUANT)
+        prob = network.build_unbalanced_problem(
+            mu, nu, COST, AllocationSpec(lam=math.inf), QUANT
+        )
         s1 = _run(prob, "simplex")
         s2 = _run(prob, "ssp")
         assert s1.objective == pytest.approx(s2.objective, rel=1e-9)
@@ -536,5 +549,3 @@ def test_bank_basis_only_for_finite_lambda():
         mu, line_measure([0.0, 1.0, 2.0]), COST, AllocationSpec(lam=math.inf), QUANT
     )
     assert infinite.basis is None
-    balanced = network.build_balanced_problem(mu, nu, COST, QUANT)
-    assert balanced.basis is None
