@@ -23,7 +23,14 @@ import sys
 from .analytic import correlation_curves, write_curves_csv
 from .errors import ConfigError, DataError, SolverError, UotmorphError
 from .grid import load_field
-from .pipeline import STAGES, PipelineConfig, StageFailure, load_config, run_pipeline
+from .pipeline import (
+    STAGES,
+    PipelineConfig,
+    StageFailure,
+    _check_keys,
+    load_config,
+    run_pipeline,
+)
 from .stats import render_pgm_slice
 
 log = logging.getLogger("uotmorph")
@@ -60,32 +67,25 @@ def _cmd_analytic(args) -> int:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read analytic config: {exc}") from exc
-    known = {"p", "n_max", "panels"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown analytic config keys: {sorted(unknown)}")
+    _check_keys(raw, {"p", "n_max", "panels"}, "analytic config")
     panels = raw.get("panels")
     if not panels or not isinstance(panels, list):
         raise ConfigError("analytic config needs a non-empty 'panels' list")
     base = os.path.dirname(os.path.abspath(args.config))
     for panel in panels:
-        if not isinstance(panel, dict):
-            raise ConfigError(f"panel entries must be objects, got {panel!r}")
-        unknown = set(panel) - {"t_h", "t_p_list", "p", "n_max", "output"}
-        if unknown:
-            raise ConfigError(f"unknown panel keys: {sorted(unknown)}")
+        _check_keys(panel, {"t_h", "t_p_list", "p", "n_max", "output"}, "panel")
         for key in ("t_h", "t_p_list", "output"):
             if key not in panel:
                 raise ConfigError(f"panel is missing {key!r}")
-        rows = correlation_curves(
-            t_h=float(panel["t_h"]),
-            t_p_list=[float(v) for v in panel["t_p_list"]],
-            p=float(panel.get("p", raw.get("p", 0.5))),
-            n_max=int(panel.get("n_max", raw.get("n_max", 200))),
-        )
-        out = panel["output"]
-        if not os.path.isabs(out):
-            out = os.path.join(base, out)
+        try:
+            t_h = float(panel["t_h"])
+            t_p_list = [float(v) for v in panel["t_p_list"]]
+            p = float(panel.get("p", raw.get("p", 0.5)))
+            n_max = int(panel.get("n_max", raw.get("n_max", 200)))
+            out = os.path.join(base, panel["output"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value in panel {panel!r}: {exc}") from None
+        rows = correlation_curves(t_h=t_h, t_p_list=t_p_list, p=p, n_max=n_max)
         write_curves_csv(rows, out)
         log.info("wrote %s (%d rows)", out, len(rows))
     return 0

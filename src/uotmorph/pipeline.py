@@ -1,6 +1,8 @@
 """End-to-end batch pipeline: generate, template, transport, features, maps.
 
-A single JSON config drives every stage.  Unknown config keys are errors.
+A single JSON config drives every stage.  Each block's keys and defaults
+are the fields of its dataclass; unknown keys, and values of the wrong type
+or range, raise ConfigError (CLI exit 2).
 ``run_pipeline`` alone knows the stage order (``STAGES``); it loads the
 manifest, images and image digests once and hands them to the stages.
 Each stage writes into its own directory under the output tree together
@@ -35,7 +37,7 @@ import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -82,11 +84,29 @@ class MultiscaleConfig:
     coarsen_threshold: int = 1000
     neighborhood_radius: int = 1
 
+    def __post_init__(self):
+        if not isinstance(self.enabled, bool):
+            raise ConfigError(f"multiscale enabled must be true or false, "
+                              f"got {self.enabled!r}")
+        for name in ("coarsen_threshold", "neighborhood_radius"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value >= 0):
+                raise ConfigError(f"multiscale {name} must be an integer >= 0, "
+                                  f"got {value!r}")
+
 
 @dataclass(frozen=True)
 class SmoothingConfig:
     sigma: float = 1.0
     truncation_radius: int | None = None
+
+    def __post_init__(self):
+        if not (self.sigma >= 0):
+            raise ConfigError(f"smoothing sigma must be >= 0, got {self.sigma!r}")
+        radius = self.truncation_radius
+        if radius is not None and not (isinstance(radius, int) and radius >= 0):
+            raise ConfigError("smoothing truncation_radius must be null or an "
+                              f"integer >= 0, got {radius!r}")
 
 
 @dataclass(frozen=True)
@@ -98,9 +118,9 @@ class PipelineConfig:
     template: TemplateSpec = field(default_factory=TemplateSpec)
     cost: CostSpec = field(default_factory=CostSpec)
     lambdas: tuple[float, ...] = (1.0,)
-    allocation_side: str = "source_only"
-    tiebreak_epsilon: float = 1e-9
-    quantization_units: int = 10_000_000
+    allocation_side: str = AllocationSpec.side
+    tiebreak_epsilon: float = AllocationSpec.tiebreak_epsilon
+    quantization_units: int = QuantizationSpec.units
     multiscale: MultiscaleConfig = field(default_factory=MultiscaleConfig)
     smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
     covariates: tuple[str, ...] = ()
@@ -128,102 +148,64 @@ class PipelineConfig:
         )
 
 
-def _check_keys(mapping: dict, allowed, where: str):
-    unknown = set(mapping) - set(allowed)
+def _check_keys(raw, allowed, where: str):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
+    unknown = set(raw) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown config keys in {where}: {sorted(unknown)}")
 
 
+def _load(cls, raw, where: str, **convert):
+    """``cls`` from the JSON object ``raw``, converting the keys in ``convert``.
+
+    Keys must be fields of ``cls``; absent ones take its defaults.  A value
+    that a conversion or ``cls`` rejects is a ConfigError naming ``where``.
+    """
+    _check_keys(raw, [f.name for f in dataclasses.fields(cls)], where)
+    values = {}
+    for key, value in raw.items():
+        try:
+            values[key] = convert[key](value) if key in convert else value
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for {key!r} in {where}: {exc}") from None
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value in {where}: {exc}") from None
+
+
+def _items(values) -> tuple:
+    """A JSON list as a tuple; a string is not split into characters."""
+    if isinstance(values, str):
+        raise ValueError(f"expected a list, got {values!r}")
+    return tuple(values)
+
+
 def parse_config(raw: dict, base_dir: str = ".") -> PipelineConfig:
-    _check_keys(
-        raw,
-        {
-            "output_dir", "manifest", "synth", "downsample_factor", "template",
-            "cost", "lambdas", "allocation_side", "tiebreak_epsilon",
-            "quantization_units", "multiscale", "smoothing", "covariates",
-            "alpha", "workers", "seed",
-        },
-        "pipeline config",
-    )
     if "output_dir" not in raw:
         raise ConfigError("config key 'output_dir' is required")
-
-    tmpl_raw = dict(raw.get("template", {}))
-    _check_keys(
-        tmpl_raw,
-        {"method", "sparse_threshold_fraction", "barycenter_max_iters",
-         "barycenter_tolerance"},
-        "template",
-    )
-    template = TemplateSpec(**tmpl_raw)
-
-    ms_raw = dict(raw.get("multiscale", {}))
-    _check_keys(
-        ms_raw, {"enabled", "coarsen_threshold", "neighborhood_radius"}, "multiscale"
-    )
-    multiscale = MultiscaleConfig(**ms_raw)
-
-    sm_raw = dict(raw.get("smoothing", {}))
-    _check_keys(sm_raw, {"sigma", "truncation_radius"}, "smoothing")
-    smoothing = SmoothingConfig(**sm_raw)
-
     synth = raw.get("synth")
     if synth is not None:
-        synth = dict(synth)
-        kind = synth.get("kind")
-        if kind == "strips":
-            _check_keys(
-                synth, {"kind", "seed", "n_subjects", "dims", "removal_range"},
-                "synth",
-            )
-        elif kind == "annuli":
-            _check_keys(
-                synth,
-                {"kind", "seed", "n_subjects", "dims", "inner_radii",
-                 "outer_radii", "case", "outer_fraction_range", "total_range"},
-                "synth",
-            )
-        elif kind == "sweep":
-            _check_keys(
-                synth,
-                {"kind", "seed", "n_subjects", "dims", "removal_range",
-                 "n_list", "sigma_list"},
-                "synth",
-            )
-        else:
-            raise ConfigError(
-                f"synth kind must be 'strips', 'annuli' or 'sweep', got {kind!r}"
-            )
-
-    manifest = raw.get("manifest")
-    if manifest is not None and not os.path.isabs(manifest):
-        manifest = os.path.join(base_dir, manifest)
-    output_dir = raw["output_dir"]
-    if not os.path.isabs(output_dir):
-        output_dir = os.path.join(base_dir, output_dir)
-
-    try:
-        lambdas = tuple(float(v) for v in raw.get("lambdas", (1.0,)))
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad lambda list {raw.get('lambdas')!r}") from None
-
-    return PipelineConfig(
-        output_dir=output_dir,
-        manifest=manifest,
-        synth=synth,
-        downsample_factor=int(raw.get("downsample_factor", 1)),
-        template=template,
-        cost=CostSpec(kind=raw.get("cost", "squared_euclidean")),
-        lambdas=lambdas,
-        allocation_side=raw.get("allocation_side", "source_only"),
-        tiebreak_epsilon=float(raw.get("tiebreak_epsilon", 1e-9)),
-        quantization_units=int(raw.get("quantization_units", 10_000_000)),
-        multiscale=multiscale,
-        smoothing=smoothing,
-        covariates=tuple(raw.get("covariates", ())),
-        alpha=float(raw.get("alpha", 0.05)),
-        workers=int(raw.get("workers", 1)),
-        seed=int(raw.get("seed", 0)),
+        kind = synth.get("kind") if isinstance(synth, dict) else None
+        if kind not in ("strips", "annuli", "sweep"):
+            raise ConfigError("synth must be an object whose kind is 'strips', "
+                              f"'annuli' or 'sweep', got {synth!r}")
+        keys = {f.name for f in dataclasses.fields(
+            AnnulusSpec if kind == "annuli" else StripSpec)}
+        extra = {"n_list", "sigma_list"} if kind == "sweep" else set()
+        _check_keys(synth, keys | extra | {"kind"}, "synth")
+    path = partial(os.path.join, base_dir)
+    return _load(
+        PipelineConfig, raw, "pipeline config",
+        output_dir=path, manifest=path, downsample_factor=int,
+        template=lambda v: _load(TemplateSpec, v, "template"),
+        cost=lambda kind: CostSpec(kind=kind),
+        lambdas=lambda v: tuple(map(float, _items(v))),
+        tiebreak_epsilon=float, quantization_units=int,
+        multiscale=lambda v: _load(MultiscaleConfig, v, "multiscale"),
+        smoothing=lambda v: _load(SmoothingConfig, v, "smoothing"),
+        covariates=_items, alpha=float, workers=int, seed=int,
     )
 
 
@@ -368,20 +350,15 @@ def stage_synth(cfg: PipelineConfig, log: _RunLog) -> None:
     """
     if cfg.synth is None:
         return
-    synth = dict(cfg.synth)
+    synth = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg.synth.items()}
     kind = synth.pop("kind")
     synth.setdefault("seed", cfg.seed)
 
     def work(dataset_dir):
-        for key in ("dims", "inner_radii", "outer_radii", "removal_range",
-                    "outer_fraction_range", "total_range"):
-            if key in synth:
-                synth[key] = tuple(synth[key])
         if kind == "sweep":
             n_list = synth.pop("n_list")
             sigma_list = synth.pop("sigma_list")
-            synth.pop("n_subjects", None)
-            spec = StripSpec(n_subjects=1, **synth)
+            spec = _load(StripSpec, {**synth, "n_subjects": 1}, "synth")
             datasets, provenance = generate_sweep(spec, n_list, sigma_list)
             provenance["kind"] = kind
             for n, (measures, manifest) in datasets.items():
@@ -390,7 +367,7 @@ def stage_synth(cfg: PipelineConfig, log: _RunLog) -> None:
         else:
             spec_type, generate = {"strips": (StripSpec, generate_strips),
                                    "annuli": (AnnulusSpec, generate_annuli)}[kind]
-            spec = spec_type(**synth)
+            spec = _load(spec_type, synth, "synth")
             measures, manifest = generate(spec)
             save_dataset(measures, manifest, dataset_dir)
             provenance = {"kind": kind, **dataclasses.asdict(spec)}

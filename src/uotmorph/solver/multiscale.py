@@ -5,8 +5,10 @@ support drops below ``coarsen_threshold``.  The coarsest problem is solved
 exactly; each refinement level admits transport arcs only between children
 of coarse plan arcs whose endpoints are dilated by ``neighborhood_radius``
 coarse cells.  Self arcs and virtual (allocation) arcs are always admitted,
-so every level stays feasible and the final solution is feasible for the
-full problem; its objective upper-bounds the exact optimum.
+so at finite lambda every level stays feasible; at lambda = inf, which has
+no virtual arcs, a level the admitted arcs cannot route is solved exactly.
+The final solution is feasible for the full problem and its objective
+upper-bounds the exact optimum.
 
 Each refinement level is warm-started from the coarse plan: a target voxel
 starts fed from the voxel at the same offset in the coarse source cell that
@@ -137,12 +139,8 @@ def solve_multiscale(
                 fine_mu, fine_nu, cost, alloc, quant,
                 allowed_pairs=pairs, feeder=feeder,
             )
-            flows, _ = solve_min_cost_flow(problem)
+            sol = network.extract_solution(problem, solve_min_cost_flow(problem)[0])
         except InfeasibleError:
             # restricted arc set disconnected the problem; fall back to exact
-            problem = network.build_unbalanced_problem(
-                fine_mu, fine_nu, cost, alloc, quant
-            )
-            flows, _ = solve_min_cost_flow(problem)
-        sol = network.extract_solution(problem, flows)
+            sol = solve_unbalanced(fine_mu, fine_nu, cost, alloc, quant)
     return sol

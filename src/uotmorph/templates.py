@@ -35,8 +35,10 @@ class TemplateSpec:
             raise ConfigError(f"unknown template method {self.method!r}")
         if not 0 < self.sparse_threshold_fraction <= 1:
             raise ConfigError("sparse_threshold_fraction must be in (0, 1]")
-        if self.barycenter_max_iters < 1:
-            raise ConfigError("barycenter_max_iters must be >= 1")
+        if not (isinstance(self.barycenter_max_iters, int)
+                and self.barycenter_max_iters >= 1):
+            raise ConfigError("barycenter_max_iters must be an integer >= 1, "
+                              f"got {self.barycenter_max_iters!r}")
 
 
 def _check_cohort(images):
@@ -122,12 +124,10 @@ def ot_barycenter(
 
     n = len(images)
     prev_objective = None
-    iterations = 0
-    for _ in range(spec.barycenter_max_iters):
+    # the round after the last relocation only scores the final template
+    for iterations in range(1, spec.barycenter_max_iters + 2):
         sols = _barycenter_round(images, ids, template, cost, alloc, quant, workers)
         objective = float(sum(s.objective for s in sols))
-        iterations += 1
-
         if prev_objective is not None:
             if objective > prev_objective * (1 + 1e-9) + 1e-15:
                 raise BarycenterDivergenceError(
@@ -138,7 +138,7 @@ def ot_barycenter(
                 spec.barycenter_tolerance * max(prev_objective, 1e-300)
             ):
                 return template, objective, iterations
-        if objective == 0.0:
+        if objective == 0.0 or iterations > spec.barycenter_max_iters:
             return template, objective, iterations
         prev_objective = objective
 
@@ -156,14 +156,6 @@ def ot_barycenter(
         np.add.at(new_values, np.ravel_multi_index(multi.T, domain.dims, mode="clip"),
                   inbound_mass[active] / n)
         template = GridMeasure(domain, new_values.reshape(domain.dims))
-
-    sols = _barycenter_round(images, ids, template, cost, alloc, quant, workers)
-    final = float(sum(s.objective for s in sols))
-    if prev_objective is not None and final > prev_objective * (1 + 1e-9) + 1e-15:
-        raise BarycenterDivergenceError(
-            f"barycenter objective increased from {prev_objective!r} to {final!r}"
-        )
-    return template, final, iterations + 1
 
 
 def build_template(images, spec: TemplateSpec, cost=None, alloc=None,

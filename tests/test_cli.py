@@ -56,6 +56,33 @@ def test_invalid_alpha_exit_2(tmp_path):
     assert main(["run", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    {"template": "sparse"},
+    {"multiscale": 5},
+    {"smoothing": [1]},
+    {"synth": "annuli"},
+    {"workers": "two"},
+    {"alpha": "x"},
+    {"seed": None},
+    {"covariates": 5},
+    {"covariates": "total_mass"},
+    {"template": {"sparse_threshold_fraction": "x"}},
+    {"template": {"method": "ot_barycenter", "barycenter_max_iters": 2.5}},
+    {"multiscale": {"enabled": "no"}},
+    {"multiscale": {"enabled": True, "coarsen_threshold": "big"}},
+    {"multiscale": {"enabled": True, "neighborhood_radius": -1}},
+    {"smoothing": {"sigma": "x"}},
+    {"smoothing": {"sigma": -1}},
+    {"smoothing": {"truncation_radius": -2}},
+    {"synth": {**TINY_ANNULUS["synth"], "dims": 48}},
+], ids=lambda overrides: json.dumps(overrides))
+def test_malformed_config_value_exit_2(tmp_path, capsys, overrides):
+    path = write_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "uotmorph: " in err and "Traceback" not in err
+
+
 def test_missing_manifest_exit_3(tmp_path):
     cfg = {
         "output_dir": str(tmp_path / "out"),
@@ -291,6 +318,21 @@ def test_analytic_unknown_key_exit_2(tmp_path):
     path = tmp_path / "analytic.json"
     path.write_text(json.dumps({"panels": [], "bogus": 1}))
     assert main(["analytic", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("cfg", [
+    5,
+    {"panels": [{"t_h": "x", "t_p_list": [0.5], "output": "a.csv"}]},
+    {"panels": [{"t_h": 0.85, "t_p_list": 0.1, "output": "a.csv"}]},
+    {"panels": [{"t_h": 0.85, "t_p_list": [0.5], "n_max": "many",
+                 "output": "a.csv"}]},
+], ids=["not-an-object", "t_h", "t_p_list", "n_max"])
+def test_analytic_malformed_value_exit_2(tmp_path, capsys, cfg):
+    path = tmp_path / "analytic.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["analytic", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "a.csv").exists()
 
 
 def test_synth_writes_provenance(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +11,7 @@ from conftest import (
     random_measure_pair,
     same_solution,
 )
+from uotmorph.errors import InfeasibleError
 from uotmorph.grid import GridDomain, GridMeasure
 from uotmorph.solver import (
     AllocationSpec,
@@ -18,7 +21,7 @@ from uotmorph.solver import (
     solve_multiscale,
     solve_unbalanced,
 )
-from uotmorph.solver import network, simplex, ssp
+from uotmorph.solver import multiscale, network, simplex, ssp
 from uotmorph.solver.multiscale import _admitted_pairs, _feeder
 from uotmorph.solver.specs import ARC_TRANSPORT
 
@@ -80,6 +83,34 @@ def test_multiscale_radius_widens_admission():
     assert objs[1] <= objs[0] + 1e-9
     assert objs[2] <= objs[1] + 1e-9
     assert objs[2] >= exact.objective - 1e-9 * max(1.0, exact.objective)
+
+
+def test_infeasible_restricted_level_falls_back_to_exact(monkeypatch):
+    # at lambda = inf no allocation arcs keep the fine level feasible, and
+    # the pairs the 2x2 coarse plan admits at radius 0 cannot route 7 units
+    dom = GridDomain(dims=(4, 4), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+    mu = GridMeasure(dom, np.array(
+        [[0, 2, 1, 2], [1, 0, 2, 0], [0, 2, 2, 3], [1, 0, 0, 0]], dtype=float))
+    nu = GridMeasure(dom, np.array(
+        [[0, 2, 3, 1], [2, 1, 2, 1], [1, 0, 0, 1], [0, 1, 0, 1]], dtype=float))
+    alloc, quant = AllocationSpec(lam=math.inf), QuantizationSpec(7)
+    infeasible = []
+
+    def restricted_solve(problem):
+        try:
+            return simplex.solve_min_cost_flow(problem)
+        except InfeasibleError:
+            infeasible.append(problem)
+            raise
+
+    monkeypatch.setattr(multiscale, "solve_min_cost_flow", restricted_solve)
+    ms = solve_multiscale(mu, nu, COST, alloc, quant,
+                          coarsen_threshold=4, neighborhood_radius=0)
+    exact = solve_unbalanced(mu, nu, COST, alloc, quant)
+    assert len(infeasible) == 1
+    assert np.array_equal(ms.plan_arcs, exact.plan_arcs)
+    assert np.array_equal(ms.allocation, exact.allocation)
+    assert ms.objective == 11.428571428571427
 
 
 def test_feeder_follows_the_largest_coarse_inflow():
