@@ -11,19 +11,21 @@ with a ``.stage.json`` marker holding a content hash of its inputs, and
 
 * synth: the ``synth`` config block and the seed;
 * template: the image digests, template spec, downsample factor and
-  ``SOLVER_VERSION``, plus for ``ot_barycenter`` the first lambda, the
-  allocation side, tiebreak, quantization units and cost;
-* transport (per lambda): the image digests, template file digest,
-  lambda, allocation side, tiebreak, quantization units, multiscale
-  settings, downsample factor, cost and ``SOLVER_VERSION``;
+  ``SOLVER_VERSION``, plus for ``ot_barycenter`` the solve settings
+  (``_solve_specs``) at the first lambda;
+* transport (per lambda): the image digests, template file digest, the
+  solve settings at that lambda, multiscale settings, downsample factor
+  and ``SOLVER_VERSION``;
 * features (per lambda): the solution file digests and smoothing;
 * correlate (per lambda and covariate): the feature file digests, alpha,
   the covariate's name and its values.
 
 A failed stage removes its partial outputs and aborts, naming the stage,
-lambda, covariate and cause.  With a fixed config, seed, and worker count,
-the artifact tree (everything except the run_log.jsonl diagnostics) is
-byte-reproducible; results do not depend on the worker count.
+lambda, covariate and cause.  Every solve of the cohort goes through
+``_Cohort.solve_each``: on one process pool per invocation when
+``workers`` > 1, in-process with 1 worker.  With a fixed config, seed, and
+worker count, the artifact tree (everything except the run_log.jsonl
+diagnostics) is byte-reproducible; results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -32,10 +34,12 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -52,7 +56,6 @@ from .solver import (
     export_solution,
     load_solution,
     solve_multiscale,
-    solve_unbalanced,
 )
 from .stats import correlate_stack, export_map
 from .synth import (
@@ -141,11 +144,18 @@ class PipelineConfig:
             raise ConfigError("config needs either 'manifest' or 'synth'")
         if any(lam < 0 for lam in self.lambdas):
             raise ConfigError("lambda values must be >= 0")
-        # fail fast on a bad side or tiebreak instead of mid-run
-        AllocationSpec(
-            lam=1.0, side=self.allocation_side,
-            tiebreak_epsilon=self.tiebreak_epsilon,
-        )
+        # fail fast on a bad side, tiebreak or unit count instead of mid-run
+        _solve_specs(self, self.lambdas[0])
+
+
+def _solve_specs(cfg: PipelineConfig, lam: float):
+    """``(alloc, quant, hash_inputs)`` of a solve at ``lam``; the last is hashed."""
+    alloc = AllocationSpec(lam=lam, side=cfg.allocation_side,
+                           tiebreak_epsilon=cfg.tiebreak_epsilon)
+    quant = QuantizationSpec(units=cfg.quantization_units)
+    return alloc, quant, {"lambda": lam, "side": alloc.side,
+                          "tiebreak": alloc.tiebreak_epsilon,
+                          "units": quant.units, "cost": cfg.cost.kind}
 
 
 def _check_keys(raw, allowed, where: str):
@@ -195,6 +205,8 @@ def parse_config(raw: dict, base_dir: str = ".") -> PipelineConfig:
             AnnulusSpec if kind == "annuli" else StripSpec)}
         extra = {"n_list", "sigma_list"} if kind == "sweep" else set()
         _check_keys(synth, keys | extra | {"kind"}, "synth")
+        if extra - set(synth):
+            raise ConfigError(f"sweep synth needs keys {sorted(extra - set(synth))}")
     path = partial(os.path.join, base_dir)
     return _load(
         PipelineConfig, raw, "pipeline config",
@@ -306,15 +318,29 @@ def _lambda_dirname(lam: float) -> str:
     return f"lambda={lam!r}"
 
 
+def _solve_named(solve, sid, item):
+    """``solve(item)``; a failure carries the subject id as ``subject``."""
+    try:
+        return solve(item)
+    except Exception as exc:
+        exc.subject = sid  # pickled with the exception out of a worker
+        raise
+
+
 class _Cohort:
     """The manifest of one invocation; images and digests load on first use."""
 
-    def __init__(self, cfg: PipelineConfig, manifest_path):
+    def __init__(self, cfg: PipelineConfig, manifest_path, pool_map):
         self.manifest = load_manifest(manifest_path)
         base = os.path.dirname(os.path.abspath(manifest_path))
         self.ids = [e.subject_id for e in self.manifest.entries]
         self.paths = [os.path.join(base, e.image_path) for e in self.manifest.entries]
         self.downsample_factor = cfg.downsample_factor
+        self.pool_map = pool_map
+
+    def solve_each(self, solve, items) -> list:
+        """``solve(item)`` per subject on ``pool_map``; a failure names its subject."""
+        return list(self.pool_map(partial(_solve_named, solve), self.ids, items))
 
     @cached_property
     def digests(self) -> list[str]:
@@ -384,11 +410,7 @@ def stage_synth(cfg: PipelineConfig, log: _RunLog) -> None:
 
 def stage_template(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
     """Build and save the template as template/template.otfg."""
-    alloc = AllocationSpec(
-        lam=cfg.lambdas[0], side=cfg.allocation_side,
-        tiebreak_epsilon=cfg.tiebreak_epsilon,
-    )
-    quant = QuantizationSpec(units=cfg.quantization_units)
+    alloc, quant, solve_inputs = _solve_specs(cfg, cfg.lambdas[0])
     inputs = {
         "template": cfg.template,
         "downsample": cfg.downsample_factor,
@@ -397,14 +419,12 @@ def stage_template(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
     }
     if cfg.template.method == METHOD_OT_BARYCENTER:
         # only the barycenter solves transport, so only it reads these
-        inputs.update({"lambda": alloc.lam, "side": alloc.side,
-                       "tiebreak": alloc.tiebreak_epsilon, "units": quant.units,
-                       "cost": cfg.cost.kind})
+        inputs.update(solve_inputs)
 
     def work(template_dir):
         template, meta = build_template(
             cohort.images, cfg.template, cost=cfg.cost, alloc=alloc, quant=quant,
-            workers=cfg.workers, ids=cohort.ids,
+            pool_map=cohort.solve_each,
         )
         save_measure(template, os.path.join(template_dir, "template.otfg"))
         with open(os.path.join(template_dir, "template.txt"), "w",
@@ -417,55 +437,31 @@ def stage_template(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
                _stage_hash(inputs), work)
 
 
-def _solve_subject(args):
-    """Solve one subject; a failure carries the subject id as ``subject``."""
-    (sid, template, subject, cost, alloc, quant, ms) = args
-    try:
-        if ms.enabled:
-            return solve_multiscale(
-                template, subject, cost, alloc, quant,
-                coarsen_threshold=ms.coarsen_threshold,
-                neighborhood_radius=ms.neighborhood_radius,
-            )
-        return solve_unbalanced(template, subject, cost, alloc, quant)
-    except Exception as exc:
-        exc.subject = sid  # pickled with the exception out of a worker
-        raise
-
-
 def stage_transport(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
     """Solve template -> subject transport for every lambda and subject."""
     template_path = os.path.join(cfg.output_dir, "template", "template.otfg")
     _require("transport", [template_path], "template")
     template = load_measure(template_path)
-    quant = QuantizationSpec(units=cfg.quantization_units)
+    ms = cfg.multiscale
     base_hash = {
         "template": _digest_file(template_path),
         "images": cohort.digests,
-        "side": cfg.allocation_side,
-        "tiebreak": cfg.tiebreak_epsilon,
-        "units": cfg.quantization_units,
-        "multiscale": cfg.multiscale,
+        "multiscale": ms,
         "downsample": cfg.downsample_factor,
-        "cost": cfg.cost.kind,
         "solver_version": SOLVER_VERSION,
     }
     for lam in cfg.lambdas:
+        alloc, quant, solve_inputs = _solve_specs(cfg, lam)
 
         def work(stage_dir):
             if template.domain != cohort.domain:
                 raise DataError("template domain does not match cohort")
-            alloc = AllocationSpec(
-                lam=lam, side=cfg.allocation_side,
-                tiebreak_epsilon=cfg.tiebreak_epsilon,
-            )
-            args = [(sid, template, img, cfg.cost, alloc, quant, cfg.multiscale)
-                    for sid, img in zip(cohort.ids, cohort.images)]
-            if cfg.workers > 1:
-                with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                    sols = list(pool.map(_solve_subject, args))
-            else:
-                sols = [_solve_subject(a) for a in args]
+            # with multiscale off, every problem is one level: an exact solve
+            solve = partial(
+                solve_multiscale, template, cost=cfg.cost, alloc=alloc, quant=quant,
+                coarsen_threshold=ms.coarsen_threshold if ms.enabled else math.inf,
+                neighborhood_radius=ms.neighborhood_radius)
+            sols = cohort.solve_each(solve, cohort.images)
             for sid, sol in zip(cohort.ids, sols):
                 export_solution(sol, os.path.join(stage_dir, f"{sid}.plan.csv"))
             return {"objectives": {sid: sol.objective
@@ -474,7 +470,7 @@ def stage_transport(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
         label = _lambda_dirname(lam)
         _run_stage(log, "transport", label,
                    os.path.join(cfg.output_dir, "solutions", label),
-                   _stage_hash({**base_hash, "lambda": lam}), work, lam=lam)
+                   _stage_hash({**base_hash, **solve_inputs}), work, lam=lam)
 
 
 def stage_features(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
@@ -587,15 +583,18 @@ def run_pipeline(cfg: PipelineConfig, upto: str = "correlate",
         raise StageFailure(
             "synth", DataError(f"manifest {manifest_path!r} not found")
         )
-    cohort = _Cohort(cfg, manifest_path)
-    if "template" in runs:
-        stage_template(cfg, cohort, log)
-    if "transport" in runs:
-        stage_transport(cfg, cohort, log)
-    if "features" in runs:
-        stage_features(cfg, cohort, log)
-    if "correlate" in runs:
-        stage_correlate(cfg, cohort, log)
+    # workers start at the first solve, so a run that solves nothing forks none
+    with (ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1
+          else nullcontext()) as pool:
+        cohort = _Cohort(cfg, manifest_path, pool.map if pool else map)
+        if "template" in runs:
+            stage_template(cfg, cohort, log)
+        if "transport" in runs:
+            stage_transport(cfg, cohort, log)
+        if "features" in runs:
+            stage_features(cfg, cohort, log)
+        if "correlate" in runs:
+            stage_correlate(cfg, cohort, log)
 
 
 def tree_checksums(root, exclude=("run_log.jsonl",)) -> dict:

@@ -52,6 +52,11 @@ def stream(seed: int, *fields) -> np.random.Generator:
 REGION_NAMES = ("A", "B", "C", "D")
 
 
+def _check_seed(seed):
+    if not isinstance(seed, int):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class StripSpec:
     """Four-region strip phantom with random per-region tissue removal."""
@@ -62,6 +67,7 @@ class StripSpec:
     removal_range: tuple[float, float] = (0.0, 0.5)
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.n_subjects < 1:
             raise ConfigError("n_subjects must be >= 1")
         if len(self.dims) != 2 or self.dims[1] % 4 != 0:
@@ -93,6 +99,7 @@ class AnnulusSpec:
     total_range: tuple[float, float] = (0.5, 1.5)  # relative to reference mass
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.case not in ("fixed_total", "random_total"):
             raise ConfigError(f"unknown annulus case {self.case!r}")
         if not self.inner_radii[0] < self.inner_radii[1] <= self.outer_radii[0]:

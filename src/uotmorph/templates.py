@@ -9,8 +9,8 @@ plans from every image to the current template.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -39,6 +39,9 @@ class TemplateSpec:
                 and self.barycenter_max_iters >= 1):
             raise ConfigError("barycenter_max_iters must be an integer >= 1, "
                               f"got {self.barycenter_max_iters!r}")
+        if not self.barycenter_tolerance >= 0:
+            raise ConfigError("barycenter_tolerance must be >= 0, "
+                              f"got {self.barycenter_tolerance!r}")
 
 
 def _check_cohort(images):
@@ -73,34 +76,13 @@ def sparse_mean(images: list[GridMeasure], spec: TemplateSpec) -> GridMeasure:
     return GridMeasure(domain, masked)
 
 
-def _solve_to_template(args):
-    """Solve one image to the template; a failure carries its id as ``subject``."""
-    sid, image, template, cost, alloc, quant = args
-    try:
-        return solve_unbalanced(image, template, cost, alloc, quant)
-    except Exception as exc:
-        exc.subject = sid  # pickled with the exception out of a worker
-        raise
-
-
-def _barycenter_round(images, ids, template, cost, alloc, quant, workers):
-    args = [(sid, im, template, cost, alloc, quant) for sid, im in zip(ids, images)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            sols = list(pool.map(_solve_to_template, args))
-    else:
-        sols = [_solve_to_template(a) for a in args]
-    return sols
-
-
 def ot_barycenter(
     images: list[GridMeasure],
     spec: TemplateSpec,
     cost: CostSpec,
     alloc: AllocationSpec,
     quant: QuantizationSpec = QuantizationSpec(),
-    workers: int = 1,
-    ids=None,
+    pool_map=map,
 ):
     """Approximate transport barycenter by fixed-point iteration.
 
@@ -109,13 +91,13 @@ def ot_barycenter(
     moves each template atom to the snapped transport-weighted centroid of
     its inbound mass and resets its mass to the average inbound mass.
     Stops when the summed objective changes by less than the relative
-    tolerance, or after ``barycenter_max_iters`` rounds.  ``ids`` name the
-    images; a failed solve carries its image's id as ``subject``.
+    tolerance, or after ``barycenter_max_iters`` rounds.  Each round runs
+    its solves as ``pool_map(solve, images)``, which the pipeline points at
+    its worker pool.
 
     Returns (template, objective, iterations).
     """
     domain = _check_cohort(images)
-    ids = [None] * len(images) if ids is None else ids
     template = sparse_mean(images, spec)
     if template.total_mass == 0:
         template = euclidean_mean(images)
@@ -126,7 +108,9 @@ def ot_barycenter(
     prev_objective = None
     # the round after the last relocation only scores the final template
     for iterations in range(1, spec.barycenter_max_iters + 2):
-        sols = _barycenter_round(images, ids, template, cost, alloc, quant, workers)
+        solve = partial(solve_unbalanced, nu=template, cost=cost, alloc=alloc,
+                        quant=quant)
+        sols = list(pool_map(solve, images))
         objective = float(sum(s.objective for s in sols))
         if prev_objective is not None:
             if objective > prev_objective * (1 + 1e-9) + 1e-15:
@@ -159,7 +143,7 @@ def ot_barycenter(
 
 
 def build_template(images, spec: TemplateSpec, cost=None, alloc=None,
-                   quant=QuantizationSpec(), workers: int = 1, ids=None):
+                   quant=QuantizationSpec(), pool_map=map):
     """Dispatch on spec.method; returns (template, metadata dict)."""
     if spec.method == METHOD_EUCLIDEAN:
         return euclidean_mean(images), {"method": spec.method}
@@ -171,7 +155,7 @@ def build_template(images, spec: TemplateSpec, cost=None, alloc=None,
     if cost is None or alloc is None:
         raise ConfigError("ot_barycenter template needs cost and allocation specs")
     template, objective, iters = ot_barycenter(
-        images, spec, cost, alloc, quant, workers=workers, ids=ids
+        images, spec, cost, alloc, quant, pool_map=pool_map
     )
     return template, {
         "method": spec.method,

@@ -75,12 +75,24 @@ def test_invalid_alpha_exit_2(tmp_path):
     {"smoothing": {"sigma": -1}},
     {"smoothing": {"truncation_radius": -2}},
     {"synth": {**TINY_ANNULUS["synth"], "dims": 48}},
+    {"synth": {**TINY_ANNULUS["synth"], "seed": "x"}},
+    {"template": {"method": "ot_barycenter", "barycenter_tolerance": "x"}},
 ], ids=lambda overrides: json.dumps(overrides))
 def test_malformed_config_value_exit_2(tmp_path, capsys, overrides):
     path = write_config(tmp_path, **overrides)
     assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "uotmorph: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("missing", ["n_list", "sigma_list"])
+def test_sweep_without_lists_exit_2(tmp_path, capsys, missing):
+    synth = {"kind": "sweep", "dims": [8, 16], "n_list": [2], "sigma_list": [0.0]}
+    del synth[missing]
+    path = write_config(tmp_path, synth=synth)
+    assert main(["synth", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and missing in err
 
 
 def test_missing_manifest_exit_3(tmp_path):
@@ -116,6 +128,50 @@ def test_solver_failure_exit_4(tmp_path, capsys, template):
     for workers in ("1", "2"):
         assert main(["run", "--config", str(path), "--workers", workers]) == 4
         assert capsys.readouterr().err == message
+
+
+def test_failure_names_the_failing_subject(tmp_path, capsys):
+    # at lambda = inf only s0002's quantized total differs from the template's
+    from uotmorph.grid import (GridMeasure, ManifestEntry, SubjectManifest,
+                               save_manifest, save_measure)
+
+    dom = GridDomain(dims=(4, 4), spacing=(1.0, 1.0), origin=(0.0, 0.0))
+    values = np.random.default_rng(3).random((4, 4)) + 0.1
+    data = tmp_path / "data"
+    data.mkdir()
+    for k in range(5):
+        scale = 1 + 1e-5 if k == 2 else 1.0
+        save_measure(GridMeasure(dom, values * scale), data / f"s{k:04d}.otfg")
+    save_manifest(SubjectManifest(
+        covariate_names=("score",),
+        entries=tuple(ManifestEntry(f"s{k:04d}", f"s{k:04d}.otfg", {"score": float(k)})
+                      for k in range(5)),
+    ), data / "manifest.csv")
+    cfg = {"output_dir": str(tmp_path / "out"), "manifest": str(data / "manifest.csv"),
+           "lambdas": [1e999], "quantization_units": 100000,
+           "template": {"method": "euclidean"}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for workers in ("1", "2"):
+        assert main(["run", "--config", str(path), "--workers", workers]) == 4
+        assert "(subject s0002)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1)])
+def test_one_pool_per_invocation(tmp_path, monkeypatch, workers, pools):
+    started = []
+
+    class CountingPool(pipeline.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
+    path = write_config(tmp_path, lambdas=[10.0, 150.0], workers=workers,
+                        template={"method": "ot_barycenter",
+                                  "barycenter_max_iters": 2})
+    assert main(["run", "--config", str(path)]) == 0
+    assert len(started) == pools
 
 
 def test_full_run_and_stage_idempotence(tmp_path):
