@@ -5,6 +5,11 @@ SolverError -> 4.
 """
 
 
+def is_integer(value) -> bool:
+    """Whether a config value is an integer; ``True`` and ``False`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class UotmorphError(Exception):
     """Base class for all package errors."""
 

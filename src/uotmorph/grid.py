@@ -15,6 +15,7 @@ base layout. Values are f32 on disk and widened to f64 in memory.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -49,6 +50,8 @@ class GridDomain:
             raise DataError(f"all dims must be >= 1, got {dims}")
         if any(s <= 0 for s in spacing):
             raise DataError(f"all spacing entries must be > 0, got {spacing}")
+        if not all(map(math.isfinite, spacing + origin)):
+            raise DataError(f"spacing and origin must be finite, got {spacing + origin}")
 
     @property
     def ndim(self) -> int:
@@ -209,6 +212,8 @@ def _read_otfg(path):
     off += 8 * ndim
     need(off, 8 * ndim, "origin")
     origin = struct.unpack_from(f"<{ndim}d", data, off)
+    if not all(map(math.isfinite, origin)):
+        raise OTFGFormatError(f"origin must be finite, got {origin}", off)
     off += 8 * ndim
 
     count = 1

@@ -45,7 +45,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import ConfigError, DataError, UotmorphError
+from .errors import ConfigError, DataError, UotmorphError, is_integer
 from .features import extract_features
 from .grid import downsample, load_manifest, load_measure, save_measure
 from .solver import (
@@ -93,7 +93,7 @@ class MultiscaleConfig:
                               f"got {self.enabled!r}")
         for name in ("coarsen_threshold", "neighborhood_radius"):
             value = getattr(self, name)
-            if not (isinstance(value, int) and value >= 0):
+            if not (is_integer(value) and value >= 0):
                 raise ConfigError(f"multiscale {name} must be an integer >= 0, "
                                   f"got {value!r}")
 
@@ -107,7 +107,7 @@ class SmoothingConfig:
         if not (self.sigma >= 0):
             raise ConfigError(f"smoothing sigma must be >= 0, got {self.sigma!r}")
         radius = self.truncation_radius
-        if radius is not None and not (isinstance(radius, int) and radius >= 0):
+        if radius is not None and not (is_integer(radius) and radius >= 0):
             raise ConfigError("smoothing truncation_radius must be null or an "
                               f"integer >= 0, got {radius!r}")
 
@@ -142,10 +142,9 @@ class PipelineConfig:
             raise ConfigError("downsample_factor must be >= 1")
         if self.manifest is None and self.synth is None:
             raise ConfigError("config needs either 'manifest' or 'synth'")
-        if any(lam < 0 for lam in self.lambdas):
-            raise ConfigError("lambda values must be >= 0")
-        # fail fast on a bad side, tiebreak or unit count instead of mid-run
-        _solve_specs(self, self.lambdas[0])
+        # fail fast on a bad lambda, side, tiebreak or unit count, not mid-run
+        for lam in self.lambdas:
+            _solve_specs(self, lam)
 
 
 def _solve_specs(cfg: PipelineConfig, lam: float):
@@ -185,6 +184,14 @@ def _load(cls, raw, where: str, **convert):
         raise ConfigError(f"bad value in {where}: {exc}") from None
 
 
+def _integer(value) -> int:
+    """A JSON integer; an integral float such as 1e7 counts, 2.5 or true do not."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _items(values) -> tuple:
     """A JSON list as a tuple; a string is not split into characters."""
     if isinstance(values, str):
@@ -210,14 +217,14 @@ def parse_config(raw: dict, base_dir: str = ".") -> PipelineConfig:
     path = partial(os.path.join, base_dir)
     return _load(
         PipelineConfig, raw, "pipeline config",
-        output_dir=path, manifest=path, downsample_factor=int,
+        output_dir=path, manifest=path, downsample_factor=_integer,
         template=lambda v: _load(TemplateSpec, v, "template"),
         cost=lambda kind: CostSpec(kind=kind),
         lambdas=lambda v: tuple(map(float, _items(v))),
-        tiebreak_epsilon=float, quantization_units=int,
+        tiebreak_epsilon=float, quantization_units=_integer,
         multiscale=lambda v: _load(MultiscaleConfig, v, "multiscale"),
         smoothing=lambda v: _load(SmoothingConfig, v, "smoothing"),
-        covariates=_items, alpha=float, workers=int, seed=int,
+        covariates=_items, alpha=float, workers=_integer, seed=_integer,
     )
 
 

@@ -152,36 +152,25 @@ def build_unbalanced_problem(
     pos_tgt = voxel_positions(domain, tgt_voxels)
     positive_src = src_voxels[w_units_full[src_voxels] > 0]
     prune_bound = 2.0 * lam if finite_lam else math.inf
-    pair_i = pair_j = np.zeros(0, dtype=np.int64)
-    pair_c = np.zeros(0)
-    if n_tgt and len(positive_src):
-        if allowed_pairs is None:
-            cmat = cost.pairwise(voxel_positions(domain, positive_src), pos_tgt)
-            ii, jj = np.nonzero(cmat <= prune_bound)
-            pair_i = positive_src[ii]
-            pair_j = tgt_voxels[jj]
-            pair_c = cmat[ii, jj]
-        else:
-            ai = np.asarray(allowed_pairs[0], dtype=np.int64)
-            aj = np.asarray(allowed_pairs[1], dtype=np.int64)
-            mask = (w_flat[ai] > 0) & (z_flat[aj] > 0) & (ai != aj)
-            ai, aj = ai[mask], aj[mask]
-            pc = cost.rowwise(voxel_positions(domain, ai), voxel_positions(domain, aj))
-            keep = pc <= prune_bound
-            pair_i, pair_j, pair_c = ai[keep], aj[keep], pc[keep]
+    if allowed_pairs is None:
+        cmat = cost.pairwise(voxel_positions(domain, positive_src), pos_tgt)
+        ii, jj = np.nonzero(cmat <= prune_bound)
+        pair_i, pair_j, pair_c = positive_src[ii], tgt_voxels[jj], cmat[ii, jj]
+    else:
+        ai = np.asarray(allowed_pairs[0], dtype=np.int64)
+        aj = np.asarray(allowed_pairs[1], dtype=np.int64)
+        mask = (w_flat[ai] > 0) & (z_flat[aj] > 0) & (ai != aj)
+        ai, aj = ai[mask], aj[mask]
+        pc = cost.rowwise(voxel_positions(domain, ai), voxel_positions(domain, aj))
+        keep = pc <= prune_bound
+        pair_i, pair_j, pair_c = ai[keep], aj[keep], pc[keep]
     add(src_node[pair_i], tgt_node[pair_j], pair_c, ARC_TRANSPORT, pair_i, pair_j)
 
-    # self arcs (cost 0) for voxels present on both sides.  Without a
-    # restriction the pair matrix above already holds them for every site
-    # with supply, so only zero-supply sites need one; allowed_pairs
-    # excludes them, so then every site does.
-    both = np.zeros(0, dtype=np.int64)
-    if n_tgt:
-        if allowed_pairs is None:
-            sites = src_voxels[w_units_full[src_voxels] == 0]
-        else:
-            sites = src_voxels
-        both = np.intersect1d(sites, tgt_voxels)
+    # self arcs (cost 0) for targets that are also sites, unless the pairs
+    # above already hold one
+    paired = np.zeros(len(w_flat), dtype=bool)
+    paired[pair_i[pair_i == pair_j]] = True
+    both = tgt_voxels[(src_node[tgt_voxels] >= 0) & ~paired[tgt_voxels]]
     add(src_node[both], tgt_node[both], 0.0, ARC_TRANSPORT, both, both)
 
     if finite_lam:
@@ -212,59 +201,45 @@ def build_unbalanced_problem(
         delta_units=delta_units,
     )
     if finite_lam:
-        problem.basis = _bank_basis(
-            problem, n_src, len(w_flat), pair_i, pair_j, both, tgt_voxels, feeder
-        )
+        problem.basis = _bank_basis(problem, feeder)
     return problem
 
 
-def _bank_basis(problem, n_src, size, pair_i, pair_j, both, tgt_voxels, feeder):
+def _bank_basis(problem: FlowProblem, feeder=None) -> np.ndarray:
     """Strongly feasible starting tree of a finite-lambda network.
 
-    Relies on the arc order of ``build_unbalanced_problem``: the transport
-    pairs, the self-arc block ``both``, one add arc per site, then one
-    remove arc per site with supply; ``size`` is the number of voxels of
-    the domain.  Each target with demand hangs from a site by a transport
-    arc (its own voxel's self arc, or the built arc from ``feeder[voxel]``);
-    each site hangs from the bank by its remove arc when its supply covers
-    the demand hung on it, else by its add arc; the bank nodes, targets
-    without demand and sites with neither supply nor demand hang from the
-    simplex's root.  Every tree flow is then >= 0 and every zero-flow tree
-    arc points towards the root.  At lambda = 0 this tree is optimal:
-    keeping mass in place beats every other arc.
+    Read from the arcs alone.  Each target with demand hangs from a site by
+    a transport arc: the arc from ``feeder[voxel]`` where one was built,
+    else its self arc (voxel a == voxel b).  Each site hangs from the bank
+    by its remove arc (``ARC_REM_SRC``) when its supply covers the demand
+    hung on it, else by its add arc (``ARC_ADD_SRC``); the bank nodes,
+    targets without demand and sites with neither supply nor demand hang
+    from the simplex's root.  Every tree flow is then >= 0 and every
+    zero-flow tree arc points towards the root.  At lambda = 0 this tree is
+    optimal: keeping mass in place beats every other arc.  The simplex
+    computes the potentials from the tree before the first pivot and every
+    max(64, n) pivots.
     """
-    n_pairs = len(pair_i)
-    n_tgt = len(tgt_voxels)
-    hang = np.full(size, -1, dtype=np.int64)
-    own = np.flatnonzero(pair_i == pair_j)
-    hang[pair_i[own]] = own
-    hang[both] = n_pairs + np.arange(len(both))
-    if feeder is not None and n_pairs:
-        keys = pair_i * size + pair_j
-        order = np.argsort(keys, kind="stable")
-        want = np.asarray(feeder, dtype=np.int64)[tgt_voxels] * size + tgt_voxels
-        at = np.searchsorted(keys, want, sorter=order)
-        at = order[np.minimum(at, n_pairs - 1)]
-        found = keys[at] == want
-        hang[tgt_voxels[found]] = at[found]
-
+    kind, vox_a, vox_b = problem.arc_kind, problem.arc_voxel_a, problem.arc_voxel_b
+    tails, heads, supply = problem.tails, problem.heads, problem.supplies
     basis = np.full(problem.n_nodes, -1, dtype=np.int64)
-    demand = -problem.supplies[n_src : n_src + n_tgt]
-    fed = np.flatnonzero(demand > 0)
-    arcs = hang[tgt_voxels[fed]]
-    basis[n_src + fed] = arcs
-    hung = np.zeros(n_src, dtype=np.int64)
-    np.add.at(hung, problem.tails[arcs], demand[fed])
+    transport = kind == ARC_TRANSPORT
+    own = np.flatnonzero(transport & (vox_a == vox_b))
+    basis[heads[own]] = own
+    if feeder is not None:
+        fed = np.flatnonzero(transport & (vox_a == np.asarray(feeder)[vox_b]))
+        basis[heads[fed]] = fed
+    basis[supply >= 0] = -1
+    hanging = np.flatnonzero(basis >= 0)
+    hung = np.zeros(problem.n_nodes, dtype=np.int64)
+    np.add.at(hung, tails[basis[hanging]], -supply[hanging])
 
-    supply = problem.supplies[:n_src]
-    add0 = n_pairs + len(both)
-    remove = (supply > 0) & (supply >= hung)
-    add = ~remove & ((supply > 0) | (hung > 0))
-    basis[:n_src] = np.where(
-        remove,
-        add0 + n_src + np.cumsum(supply > 0) - 1,
-        np.where(add, add0 + np.arange(n_src), -1),
-    )
+    add = np.flatnonzero(kind == ARC_ADD_SRC)
+    remove = np.flatnonzero(kind == ARC_REM_SRC)
+    sites = heads[add]
+    basis[sites] = np.where((supply[sites] > 0) | (hung[sites] > 0), add, -1)
+    covered = supply[tails[remove]] >= hung[tails[remove]]
+    basis[tails[remove[covered]]] = remove[covered]
     return basis
 
 

@@ -5,11 +5,11 @@ spanning tree over the nodes and an artificial root, stored with
 parent/thread/size arrays.  The solve starts from the problem's ``basis``,
 which names for each node the arc hanging it from its parent, or -1 for a
 big-M artificial arc to the root.  One DFS from the root builds the tree
-arrays from it; each tree arc carries its subtree's supply, each artificial
-arc is directed so that its flow is non-negative, and potentials follow
-from the tree.  The start must be strongly feasible (every zero-flow tree
-arc points towards the root); a basis that is not is a ``SolverError``.
-No basis is the all -1 basis: the classic artificial star.
+arrays from it; each tree arc carries its subtree's supply and each
+artificial arc is directed so that its flow is non-negative.  The start
+must be strongly feasible (every zero-flow tree arc points towards the
+root); a basis that is not is a ``SolverError``.  No basis is the all -1
+basis: the classic artificial star.
 
 Pivot rule.  The entering arc is chosen by a candidate-list rule: arcs are
 scanned cyclically in fixed index order in blocks of ceil(sqrt(m)), taking
@@ -17,7 +17,8 @@ the most negative reduced cost ``C - pi[S] + pi[T]`` within a block, ties
 broken by lowest arc index (so on a block that wraps past the last arc,
 the wrapped part wins ties).  The leaving arc is the last blocking arc
 around the cycle, which preserves strong feasibility and prevents cycling.
-Potentials are recomputed exactly from the tree every max(64, n) pivots.
+Potentials are computed exactly from the tree before the first pivot and
+every max(64, n) pivots; in between, each pivot shifts them in place.
 
 Each pivot is one straight-line pass over the tree arrays that builds no
 list of the cycle's nodes or arcs: the apex is found by subtree sizes, each
@@ -57,7 +58,8 @@ def solve_min_cost_flow(problem: FlowProblem):
     root = n
     max_cost = float(np.max(problem.costs)) if e else 0.0
     faux = 1.0 + 3.0 * (n + 1) * max(max_cost, 1.0)
-    S, T, C, x, pi, parent, edge, size, next_, prev, last = _start(problem, faux)
+    S, T, C, x, parent, edge, size, next_, prev, last = _start(problem, faux)
+    pi = np.zeros(n + 1)
     Sv, Tv, Cv, xv, piv = (memoryview(a) for a in (S, T, C, x, pi))
 
     tol = 1e-11 * (1.0 + max_cost)
@@ -67,6 +69,18 @@ def solve_min_cost_flow(problem: FlowProblem):
     f = 0
     pivots = 0
     while True:
+        if pivots % refresh_every == 0:
+            # exact potentials from the tree: thread order visits parents first
+            piv[root] = 0.0
+            v = next_[root]
+            while v != root:
+                a = edge[v]
+                if Tv[a] == v:
+                    piv[v] = piv[parent[v]] - Cv[a]
+                else:
+                    piv[v] = piv[parent[v]] + Cv[a]
+                v = next_[v]
+
         # entering arc: first block, from where the last scan stopped, whose
         # most negative reduced cost is below -tol
         i = -1
@@ -237,17 +251,6 @@ def solve_min_cost_flow(problem: FlowProblem):
             piv[u] += d
 
         pivots += 1
-        if pivots % refresh_every == 0:
-            # exact potentials from the tree: thread order visits parents first
-            piv[root] = 0.0
-            v = next_[root]
-            while v != root:
-                a = edge[v]
-                if Tv[a] == v:
-                    piv[v] = piv[parent[v]] - Cv[a]
-                else:
-                    piv[v] = piv[parent[v]] + Cv[a]
-                v = next_[v]
 
     if x[e:].any():
         raise InfeasibleError("no flow satisfies the node supplies")
@@ -259,7 +262,7 @@ def solve_min_cost_flow(problem: FlowProblem):
 
 
 def _start(problem: FlowProblem, faux: float):
-    """Arc arrays, flows, potentials and tree arrays of the starting basis.
+    """Arc arrays, flows and tree arrays of the starting basis.
 
     Node v hangs from its parent by arc ``problem.basis[v]``, or by its
     artificial arc (index e + v) to the root where the entry is -1; ``None``
@@ -267,7 +270,9 @@ def _start(problem: FlowProblem, faux: float):
     subtree is negative, else v -> root.  Raises ``SolverError`` naming the
     first node at fault when the basis is not a strongly feasible tree: a
     node that does not reach the root, a negative tree flow, or a zero-flow
-    tree arc directed away from the root.
+    tree arc directed away from the root.  The solve computes the
+    potentials from these arrays before the first pivot and every
+    max(64, n) pivots.
     """
     n = problem.n_nodes
     e = problem.n_arcs
@@ -342,12 +347,6 @@ def _start(problem: FlowProblem, faux: float):
     x = np.zeros(e + n, dtype=np.int64)
     x[edge] = flow
 
-    # potentials in thread order, parents first; reduced cost 0 on tree arcs
-    step = np.where(T[edge] == nodes, -C[edge], C[edge]).tolist()
-    pi = [0.0] * (n + 1)
-    for u in thread[1:]:
-        pi[u] = pi[par[u]] + step[u]
-
     thread = np.array(thread, dtype=np.int64)
     pos = np.empty(n + 1, dtype=np.int64)
     pos[thread] = np.arange(n + 1)
@@ -359,5 +358,5 @@ def _start(problem: FlowProblem, faux: float):
 
     par[root] = None
     edge = edge.tolist() + [None]
-    return (S, T, C, x, np.array(pi), par, edge, size, next_.tolist(),
+    return (S, T, C, x, par, edge, size, next_.tolist(),
             prev.tolist(), last.tolist())

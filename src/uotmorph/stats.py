@@ -47,21 +47,22 @@ def pearson(x, y) -> float:
     return float(np.clip(r, -1.0, 1.0))
 
 
-def correlation_p(r: float, n: int) -> float:
+def correlation_p(r, n: int):
     """Two-sided p-value of the t-test for a Pearson correlation.
 
     t = r * sqrt((n-2) / (1 - r^2)) against Student's t with n-2 degrees of
     freedom, evaluated through the regularized incomplete beta function.
+    ``r`` is a scalar (the result is a float) or an array (elementwise);
+    NaN gives NaN and |r| >= 1 gives 0.
     """
     if n < 3:
         raise DataError("correlation test needs n >= 3")
-    if np.isnan(r):
-        return float("nan")
-    if abs(r) >= 1.0:
-        return 0.0
+    r = np.asarray(r, dtype=np.float64)
     df = n - 2
-    t2 = r * r * df / (1.0 - r * r)
-    return float(betainc(df / 2.0, 0.5, df / (df + t2)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t2 = r * r * df / (1.0 - r * r)
+        p = np.where(np.abs(r) >= 1.0, 0.0, betainc(df / 2.0, 0.5, df / (df + t2)))
+    return float(p) if p.ndim == 0 else p
 
 
 def correlate_stack(fields, covariate, alpha: float = 0.05, domain: GridDomain | None = None):
@@ -103,10 +104,7 @@ def correlate_stack(fields, covariate, alpha: float = 0.05, domain: GridDomain |
         num = dy @ dx[:, tested]
         r_t = num / np.sqrt(sxx[tested] * syy)
         r_t = np.clip(r_t, -1.0, 1.0)
-        df = n - 2
-        with np.errstate(divide="ignore"):
-            t2 = r_t * r_t * df / (1.0 - r_t * r_t)
-        p_t = np.where(np.abs(r_t) >= 1.0, 0.0, betainc(df / 2.0, 0.5, df / (df + t2)))
+        p_t = correlation_p(r_t, n)
         r[tested] = r_t
         p_raw[tested] = p_t
         p_adj[tested] = np.minimum(1.0, p_t * m)

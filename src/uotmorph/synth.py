@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_integer
 from .grid import (
     GridDomain,
     GridMeasure,
@@ -52,9 +52,13 @@ def stream(seed: int, *fields) -> np.random.Generator:
 REGION_NAMES = ("A", "B", "C", "D")
 
 
-def _check_seed(seed):
-    if not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+def _check_counts(spec):
+    if not is_integer(spec.seed):
+        raise ConfigError(f"seed must be an integer, got {spec.seed!r}")
+    if not (is_integer(spec.n_subjects) and spec.n_subjects >= 1):
+        raise ConfigError(f"n_subjects must be an integer >= 1, got {spec.n_subjects!r}")
+    if not all(map(is_integer, spec.dims)):
+        raise ConfigError(f"dims must be integers, got {spec.dims!r}")
 
 
 @dataclass(frozen=True)
@@ -67,9 +71,7 @@ class StripSpec:
     removal_range: tuple[float, float] = (0.0, 0.5)
 
     def __post_init__(self):
-        _check_seed(self.seed)
-        if self.n_subjects < 1:
-            raise ConfigError("n_subjects must be >= 1")
+        _check_counts(self)
         if len(self.dims) != 2 or self.dims[1] % 4 != 0:
             raise ConfigError(
                 f"strip dims must be 2D with the last axis divisible by 4, got {self.dims}"
@@ -99,15 +101,13 @@ class AnnulusSpec:
     total_range: tuple[float, float] = (0.5, 1.5)  # relative to reference mass
 
     def __post_init__(self):
-        _check_seed(self.seed)
+        _check_counts(self)
         if self.case not in ("fixed_total", "random_total"):
             raise ConfigError(f"unknown annulus case {self.case!r}")
         if not self.inner_radii[0] < self.inner_radii[1] <= self.outer_radii[0]:
             raise ConfigError("annuli must be disjoint: inner < outer")
         if self.outer_radii[1] > min(self.dims) / 2:
             raise ConfigError("outer annulus does not fit inside the domain")
-        if self.n_subjects < 1:
-            raise ConfigError("n_subjects must be >= 1")
 
 
 def _subject_id(k: int) -> str:

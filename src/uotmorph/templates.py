@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import BarycenterDivergenceError, ConfigError, DataError
+from .errors import BarycenterDivergenceError, ConfigError, DataError, is_integer
 from .grid import GridMeasure, voxel_positions
 from .solver import AllocationSpec, CostSpec, QuantizationSpec, solve_unbalanced
 
@@ -35,7 +35,7 @@ class TemplateSpec:
             raise ConfigError(f"unknown template method {self.method!r}")
         if not 0 < self.sparse_threshold_fraction <= 1:
             raise ConfigError("sparse_threshold_fraction must be in (0, 1]")
-        if not (isinstance(self.barycenter_max_iters, int)
+        if not (is_integer(self.barycenter_max_iters)
                 and self.barycenter_max_iters >= 1):
             raise ConfigError("barycenter_max_iters must be an integer >= 1, "
                               f"got {self.barycenter_max_iters!r}")
@@ -93,7 +93,10 @@ def ot_barycenter(
     Stops when the summed objective changes by less than the relative
     tolerance, or after ``barycenter_max_iters`` rounds.  Each round runs
     its solves as ``pool_map(solve, images)``, which the pipeline points at
-    its worker pool.
+    its worker pool.  An objective rise beyond twice the round's rounding
+    bound raises ``BarycenterDivergenceError``: the program is lambda-Lipschitz
+    in the masses, so each solve is within ``min(lambda_eff (1 + tiebreak),
+    max_cost) * 2 (|supp mu| + |supp nu|) * mass_per_unit`` of its optimum.
 
     Returns (template, objective, iterations).
     """
@@ -105,6 +108,10 @@ def ot_barycenter(
         raise DataError("cohort is entirely empty; no barycenter exists")
 
     n = len(images)
+    max_cost = cost.max_on_domain(domain)
+    lam_cap = min(alloc.effective_lambda(max_cost) * (1 + alloc.tiebreak_epsilon),
+                  max_cost)
+    supports = np.array([np.count_nonzero(im.flat) for im in images])
     prev_objective = None
     # the round after the last relocation only scores the final template
     for iterations in range(1, spec.barycenter_max_iters + 2):
@@ -112,11 +119,13 @@ def ot_barycenter(
                         quant=quant)
         sols = list(pool_map(solve, images))
         objective = float(sum(s.objective for s in sols))
+        voxels = supports + np.count_nonzero(template.flat)
+        bound = 2 * lam_cap * float(np.dot(voxels, [s.mass_per_unit for s in sols]))
         if prev_objective is not None:
-            if objective > prev_objective * (1 + 1e-9) + 1e-15:
+            if objective > prev_objective * (1 + 1e-9) + 1e-15 + 2 * bound:
                 raise BarycenterDivergenceError(
                     f"barycenter objective increased from {prev_objective!r} "
-                    f"to {objective!r}"
+                    f"to {objective!r}, beyond rounding ({2 * bound:.3g})"
                 )
             if abs(prev_objective - objective) <= (
                 spec.barycenter_tolerance * max(prev_objective, 1e-300)

@@ -77,12 +77,39 @@ def test_invalid_alpha_exit_2(tmp_path):
     {"synth": {**TINY_ANNULUS["synth"], "dims": 48}},
     {"synth": {**TINY_ANNULUS["synth"], "seed": "x"}},
     {"template": {"method": "ot_barycenter", "barycenter_tolerance": "x"}},
+    {"downsample_factor": 2.7},
+    {"workers": 1.5},
+    {"seed": 3.9},
+    {"quantization_units": True},
+    {"multiscale": {"enabled": True, "coarsen_threshold": True}},
+    {"synth": {**TINY_ANNULUS["synth"], "n_subjects": 6.5}},
+    {"synth": {**TINY_ANNULUS["synth"], "dims": [48.5, 48]}},
+    {"synth": {**TINY_ANNULUS["synth"], "seed": True}},
+    {"template": {"method": "ot_barycenter", "barycenter_max_iters": True}},
+    {"smoothing": {"truncation_radius": False}},
 ], ids=lambda overrides: json.dumps(overrides))
 def test_malformed_config_value_exit_2(tmp_path, capsys, overrides):
     path = write_config(tmp_path, **overrides)
     assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "uotmorph: " in err and "Traceback" not in err
+
+
+def test_nan_lambda_exit_2_before_any_output(tmp_path, capsys):
+    # a bad later lambda is a config error, not a failure after the first
+    # lambda's outputs are written
+    path = write_config(tmp_path, lambdas=[0.0, float("nan")])
+    assert main(["run", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_float_is_an_integer_config_value(tmp_path):
+    raw = {**TINY_ANNULUS, "output_dir": "out", "quantization_units": 1e7,
+           "workers": 2.0}
+    cfg = pipeline.parse_config(raw, base_dir=str(tmp_path))
+    assert (cfg.quantization_units, cfg.workers) == (10**7, 2)
+    assert type(cfg.quantization_units) is int
 
 
 @pytest.mark.parametrize("missing", ["n_list", "sigma_list"])

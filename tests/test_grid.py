@@ -31,6 +31,10 @@ def test_domain_invariants():
         GridDomain(dims=(4, 0), spacing=(1.0, 1.0), origin=(0.0, 0.0))
     with pytest.raises(DataError):
         GridDomain(dims=(4, 4), spacing=(1.0, 0.0), origin=(0.0, 0.0))
+    for spacing, origin in (((1.0, np.inf), (0.0, 0.0)), ((np.nan, 1.0), (0.0, 0.0)),
+                            ((1.0, 1.0), (np.nan, 0.0)), ((1.0, 1.0), (0.0, -np.inf))):
+        with pytest.raises(DataError, match="finite"):
+            GridDomain(dims=(4, 4), spacing=spacing, origin=origin)
 
 
 def test_measure_rejects_negatives_and_caches_total():
@@ -192,6 +196,12 @@ def test_otfg_malformed_headers(tmp_path):
     bad.write_bytes(raw[:-4])
     with pytest.raises(OTFGFormatError, match="payload size mismatch"):
         load_measure(bad)
+
+    # a NaN origin, which would make two equal domains compare unequal
+    bad.write_bytes(raw[:44] + struct.pack("<d", np.nan) + raw[52:])
+    with pytest.raises(OTFGFormatError, match="origin must be finite") as exc:
+        load_measure(bad)
+    assert exc.value.offset == 44
 
 
 def test_signed_field_round_trip(tmp_path):

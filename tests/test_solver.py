@@ -538,6 +538,48 @@ def test_bank_basis_is_optimal_at_lambda_zero(side):
         assert (net_outflow(problem, flows) == problem.supplies).all()
 
 
+@pytest.mark.parametrize("side", ["source_only", "both_sides"])
+@pytest.mark.parametrize("restricted", [False, True])
+def test_bank_basis_does_not_depend_on_arc_order(side, restricted):
+    # the starting tree is read from the arcs, so permuting them permutes it
+    rng = np.random.default_rng(31)
+    fed_by_other = 0
+    for lam in (0.0, 3.0, 30.0):
+        mu, nu = random_measure_pair(rng, dims=(4, 4))
+        size = mu.domain.size
+        pairs = feeder = None
+        if restricted:
+            pairs = np.divmod(np.flatnonzero(rng.random(size * size) < 0.3), size)
+            feeder = rng.integers(size, size=size)
+        problem = network.build_unbalanced_problem(
+            mu, nu, COST, AllocationSpec(lam=lam, side=side), QUANT,
+            allowed_pairs=pairs, feeder=feeder,
+        )
+        order = rng.permutation(problem.n_arcs)
+        permuted = dataclasses.replace(problem, basis=None, **{
+            name: getattr(problem, name)[order] for name in
+            ("tails", "heads", "costs", "arc_kind", "arc_voxel_a", "arc_voxel_b")
+        })
+        basis = network._bank_basis(permuted, feeder)
+        position = np.argsort(order)  # arc index -> its index after permuting
+        expected = np.where(problem.basis >= 0, position[problem.basis], -1)
+        assert np.array_equal(basis, expected)
+        tree = basis[basis >= 0]
+        tree = tree[permuted.arc_kind[tree] == ARC_TRANSPORT]
+        fed_by_other += int(np.count_nonzero(
+            permuted.arc_voxel_a[tree] != permuted.arc_voxel_b[tree]
+        ))
+
+        _, objective = simplex.solve_min_cost_flow(problem)
+        flows, objective_permuted = simplex.solve_min_cost_flow(
+            dataclasses.replace(permuted, basis=basis)
+        )
+        assert objective_permuted == pytest.approx(objective, rel=1e-9, abs=1e-12)
+        assert (net_outflow(permuted, flows) == permuted.supplies).all()
+    # the restricted networks do hang targets from feeder arcs
+    assert (fed_by_other > 0) == restricted
+
+
 def test_bank_basis_only_for_finite_lambda():
     mu = line_measure([1.0, 0.0, 2.0])
     nu = line_measure([0.0, 1.0, 2.0])

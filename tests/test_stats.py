@@ -64,6 +64,27 @@ def test_correlation_p_matches_scipy_oracle():
         assert correlation_p(r, n) == pytest.approx(expected, rel=1e-9)
 
 
+def test_correlate_stack_p_raw_matches_scipy_oracle():
+    from scipy import stats as sps
+
+    rng = np.random.default_rng(11)
+    n = 9
+    covariate = rng.standard_normal(n)
+    stack = rng.standard_normal((n, 5, 6))
+    stack[:, 0, 0] = 2.0  # constant voxel: untested
+    cmap = correlate_stack(stack, covariate)
+    flat = stack.reshape(n, -1)
+    p_raw = cmap.p_raw.reshape(-1)
+    assert np.isnan(p_raw[0])
+    for v in range(1, flat.shape[1]):
+        expected = sps.pearsonr(flat[:, v], covariate).pvalue
+        assert p_raw[v] == pytest.approx(expected, rel=1e-9)
+    # the array form of correlation_p is the scalar form elementwise
+    r = cmap.r.reshape(-1)[1:]
+    assert np.array_equal(correlation_p(r, n), [correlation_p(x, n) for x in r])
+    assert isinstance(correlation_p(0.25, n), float)
+
+
 def test_correlation_p_monotone_in_abs_r():
     for n in (5, 20, 60):
         rs = np.linspace(0.0, 0.999, 40)

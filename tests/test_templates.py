@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import line_measure
-from uotmorph.errors import DataError
-from uotmorph.grid import GridDomain, GridMeasure
-from uotmorph.solver import AllocationSpec, CostSpec, uot_distance
+from uotmorph.errors import BarycenterDivergenceError, DataError
+from uotmorph.grid import GridDomain, GridMeasure, downsample
+from uotmorph.solver import AllocationSpec, CostSpec, QuantizationSpec, uot_distance
+from uotmorph.synth import AnnulusSpec, generate_annuli
 from uotmorph.templates import (
     TemplateSpec,
     build_template,
@@ -117,6 +120,42 @@ def test_barycenter_objective_non_increasing():
     bary, objective, iters = ot_barycenter(imgs, spec, COST, AllocationSpec(lam=3.0))
     assert objective >= 0.0
     assert 1 <= iters <= 8
+
+
+def annulus_cohort():
+    images, _ = generate_annuli(AnnulusSpec(
+        seed=1, n_subjects=8, dims=(48, 48), inner_radii=(8, 12),
+        outer_radii=(20, 24), case="random_total",
+    ))
+    return [downsample(m, 4) for m in images]
+
+
+def test_barycenter_tolerates_quantization_rounding():
+    # the second round's objective rises by 2.98e-6 relative at 10**6 units,
+    # 7.7e-9 at 10**9: rounding of the masses, not divergence
+    spec = TemplateSpec(method="ot_barycenter", barycenter_max_iters=6,
+                        barycenter_tolerance=0)
+    template, objective, iters = ot_barycenter(
+        annulus_cohort(), spec, COST, AllocationSpec(lam=3.0), QuantizationSpec(10**6)
+    )
+    assert template.total_mass > 0 and objective > 0
+    assert 1 <= iters <= 7
+
+
+def test_barycenter_rise_beyond_rounding_raises():
+    rounds = []
+
+    def inflate_second_round(solve, images):
+        rounds.append(None)
+        scale = 1.01 if len(rounds) == 2 else 1.0
+        return [dataclasses.replace(s, objective=s.objective * scale)
+                for s in map(solve, images)]
+
+    spec = TemplateSpec(method="ot_barycenter", barycenter_max_iters=6,
+                        barycenter_tolerance=0)
+    with pytest.raises(BarycenterDivergenceError, match="beyond rounding"):
+        ot_barycenter(annulus_cohort(), spec, COST, AllocationSpec(lam=3.0),
+                      QuantizationSpec(10**6), pool_map=inflate_second_round)
 
 
 def test_build_template_dispatch():
