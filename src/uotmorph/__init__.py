@@ -15,7 +15,6 @@ from .analytic import (
     vbm_correlation,
 )
 from .features import (
-    FeatureImages,
     allocation_image,
     extract_features,
     smooth,
@@ -32,7 +31,6 @@ from .grid import (
     save_field,
     save_manifest,
     save_measure,
-    voxel_position,
 )
 from .pipeline import PipelineConfig, load_config, run_pipeline
 from .solver import (
@@ -45,7 +43,7 @@ from .solver import (
     solve_unbalanced,
     uot_distance,
 )
-from .stats import CorrelationMap, correlate_stack, correlation_p, export_map, pearson
+from .stats import CorrelationMap, correlate_stack, correlation_p, export_map
 from .synth import AnnulusSpec, StripSpec, generate_annuli, generate_strips
 from .templates import TemplateSpec, euclidean_mean, ot_barycenter, sparse_mean
 

@@ -28,6 +28,8 @@ from .pipeline import (
     PipelineConfig,
     StageFailure,
     _check_keys,
+    _integer,
+    _number,
     load_config,
     run_pipeline,
 )
@@ -78,10 +80,10 @@ def _cmd_analytic(args) -> int:
             if key not in panel:
                 raise ConfigError(f"panel is missing {key!r}")
         try:
-            t_h = float(panel["t_h"])
-            t_p_list = [float(v) for v in panel["t_p_list"]]
-            p = float(panel.get("p", raw.get("p", 0.5)))
-            n_max = int(panel.get("n_max", raw.get("n_max", 200)))
+            t_h = _number(panel["t_h"])
+            t_p_list = list(map(_number, panel["t_p_list"]))
+            p = _number(panel.get("p", raw.get("p", 0.5)))
+            n_max = _integer(panel.get("n_max", raw.get("n_max", 200)))
             out = os.path.join(base, panel["output"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value in panel {panel!r}: {exc}") from None

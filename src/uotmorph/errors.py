@@ -10,6 +10,11 @@ def is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_number(value) -> bool:
+    """Whether a config value is a number; ``True``, ``False`` and strings are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 class UotmorphError(Exception):
     """Base class for all package errors."""
 

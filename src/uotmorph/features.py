@@ -12,24 +12,12 @@ zero over the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.ndimage import convolve1d
 
 from .grid import GridDomain, voxel_positions
 from .solver import CostSpec, TransportSolution
 from .solver.specs import NET_SIGN
-
-
-@dataclass(frozen=True)
-class FeatureImages:
-    subject_id: str
-    domain: GridDomain
-    allocation: np.ndarray
-    transport_cost: np.ndarray
-    smoothed: bool = False
-    sigma: float = 0.0
 
 
 def allocation_image(sol: TransportSolution, domain: GridDomain) -> np.ndarray:
@@ -83,24 +71,14 @@ def smooth(field: np.ndarray, sigma: float, truncation_radius: int | None = None
 
 
 def extract_features(
-    subject_id: str,
     sol: TransportSolution,
     cost: CostSpec,
     domain: GridDomain,
     sigma: float = 0.0,
     truncation_radius: int | None = None,
-) -> FeatureImages:
-    """Build (optionally smoothed) allocation and transport-cost images."""
-    alloc_img = allocation_image(sol, domain)
-    tcost_img = transport_cost_image(sol, cost, domain)
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(allocation, transport_cost)`` images, smoothed when ``sigma`` > 0."""
+    images = (allocation_image(sol, domain), transport_cost_image(sol, cost, domain))
     if sigma > 0:
-        alloc_img = smooth(alloc_img, sigma, truncation_radius)
-        tcost_img = smooth(tcost_img, sigma, truncation_radius)
-    return FeatureImages(
-        subject_id=subject_id,
-        domain=domain,
-        allocation=alloc_img,
-        transport_cost=tcost_img,
-        smoothed=sigma > 0,
-        sigma=sigma,
-    )
+        images = tuple(smooth(img, sigma, truncation_radius) for img in images)
+    return images

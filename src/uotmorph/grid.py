@@ -62,22 +62,12 @@ class GridDomain:
         return int(np.prod(self.dims))
 
 
-def voxel_position(domain: GridDomain, index: int) -> np.ndarray:
-    """Physical coordinate of a linear voxel index: origin + spacing * multi-index."""
-    if not 0 <= index < domain.size:
-        raise DataError(f"voxel index {index} out of range for dims {domain.dims}")
-    multi = np.unravel_index(index, domain.dims)
-    return np.asarray(domain.origin) + np.asarray(domain.spacing) * np.asarray(multi)
-
-
-def voxel_positions(domain: GridDomain, indices=None) -> np.ndarray:
-    """Physical coordinates for a set of linear indices (all voxels if None).
+def voxel_positions(domain: GridDomain, indices) -> np.ndarray:
+    """Physical coordinates ``origin + spacing * multi-index`` of linear indices.
 
     Returns an array of shape (n, ndim). Linear order is C order (last axis
     fastest), matching the on-disk payload order.
     """
-    if indices is None:
-        indices = np.arange(domain.size)
     indices = np.asarray(indices, dtype=np.int64)
     multi = np.column_stack(np.unravel_index(indices, domain.dims))
     return np.asarray(domain.origin) + np.asarray(domain.spacing) * multi
@@ -111,10 +101,6 @@ class GridMeasure:
     @property
     def flat(self) -> np.ndarray:
         return self.values.reshape(-1)
-
-    def support_indices(self) -> np.ndarray:
-        """Linear indices of voxels with strictly positive mass."""
-        return np.flatnonzero(self.flat > 0)
 
     def __eq__(self, other):
         if not isinstance(other, GridMeasure):
@@ -323,9 +309,6 @@ class SubjectManifest:
         if name not in self.covariate_names:
             raise DataError(f"unknown covariate {name!r}")
         return np.array([e.covariates[name] for e in self.entries], dtype=np.float64)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def load_manifest(path) -> SubjectManifest:

@@ -45,7 +45,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import ConfigError, DataError, UotmorphError, is_integer
+from .errors import ConfigError, DataError, UotmorphError, is_integer, is_number
 from .features import extract_features
 from .grid import downsample, load_manifest, load_measure, save_measure
 from .solver import (
@@ -63,7 +63,6 @@ from .synth import (
     StripSpec,
     generate_annuli,
     generate_strips,
-    generate_sweep,
     save_dataset,
 )
 from .templates import METHOD_OT_BARYCENTER, TemplateSpec, build_template
@@ -104,7 +103,7 @@ class SmoothingConfig:
     truncation_radius: int | None = None
 
     def __post_init__(self):
-        if not (self.sigma >= 0):
+        if not (is_number(self.sigma) and self.sigma >= 0):
             raise ConfigError(f"smoothing sigma must be >= 0, got {self.sigma!r}")
         radius = self.truncation_radius
         if radius is not None and not (is_integer(radius) and radius >= 0):
@@ -185,11 +184,17 @@ def _load(cls, raw, where: str, **convert):
 
 
 def _integer(value) -> int:
-    """A JSON integer; an integral float such as 1e7 counts, 2.5 or true do not."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
+    """A JSON integer; an integral float such as 1e7 counts, 2.5, true or "3" not."""
+    if not (is_integer(value) or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _number(value) -> float:
+    """A JSON number as a float; true or a string is not a number."""
+    if not is_number(value):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _items(values) -> tuple:
@@ -214,17 +219,24 @@ def parse_config(raw: dict, base_dir: str = ".") -> PipelineConfig:
         _check_keys(synth, keys | extra | {"kind"}, "synth")
         if extra - set(synth):
             raise ConfigError(f"sweep synth needs keys {sorted(extra - set(synth))}")
+        if extra:
+            try:
+                if min(map(_integer, _items(synth["n_list"])), default=1) < 1:
+                    raise ValueError(f"n_list entries must be >= 1: {synth['n_list']}")
+                list(map(_number, _items(synth["sigma_list"])))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad value in sweep synth: {exc}") from None
     path = partial(os.path.join, base_dir)
     return _load(
         PipelineConfig, raw, "pipeline config",
         output_dir=path, manifest=path, downsample_factor=_integer,
         template=lambda v: _load(TemplateSpec, v, "template"),
         cost=lambda kind: CostSpec(kind=kind),
-        lambdas=lambda v: tuple(map(float, _items(v))),
-        tiebreak_epsilon=float, quantization_units=_integer,
+        lambdas=lambda v: tuple(map(_number, _items(v))),
+        tiebreak_epsilon=_number, quantization_units=_integer,
         multiscale=lambda v: _load(MultiscaleConfig, v, "multiscale"),
         smoothing=lambda v: _load(SmoothingConfig, v, "smoothing"),
-        covariates=_items, alpha=float, workers=_integer, seed=_integer,
+        covariates=_items, alpha=_number, workers=_integer, seed=_integer,
     )
 
 
@@ -246,6 +258,8 @@ def load_config(path) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 
 STAGES = ("synth", "template", "transport", "features", "correlate")
+# feature kinds: the name of each map, and the suffix of each feature file
+_FEATURES = (("allocation", "alloc"), ("transport_cost", "tcost"))
 
 
 def _digest_file(path) -> str:
@@ -389,13 +403,16 @@ def stage_synth(cfg: PipelineConfig, log: _RunLog) -> None:
 
     def work(dataset_dir):
         if kind == "sweep":
-            n_list = synth.pop("n_list")
-            sigma_list = synth.pop("sigma_list")
+            n_list = list(map(_integer, synth.pop("n_list")))
+            sigma_list = list(map(float, synth.pop("sigma_list")))
             spec = _load(StripSpec, {**synth, "n_subjects": 1}, "synth")
-            datasets, provenance = generate_sweep(spec, n_list, sigma_list)
-            provenance["kind"] = kind
-            for n, (measures, manifest) in datasets.items():
+            for n in dict.fromkeys(n_list):
+                measures, manifest = generate_strips(
+                    dataclasses.replace(spec, n_subjects=n))
                 save_dataset(measures, manifest, os.path.join(dataset_dir, f"n={n}"))
+            provenance = {**dataclasses.asdict(spec), "n_list": n_list,
+                          "sigma_list": sigma_list}
+            del provenance["n_subjects"]
             n_subjects = sum(n_list)
         else:
             spec_type, generate = {"strips": (StripSpec, generate_strips),
@@ -403,8 +420,9 @@ def stage_synth(cfg: PipelineConfig, log: _RunLog) -> None:
             spec = _load(spec_type, synth, "synth")
             measures, manifest = generate(spec)
             save_dataset(measures, manifest, dataset_dir)
-            provenance = {"kind": kind, **dataclasses.asdict(spec)}
+            provenance = dataclasses.asdict(spec)
             n_subjects = len(measures)
+        provenance["kind"] = kind
         with open(os.path.join(dataset_dir, "generation.json"), "w",
                   encoding="utf-8") as fh:
             json.dump(provenance, fh, sort_keys=True, indent=2)
@@ -500,15 +518,12 @@ def stage_features(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
                 if max(v.max(initial=0) for v in voxels) >= domain.size:
                     raise DataError(f"{sol_path}: voxel index outside the "
                                     f"{domain.dims} domain")
-                feats = extract_features(
-                    sid, sol, cfg.cost, domain,
-                    sigma=cfg.smoothing.sigma,
-                    truncation_radius=cfg.smoothing.truncation_radius,
-                )
-                save_field(domain, feats.allocation,
-                           os.path.join(stage_dir, f"{sid}.alloc.otfg"))
-                save_field(domain, feats.transport_cost,
-                           os.path.join(stage_dir, f"{sid}.tcost.otfg"))
+                images = extract_features(
+                    sol, cfg.cost, domain, sigma=cfg.smoothing.sigma,
+                    truncation_radius=cfg.smoothing.truncation_radius)
+                for (_, suffix), image in zip(_FEATURES, images):
+                    save_field(domain, image,
+                               os.path.join(stage_dir, f"{sid}.{suffix}.otfg"))
 
         input_hash = _stage_hash({
             "solutions": [_digest_file(p) for p in sol_paths],
@@ -528,13 +543,12 @@ def stage_correlate(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
         values = {cov: cohort.manifest.covariate_vector(cov) for cov in covariates}
     except DataError as exc:
         raise StageFailure("correlate", exc) from exc
-    kinds = (("allocation", "alloc"), ("transport_cost", "tcost"))
     for lam in cfg.lambdas:
         label = _lambda_dirname(lam)
         feat_dir = os.path.join(cfg.output_dir, "features", label)
         paths = {kind: [os.path.join(feat_dir, f"{sid}.{suffix}.otfg")
                         for sid in cohort.ids]
-                 for kind, suffix in kinds}
+                 for kind, suffix in _FEATURES}
         for kind_paths in paths.values():
             _require(f"correlate[{label}]", kind_paths, "features")
         digests = {kind: [_digest_file(p) for p in kind_paths]

@@ -172,11 +172,6 @@ class TransportSolution:
         """Total mass added or removed on either side."""
         return float(self.allocation[:, 2].sum()) * self.mass_per_unit
 
-    def net_allocation(self) -> float:
-        """Source-side net minus target-side net; equals delta by feasibility."""
-        signed = NET_SIGN[self.allocation[:, 0]] * self.allocation[:, 2]
-        return float(signed.sum()) * self.mass_per_unit
-
     @classmethod
     def from_rows(cls, rows: np.ndarray, **scalars) -> TransportSolution:
         """Solution from int64 rows ``(kind, voxel, target voxel, units)`` in any

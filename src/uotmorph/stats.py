@@ -26,25 +26,6 @@ class CorrelationMap:
     significant: np.ndarray  # bool
     tested: np.ndarray  # bool
     tested_voxel_count: int
-    alpha: float = 0.05
-
-
-def pearson(x, y) -> float:
-    """Sample Pearson correlation; NaN signals an untestable pair."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DataError("pearson needs two equal-length vectors")
-    if len(x) < 3:
-        raise DataError("pearson needs at least 3 samples")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    if sxx == 0.0 or syy == 0.0:
-        return float("nan")
-    r = float(dx @ dy) / np.sqrt(sxx * syy)
-    return float(np.clip(r, -1.0, 1.0))
 
 
 def correlation_p(r, n: int):
@@ -118,7 +99,6 @@ def correlate_stack(fields, covariate, alpha: float = 0.05, domain: GridDomain |
         significant=significant.reshape(shape),
         tested=tested.reshape(shape),
         tested_voxel_count=m,
-        alpha=alpha,
     )
 
 

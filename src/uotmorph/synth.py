@@ -197,32 +197,6 @@ def generate_annuli(spec: AnnulusSpec):
     return measures, manifest
 
 
-def generate_sweep(spec: StripSpec, n_list, sigma_list):
-    """Family of nested strip datasets for the sample-size/smoothing sweep.
-
-    Returns (datasets, sweep_config) where datasets maps each n to its
-    (measures, manifest) pair; with a shared seed, smaller datasets are
-    exact prefixes of larger ones.
-    """
-    datasets = {}
-    for n in n_list:
-        sub = StripSpec(
-            seed=spec.seed,
-            n_subjects=int(n),
-            dims=spec.dims,
-            removal_range=spec.removal_range,
-        )
-        datasets[int(n)] = generate_strips(sub)
-    config = {
-        "seed": spec.seed,
-        "dims": list(spec.dims),
-        "removal_range": list(spec.removal_range),
-        "n_list": [int(n) for n in n_list],
-        "sigma_list": [float(s) for s in sigma_list],
-    }
-    return datasets, config
-
-
 def save_dataset(measures, manifest: SubjectManifest, directory) -> str:
     """Write measures plus manifest.csv into a directory; returns manifest path."""
     os.makedirs(directory, exist_ok=True)

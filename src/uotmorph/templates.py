@@ -14,7 +14,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import BarycenterDivergenceError, ConfigError, DataError, is_integer
+from .errors import (BarycenterDivergenceError, ConfigError, DataError, is_integer,
+                     is_number)
 from .grid import GridMeasure, voxel_positions
 from .solver import AllocationSpec, CostSpec, QuantizationSpec, solve_unbalanced
 
@@ -33,13 +34,15 @@ class TemplateSpec:
     def __post_init__(self):
         if self.method not in (METHOD_EUCLIDEAN, METHOD_SPARSE, METHOD_OT_BARYCENTER):
             raise ConfigError(f"unknown template method {self.method!r}")
-        if not 0 < self.sparse_threshold_fraction <= 1:
+        if not (is_number(self.sparse_threshold_fraction)
+                and 0 < self.sparse_threshold_fraction <= 1):
             raise ConfigError("sparse_threshold_fraction must be in (0, 1]")
         if not (is_integer(self.barycenter_max_iters)
                 and self.barycenter_max_iters >= 1):
             raise ConfigError("barycenter_max_iters must be an integer >= 1, "
                               f"got {self.barycenter_max_iters!r}")
-        if not self.barycenter_tolerance >= 0:
+        if not (is_number(self.barycenter_tolerance)
+                and self.barycenter_tolerance >= 0):
             raise ConfigError("barycenter_tolerance must be >= 0, "
                               f"got {self.barycenter_tolerance!r}")
 

@@ -87,6 +87,14 @@ def test_invalid_alpha_exit_2(tmp_path):
     {"synth": {**TINY_ANNULUS["synth"], "seed": True}},
     {"template": {"method": "ot_barycenter", "barycenter_max_iters": True}},
     {"smoothing": {"truncation_radius": False}},
+    {"lambdas": [True]},
+    {"lambdas": ["2"]},
+    {"tiebreak_epsilon": True},
+    {"alpha": "0.05"},
+    {"smoothing": {"sigma": True}},
+    {"template": {"sparse_threshold_fraction": True}},
+    {"template": {"method": "ot_barycenter", "barycenter_tolerance": True}},
+    {"seed": "3"},
 ], ids=lambda overrides: json.dumps(overrides))
 def test_malformed_config_value_exit_2(tmp_path, capsys, overrides):
     path = write_config(tmp_path, **overrides)
@@ -120,6 +128,24 @@ def test_sweep_without_lists_exit_2(tmp_path, capsys, missing):
     assert main(["synth", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and missing in err
+
+
+@pytest.mark.parametrize("lists", [
+    {"n_list": [2.5]},
+    {"n_list": [0]},
+    {"n_list": [True]},
+    {"n_list": ["2"]},
+    {"n_list": "2"},
+    {"sigma_list": ["1"]},
+    {"sigma_list": [True]},
+], ids=lambda lists: json.dumps(lists))
+def test_sweep_malformed_list_exit_2_before_any_output(tmp_path, capsys, lists):
+    synth = {"kind": "sweep", "dims": [8, 16], "n_list": [2], "sigma_list": [0.0],
+             **lists}
+    path = write_config(tmp_path, synth=synth)
+    assert main(["synth", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "dataset").exists()
 
 
 def test_missing_manifest_exit_3(tmp_path):
@@ -409,7 +435,13 @@ def test_analytic_unknown_key_exit_2(tmp_path):
     {"panels": [{"t_h": 0.85, "t_p_list": 0.1, "output": "a.csv"}]},
     {"panels": [{"t_h": 0.85, "t_p_list": [0.5], "n_max": "many",
                  "output": "a.csv"}]},
-], ids=["not-an-object", "t_h", "t_p_list", "n_max"])
+    {"n_max": 2.5, "panels": [{"t_h": 0.85, "t_p_list": [0.5], "output": "a.csv"}]},
+    {"n_max": True, "panels": [{"t_h": 0.85, "t_p_list": [0.5], "output": "a.csv"}]},
+    {"panels": [{"t_h": "0.85", "t_p_list": [0.5], "output": "a.csv"}]},
+    {"panels": [{"t_h": 0.85, "t_p_list": ["0.5"], "output": "a.csv"}]},
+    {"p": "0.5", "panels": [{"t_h": 0.85, "t_p_list": [0.5], "output": "a.csv"}]},
+], ids=["not-an-object", "t_h", "t_p_list", "n_max", "n_max-fraction", "n_max-true",
+        "t_h-string", "t_p-string", "p-string"])
 def test_analytic_malformed_value_exit_2(tmp_path, capsys, cfg):
     path = tmp_path / "analytic.json"
     path.write_text(json.dumps(cfg))
@@ -441,9 +473,23 @@ def test_sweep_stage_command(tmp_path):
     for n in (2, 4):
         assert (tmp_path / "out" / "dataset" / f"n={n}" / "manifest.csv").exists()
     prov = json.loads((tmp_path / "out" / "dataset" / "generation.json").read_text())
-    assert prov["sigma_list"] == [0.0, 1.0]
+    assert prov == {"kind": "sweep", "seed": 3, "dims": [8, 16],
+                    "removal_range": [0.0, 0.5], "n_list": [2, 4],
+                    "sigma_list": [0.0, 1.0]}
     # a sweep cannot drive the full pipeline
     assert main(["run", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("n_list", [[], [2, 4, 2]])
+def test_sweep_one_cohort_per_distinct_size(tmp_path, n_list):
+    synth = {"kind": "sweep", "dims": [8, 16], "n_list": n_list, "sigma_list": [0]}
+    path = write_config(tmp_path, synth=synth)
+    assert main(["synth", "--config", str(path)]) == 0
+    dataset = tmp_path / "out" / "dataset"
+    assert sorted(p.name for p in dataset.glob("n=*")) == [
+        f"n={n}" for n in sorted(set(n_list))]
+    prov = json.loads((dataset / "generation.json").read_text())
+    assert (prov["n_list"], prov["sigma_list"]) == (n_list, [0.0])
 
 
 def test_failed_stage_removes_partial_outputs(tmp_path):

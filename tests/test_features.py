@@ -71,7 +71,7 @@ def test_images_match_loop_reference():
     for kind, vox, units in sol.allocation.tolist():
         alloc[vox] += signs[kind] * (units * 0.1)
     tcost = np.zeros(dom.size)
-    pos = voxel_positions(dom)
+    pos = voxel_positions(dom, np.arange(dom.size))
     for i, j, units in sol.plan_arcs.tolist():
         moved = units * 0.1 * float(((pos[i] - pos[j]) ** 2).sum())
         tcost[i] += moved
@@ -149,18 +149,15 @@ def test_smoothed_lambda_zero_equals_smoothed_difference():
     rng = np.random.default_rng(6)
     mu, nu = random_measure_pair(rng, dims=(4, 4))
     sol = solve_unbalanced(mu, nu, COST, AllocationSpec(lam=0.0), QUANT)
-    feats = extract_features("s", sol, COST, mu.domain, sigma=1.0)
+    allocation, _ = extract_features(sol, COST, mu.domain, sigma=1.0)
     expected = smooth(mu.values - nu.values, 1.0)
-    assert np.max(np.abs(feats.allocation - expected)) <= 2 * sol.mass_per_unit
-    assert feats.smoothed and feats.sigma == 1.0
+    assert np.max(np.abs(allocation - expected)) <= 2 * sol.mass_per_unit
 
 
 def test_extract_features_unsmoothed():
     mu = line_measure([1.0, 0.0])
     nu = line_measure([0.0, 1.0])
     sol = solve_unbalanced(mu, nu, COST, AllocationSpec(lam=10.0))
-    feats = extract_features("s7", sol, COST, mu.domain, sigma=0.0)
-    assert feats.subject_id == "s7"
-    assert not feats.smoothed
-    assert feats.transport_cost.reshape(-1).tolist() == [1.0, -1.0]
-    assert feats.allocation.reshape(-1).tolist() == [0.0, 0.0]
+    allocation, transport_cost = extract_features(sol, COST, mu.domain, sigma=0.0)
+    assert transport_cost.reshape(-1).tolist() == [1.0, -1.0]
+    assert allocation.reshape(-1).tolist() == [0.0, 0.0]

@@ -18,7 +18,7 @@ from uotmorph.grid import (
     save_field,
     save_manifest,
     save_measure,
-    voxel_position,
+    voxel_positions,
 )
 
 
@@ -54,15 +54,12 @@ def test_measure_values_immutable():
         m.values[0, 0] = 5.0
 
 
-def test_voxel_position_examples():
+def test_voxel_positions_examples():
     d = GridDomain(dims=(2, 2), spacing=(2.0, 2.0), origin=(0.0, 0.0))
     # multi-index (1, 1) has linear index 1*2 + 1 = 3
-    assert np.allclose(voxel_position(d, 3), [2.0, 2.0])
-    assert np.allclose(voxel_position(d, 0), [0.0, 0.0])
+    assert np.allclose(voxel_positions(d, [3, 0]), [[2.0, 2.0], [0.0, 0.0]])
     d2 = GridDomain(dims=(1, 3), spacing=(1.0, 3.0), origin=(1.0, 0.0))
-    assert np.allclose(voxel_position(d2, 2), [1.0, 6.0])
-    with pytest.raises(DataError):
-        voxel_position(d, 4)
+    assert np.allclose(voxel_positions(d2, [2]), [[1.0, 6.0]])
 
 
 @given(
@@ -75,7 +72,7 @@ def test_linear_order_last_axis_fastest(a, b, i, j):
     i, j = i % a, j % b
     d = GridDomain(dims=(a, b), spacing=(1.0, 2.0), origin=(0.0, 0.0))
     lin = i * b + j
-    assert np.allclose(voxel_position(d, lin), [i * 1.0, j * 2.0])
+    assert np.allclose(voxel_positions(d, [lin]), [[i * 1.0, j * 2.0]])
 
 
 def test_downsample_sum_pooling():

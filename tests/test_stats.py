@@ -11,21 +11,17 @@ from uotmorph.stats import (
     correlate_stack,
     correlation_p,
     export_map,
-    pearson,
     render_pgm_slice,
 )
 
 
-def test_pearson_examples():
-    assert pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
-    assert pearson([1, 2, 3], [6, 4, 2]) == pytest.approx(-1.0)
-    # frozen by direct formula: sum dx*dy = 1, sxx = syy = 2
-    assert pearson([1, 2, 3], [1, 3, 2]) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_pearson_zero_variance_signals_untestable():
-    assert math.isnan(pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
-    assert math.isnan(pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]))
+def test_correlate_stack_r_examples():
+    # voxels against covariate c: 2c, 8 - 2c, one frozen by the direct
+    # formula (sum dx*dy = 1, sxx = syy = 2), and a constant one: untested (NaN)
+    stack = np.array([[2.0, 6.0, 1.0, 1.0], [4.0, 4.0, 3.0, 1.0], [6.0, 2.0, 2.0, 1.0]])
+    r = correlate_stack(stack, [1, 2, 3]).r
+    assert r[:3] == pytest.approx([1.0, -1.0, 0.5], abs=1e-12)
+    assert math.isnan(r[3])
 
 
 @given(
@@ -34,12 +30,12 @@ def test_pearson_zero_variance_signals_untestable():
     seed=st.integers(min_value=0, max_value=2**31),
 )
 @settings(max_examples=40, deadline=None)
-def test_pearson_affine_invariance(a, b, seed):
+def test_correlate_stack_r_affine_invariance(a, b, seed):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(8)
+    x = rng.standard_normal((8, 3))
     y = rng.standard_normal(8)
-    r0 = pearson(x, y)
-    r1 = pearson(a * x + b, y)
+    r0 = correlate_stack(x, y).r
+    r1 = correlate_stack(a * x + b, y).r
     assert r1 == pytest.approx(r0, abs=1e-12)
 
 
@@ -59,9 +55,9 @@ def test_correlation_p_matches_scipy_oracle():
     for n in (4, 10, 37, 120):
         x = rng.standard_normal(n)
         y = rng.standard_normal(n)
-        r = pearson(x, y)
-        expected = sps.pearsonr(x, y).pvalue
-        assert correlation_p(r, n) == pytest.approx(expected, rel=1e-9)
+        oracle = sps.pearsonr(x, y)
+        assert correlation_p(oracle.statistic, n) == pytest.approx(
+            oracle.pvalue, rel=1e-9)
 
 
 def test_correlate_stack_p_raw_matches_scipy_oracle():

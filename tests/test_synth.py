@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -9,7 +10,6 @@ from uotmorph.synth import (
     StripSpec,
     generate_annuli,
     generate_strips,
-    generate_sweep,
     save_dataset,
     stream,
 )
@@ -135,27 +135,16 @@ def test_annuli_validation():
         AnnulusSpec(case="weird")
 
 
-def test_sweep_prefix_property():
-    base = StripSpec(seed=21, n_subjects=1, dims=(8, 16))
-    datasets, config = generate_sweep(base, n_list=[4, 8], sigma_list=[0.0, 1.0])
-    small, small_manifest = datasets[4]
-    large, large_manifest = datasets[8]
+def test_strips_prefix_property():
+    spec = StripSpec(seed=21, n_subjects=4, dims=(8, 16))
+    small, small_manifest = generate_strips(spec)
+    large, large_manifest = generate_strips(dataclasses.replace(spec, n_subjects=8))
     for k in range(4):
         assert np.array_equal(small[k].values, large[k].values)
         assert small_manifest.entries[k] == large_manifest.entries[k]
-    assert config["sigma_list"] == [0.0, 1.0]
-    assert config["n_list"] == [4, 8]
 
 
-def test_sweep_empty():
-    datasets, config = generate_sweep(StripSpec(seed=1), n_list=[], sigma_list=[1.0])
-    assert datasets == {}
-    assert config["n_list"] == []
-
-
-def test_sweep_seed_changes_stream():
-    d1, _ = generate_sweep(StripSpec(seed=1, dims=(8, 16)), [3], [0.0])
-    d2, _ = generate_sweep(StripSpec(seed=2, dims=(8, 16)), [3], [0.0])
-    h1 = _dataset_digest(*d1[3])
-    h2 = _dataset_digest(*d2[3])
-    assert h1 != h2
+def test_strips_seed_changes_stream():
+    d1 = generate_strips(StripSpec(seed=1, n_subjects=3, dims=(8, 16)))
+    d2 = generate_strips(StripSpec(seed=2, n_subjects=3, dims=(8, 16)))
+    assert _dataset_digest(*d1) != _dataset_digest(*d2)
