@@ -108,7 +108,14 @@ def otf_correlation(m: PopulationModel) -> float:
 
 
 def correlation_curves(t_h: float, t_p_list, p: float, n_max: int):
-    """Correlation-vs-dispersion table: rows (n, t_p, r_vbm, r_otf)."""
+    """Correlation-vs-dispersion table: rows (n, t_p, r_vbm, r_otf).
+
+    An empty table is a ``ConfigError``: ``n_max`` below 1 or no ``t_p``.
+    """
+    if n_max < 1:
+        raise ConfigError(f"n_max must be >= 1, got {n_max}")
+    if not t_p_list:
+        raise ConfigError("t_p_list must not be empty")
     rows = []
     for t_p in t_p_list:
         for n in range(1, n_max + 1):

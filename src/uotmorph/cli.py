@@ -74,6 +74,7 @@ def _cmd_analytic(args) -> int:
     if not panels or not isinstance(panels, list):
         raise ConfigError("analytic config needs a non-empty 'panels' list")
     base = os.path.dirname(os.path.abspath(args.config))
+    tables = []
     for panel in panels:
         _check_keys(panel, {"t_h", "t_p_list", "p", "n_max", "output"}, "panel")
         for key in ("t_h", "t_p_list", "output"):
@@ -88,6 +89,9 @@ def _cmd_analytic(args) -> int:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value in panel {panel!r}: {exc}") from None
         rows = correlation_curves(t_h=t_h, t_p_list=t_p_list, p=p, n_max=n_max)
+        tables.append((rows, out))
+    # every panel is checked before the first file is written
+    for rows, out in tables:
         write_curves_csv(rows, out)
         log.info("wrote %s (%d rows)", out, len(rows))
     return 0

@@ -19,8 +19,9 @@ from .specs import (
 # can alter a solution (network build, starting basis, pivot rule, multiscale
 # refinement), so plans cached by an older solver are solved again.  Version 2
 # starts finite-lambda solves from the bank basis, which can pick a different
-# optimum where several tie.
-SOLVER_VERSION = 2
+# optimum where several tie.  Version 3 prices arcs in larger blocks, which
+# changes the pivot sequence and so can pick a different optimum too.
+SOLVER_VERSION = 3
 
 __all__ = [
     "SOLVER_VERSION",

@@ -11,11 +11,16 @@ must be strongly feasible (every zero-flow tree arc points towards the
 root); a basis that is not is a ``SolverError``.  No basis is the all -1
 basis: the classic artificial star.
 
-Pivot rule.  The entering arc is chosen by a candidate-list rule: arcs are
-scanned cyclically in fixed index order in blocks of ceil(sqrt(m)), taking
-the most negative reduced cost ``C - pi[S] + pi[T]`` within a block, ties
-broken by lowest arc index (so on a block that wraps past the last arc,
-the wrapped part wins ties).  The leaving arc is the last blocking arc
+Pivot rule.  The entering arc is chosen by the block-search rule of LEMON's
+network simplex: arcs are scanned cyclically in fixed index order in blocks
+of min(e, ceil(BLOCK_FACTOR * sqrt(e))) of the e arcs, taking the most
+negative reduced cost ``C - pi[S] + pi[T]`` of the first block that has
+one below -tol, ties broken by lowest arc index (so on a block that wraps
+past the last arc, the wrapped part wins ties).  The cap at e keeps a block
+from pricing an arc twice.  The rule is usually run with blocks of about
+sqrt(e) arcs, but here pricing a block costs a few microseconds of numpy
+per-call overhead whatever its length, so blocks of 4 sqrt(e) arcs take
+fewer pivots and less time.  The leaving arc is the last blocking arc
 around the cycle, which preserves strong feasibility and prevents cycling.
 Potentials are computed exactly from the tree before the first pivot and
 every max(64, n) pivots; in between, each pivot shifts them in place.
@@ -40,6 +45,9 @@ import numpy as np
 from ..errors import InfeasibleError, SolverError
 from .network import FlowProblem
 
+# Arcs priced per block, as a multiple of sqrt(e) (see the module docstring).
+BLOCK_FACTOR = 4
+
 
 def solve_min_cost_flow(problem: FlowProblem):
     """Return (flows, objective_units) for the given problem.
@@ -63,7 +71,7 @@ def solve_min_cost_flow(problem: FlowProblem):
     Sv, Tv, Cv, xv, piv = (memoryview(a) for a in (S, T, C, x, pi))
 
     tol = 1e-11 * (1.0 + max_cost)
-    block = int(math.ceil(math.sqrt(e))) if e else 0
+    block = min(e, math.ceil(BLOCK_FACTOR * math.sqrt(e)))
     n_blocks = (e + block - 1) // block if block else 0
     refresh_every = max(64, n)
     f = 0

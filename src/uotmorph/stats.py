@@ -8,6 +8,7 @@ r and p fields rather than reported as zero correlation.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,17 +141,26 @@ def render_pgm_slice(
     """8-bit PGM (P5) of one slice with a symmetric diverging ramp.
 
     Values are clipped to [-bound, bound] and mapped linearly to 0..255;
-    r = 0 (and NaN) lands on mid-gray.
+    r = 0 (and NaN) lands on mid-gray.  A 2D field is its own slice; in a 3D
+    field an axis or index outside it is a ``DataError``, as is a bound that
+    is not positive and finite.  Nothing is written when the call fails.
     """
     field = np.asarray(r_field, dtype=np.float64)
     if field.ndim == 2:
         plane = field
     elif field.ndim == 3:
+        if not 0 <= axis < 3:
+            raise DataError(f"slice axis {axis} is outside the field's 3 axes")
+        size = field.shape[axis]
+        if not 0 <= index < size:
+            raise DataError(
+                f"slice index {index} is outside axis {axis} of size {size}"
+            )
         plane = np.take(field, index, axis=axis)
     else:
         raise DataError(f"cannot slice field of ndim {field.ndim}")
-    if bound <= 0:
-        raise DataError("ramp bound must be positive")
+    if not (math.isfinite(bound) and bound > 0):
+        raise DataError(f"ramp bound must be positive and finite, got {bound}")
     plane = np.nan_to_num(plane, nan=0.0)
     ramp = (np.clip(plane, -bound, bound) + bound) / (2 * bound)
     pixels = np.rint(ramp * 255.0).astype(np.uint8)

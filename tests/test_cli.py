@@ -440,14 +440,34 @@ def test_analytic_unknown_key_exit_2(tmp_path):
     {"panels": [{"t_h": "0.85", "t_p_list": [0.5], "output": "a.csv"}]},
     {"panels": [{"t_h": 0.85, "t_p_list": ["0.5"], "output": "a.csv"}]},
     {"p": "0.5", "panels": [{"t_h": 0.85, "t_p_list": [0.5], "output": "a.csv"}]},
+    {"n_max": 0, "panels": [{"t_h": 0.85, "t_p_list": [0.5], "output": "a.csv"}]},
+    {"panels": [{"t_h": 0.85, "t_p_list": [0.5], "n_max": -3, "output": "a.csv"}]},
+    {"panels": [{"t_h": 0.85, "t_p_list": [], "output": "a.csv"}]},
 ], ids=["not-an-object", "t_h", "t_p_list", "n_max", "n_max-fraction", "n_max-true",
-        "t_h-string", "t_p-string", "p-string"])
+        "t_h-string", "t_p-string", "p-string", "n_max-zero", "n_max-negative",
+        "t_p_list-empty"])
 def test_analytic_malformed_value_exit_2(tmp_path, capsys, cfg):
     path = tmp_path / "analytic.json"
     path.write_text(json.dumps(cfg))
     assert main(["analytic", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "a.csv").exists()
+
+
+@pytest.mark.parametrize("second", [
+    {"t_h": 0.65, "t_p_list": [0.5], "n_max": 0, "output": "b.csv"},
+    {"t_h": 0.65, "t_p_list": [], "output": "b.csv"},
+    {"t_h": 1.5, "t_p_list": [0.5], "output": "b.csv"},
+], ids=["n_max-zero", "t_p_list-empty", "t_h-out-of-range"])
+def test_analytic_bad_later_panel_writes_nothing(tmp_path, capsys, second):
+    cfg = {"n_max": 5,
+           "panels": [{"t_h": 0.85, "t_p_list": [0.5], "output": "a.csv"}, second]}
+    path = tmp_path / "analytic.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["analytic", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "a.csv").exists()
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_synth_writes_provenance(tmp_path):
@@ -510,6 +530,24 @@ def test_export_slice_zero_map_is_mid_gray(tmp_path):
     ) == 0
     pixels = (tmp_path / "s.pgm").read_bytes().split(b"255\n", 1)[1]
     assert pixels == bytes([128] * 16)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--index", "7"], "slice index 7 is outside axis 0 of size 3"),
+    (["--index", "-1"], "slice index -1 is outside axis 0 of size 3"),
+    (["--axis", "5"], "slice axis 5 is outside the field's 3 axes"),
+    (["--bound", "nan"], "ramp bound must be positive and finite, got nan"),
+    (["--bound", "-1"], "ramp bound must be positive and finite, got -1.0"),
+], ids=["index-past-end", "index-negative", "axis", "bound-nan", "bound-negative"])
+def test_export_slice_bad_argument_exit_3(tmp_path, capsys, args, message):
+    dom = GridDomain(dims=(3, 4, 5), spacing=(1.0,) * 3, origin=(0.0,) * 3)
+    save_field(dom, np.zeros((3, 4, 5)), tmp_path / "r.otfg")
+    assert main(
+        ["export-slice", "--input", str(tmp_path / "r.otfg"),
+         "--output", str(tmp_path / "s.pgm"), *args]
+    ) == 3
+    assert f"data error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "s.pgm").exists()
 
 
 def test_pipeline_logs_stage_progress(tmp_path, caplog):

@@ -428,24 +428,43 @@ def test_simplex_negative_forward_cycle_unbounded():
         simplex.solve_min_cost_flow(problem)
 
 
-def test_simplex_wrapped_pricing_block_matches_ssp():
-    # 10 arcs price in blocks of ceil(sqrt(10)) = 4, so every third block
-    # wraps past the last arc
-    rng = np.random.default_rng(5)
-    pairs = [(s, t) for s in range(2) for t in range(2, 5)]
-    pairs += [(0, 1), (1, 0), (2, 3), (4, 3)]
+def pricing_block(e):
+    return min(e, math.ceil(simplex.BLOCK_FACTOR * math.sqrt(e)))
+
+
+def assert_matches_ssp(n_src, n_tgt, extra, seed):
+    """Random costs and supplies on all source-target pairs plus ``extra``."""
+    rng = np.random.default_rng(seed)
+    pairs = [(s, t) for s in range(n_src) for t in range(n_src, n_src + n_tgt)]
+    pairs += extra
     for _ in range(100):
         costs = rng.integers(0, 10, size=len(pairs)).astype(float)
         arcs = [(s, t, c) for (s, t), c in zip(pairs, costs)]
-        supply = rng.integers(0, 6, size=2)
-        demand = rng.multinomial(supply.sum(), [1 / 3] * 3)
-        problem = flow_problem(5, arcs, [*supply, *(-demand)])
-        assert problem.n_arcs == 10
+        supply = rng.integers(0, 6, size=n_src)
+        demand = rng.multinomial(supply.sum(), [1 / n_tgt] * n_tgt)
+        problem = flow_problem(n_src + n_tgt, arcs, [*supply, *(-demand)])
         flows, objective = simplex.solve_min_cost_flow(problem)
         assert (net_outflow(problem, flows) == problem.supplies).all()
         assert objective == pytest.approx(
             ssp.solve_min_cost_flow(problem)[1], rel=1e-12, abs=1e-12
         )
+
+
+def test_simplex_wrapped_pricing_block_matches_ssp():
+    # 30 arcs in blocks shorter than 30 that do not divide it: the last
+    # scan prices ceil(30 / block) blocks, more than 30 arcs in a row, so
+    # at least one block wraps past the last arc
+    extra = [(0, 1), (1, 0), (2, 3), (3, 2), (1, 2),
+             (4, 5), (6, 5), (7, 8), (8, 7), (6, 7)]
+    block = pricing_block(30)
+    assert block < 30 and 30 % block != 0
+    assert_matches_ssp(4, 5, extra, seed=5)
+
+
+def test_simplex_capped_pricing_block_matches_ssp():
+    # 10 arcs: the block is capped at the whole arc list
+    assert pricing_block(10) == 10
+    assert_matches_ssp(2, 3, [(0, 1), (1, 0), (2, 3), (4, 3)], seed=5)
 
 
 def test_simplex_flows_exact_at_max_units():

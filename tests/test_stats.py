@@ -182,3 +182,25 @@ def test_pgm_3d_slice_selection(tmp_path):
     render_pgm_slice(field, tmp_path / "s.pgm", axis=0, index=1, bound=0.65)
     pixels = (tmp_path / "s.pgm").read_bytes().split(b"255\n", 1)[1]
     assert pixels == bytes([255] * 12)
+    # the last index of the last axis is in range
+    render_pgm_slice(field, tmp_path / "s.pgm", axis=2, index=3, bound=0.65)
+    header, pixels = (tmp_path / "s.pgm").read_bytes().split(b"255\n", 1)
+    assert header == b"P5\n3 2\n"
+    assert pixels == bytes([128] * 3 + [255] * 3)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"axis": 0, "index": 3}, "index 3 is outside axis 0 of size 3"),
+    ({"axis": 2, "index": 5}, "index 5 is outside axis 2 of size 5"),
+    ({"axis": 1, "index": -1}, "index -1 is outside axis 1 of size 4"),
+    ({"axis": 3}, "axis 3 is outside the field's 3 axes"),
+    ({"axis": -1}, "axis -1 is outside the field's 3 axes"),
+    ({"bound": 0.0}, "ramp bound must be positive and finite"),
+    ({"bound": math.nan}, "ramp bound must be positive and finite"),
+    ({"bound": math.inf}, "ramp bound must be positive and finite"),
+], ids=["index-past-end", "index-last-axis", "index-negative", "axis-past-end",
+        "axis-negative", "bound-zero", "bound-nan", "bound-inf"])
+def test_pgm_slice_out_of_range_raises_and_writes_nothing(tmp_path, kwargs, message):
+    with pytest.raises(DataError, match=message):
+        render_pgm_slice(np.zeros((3, 4, 5)), tmp_path / "s.pgm", **kwargs)
+    assert not (tmp_path / "s.pgm").exists()
