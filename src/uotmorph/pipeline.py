@@ -2,7 +2,7 @@
 
 A single JSON config drives every stage.  Each block's keys and defaults
 are the fields of its dataclass; unknown keys, and values of the wrong type
-or range, raise ConfigError (CLI exit 2).
+or range, raise ConfigError (CLI exit 2) when the config loads.
 ``run_pipeline`` alone knows the stage order (``STAGES``); it loads the
 manifest, images and image digests once and hands them to the stages.
 Each stage writes into its own directory under the output tree together
@@ -139,9 +139,13 @@ class PipelineConfig:
             raise ConfigError(f"worker count must be >= 1, got {self.workers}")
         if self.downsample_factor < 1:
             raise ConfigError("downsample_factor must be >= 1")
-        if self.manifest is None and self.synth is None:
-            raise ConfigError("config needs either 'manifest' or 'synth'")
-        # fail fast on a bad lambda, side, tiebreak or unit count, not mid-run
+        if (self.manifest is None) == (self.synth is None):
+            raise ConfigError("config needs exactly one of 'manifest' and 'synth'")
+        if not all(isinstance(name, str) for name in self.covariates):
+            raise ConfigError(f"covariates must be names, got {list(self.covariates)}")
+        # fail fast on a bad synth block, lambda, side, tiebreak or unit count
+        if self.synth is not None:
+            _synth_spec(self)
         for lam in self.lambdas:
             _solve_specs(self, lam)
 
@@ -154,6 +158,24 @@ def _solve_specs(cfg: PipelineConfig, lam: float):
     return alloc, quant, {"lambda": lam, "side": alloc.side,
                           "tiebreak": alloc.tiebreak_epsilon,
                           "units": quant.units, "cost": cfg.cost.kind}
+
+
+_SYNTH_KINDS = {"strips": (StripSpec, generate_strips),
+                "annuli": (AnnulusSpec, generate_annuli)}
+
+
+def _synth_spec(cfg: PipelineConfig):
+    """``(spec, generate)`` of the synth block; its seed defaults to ``cfg.seed``."""
+    raw = cfg.synth if isinstance(cfg.synth, dict) else {}
+    if raw.get("kind") not in tuple(_SYNTH_KINDS):  # a list kind is not hashable
+        raise ConfigError("synth must be an object whose kind is 'strips' or "
+                          f"'annuli', got {cfg.synth!r}")
+    spec_type, generate = _SYNTH_KINDS[raw["kind"]]
+    values = {k: tuple(v) if isinstance(v, list) else v
+              for k, v in raw.items() if k != "kind"}
+    spec = _load(spec_type, {"seed": cfg.seed, **values}, "synth", seed=_integer,
+                 n_subjects=_integer, dims=lambda v: tuple(map(_integer, v)))
+    return spec, generate
 
 
 def _check_keys(raw, allowed, where: str):
@@ -207,35 +229,20 @@ def _items(values) -> tuple:
 def parse_config(raw: dict, base_dir: str = ".") -> PipelineConfig:
     if "output_dir" not in raw:
         raise ConfigError("config key 'output_dir' is required")
-    synth = raw.get("synth")
-    if synth is not None:
-        kind = synth.get("kind") if isinstance(synth, dict) else None
-        if kind not in ("strips", "annuli", "sweep"):
-            raise ConfigError("synth must be an object whose kind is 'strips', "
-                              f"'annuli' or 'sweep', got {synth!r}")
-        keys = {f.name for f in dataclasses.fields(
-            AnnulusSpec if kind == "annuli" else StripSpec)}
-        extra = {"n_list", "sigma_list"} if kind == "sweep" else set()
-        _check_keys(synth, keys | extra | {"kind"}, "synth")
-        if extra - set(synth):
-            raise ConfigError(f"sweep synth needs keys {sorted(extra - set(synth))}")
-        if extra:
-            try:
-                if min(map(_integer, _items(synth["n_list"])), default=1) < 1:
-                    raise ValueError(f"n_list entries must be >= 1: {synth['n_list']}")
-                list(map(_number, _items(synth["sigma_list"])))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value in sweep synth: {exc}") from None
     path = partial(os.path.join, base_dir)
     return _load(
         PipelineConfig, raw, "pipeline config",
         output_dir=path, manifest=path, downsample_factor=_integer,
-        template=lambda v: _load(TemplateSpec, v, "template"),
+        template=lambda v: _load(TemplateSpec, v, "template",
+                                 barycenter_max_iters=_integer),
         cost=lambda kind: CostSpec(kind=kind),
         lambdas=lambda v: tuple(map(_number, _items(v))),
         tiebreak_epsilon=_number, quantization_units=_integer,
-        multiscale=lambda v: _load(MultiscaleConfig, v, "multiscale"),
-        smoothing=lambda v: _load(SmoothingConfig, v, "smoothing"),
+        multiscale=lambda v: _load(MultiscaleConfig, v, "multiscale",
+                                   coarsen_threshold=_integer,
+                                   neighborhood_radius=_integer),
+        smoothing=lambda v: _load(SmoothingConfig, v, "smoothing", truncation_radius=(
+            lambda r: r if r is None else _integer(r))),
         covariates=_items, alpha=_number, workers=_integer, seed=_integer,
     )
 
@@ -390,43 +397,20 @@ class _Cohort:
 
 
 def stage_synth(cfg: PipelineConfig, log: _RunLog) -> None:
-    """Generate the synthetic cohort (when configured).
-
-    The sweep kind emits one dataset per sample size under dataset/n=<n>/,
-    which cannot feed the single-cohort pipeline directly.
-    """
+    """Generate the synthetic cohort (when configured) into dataset/."""
     if cfg.synth is None:
         return
-    synth = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg.synth.items()}
-    kind = synth.pop("kind")
-    synth.setdefault("seed", cfg.seed)
+    spec, generate = _synth_spec(cfg)
+    kind = cfg.synth["kind"]
 
     def work(dataset_dir):
-        if kind == "sweep":
-            n_list = list(map(_integer, synth.pop("n_list")))
-            sigma_list = list(map(float, synth.pop("sigma_list")))
-            spec = _load(StripSpec, {**synth, "n_subjects": 1}, "synth")
-            for n in dict.fromkeys(n_list):
-                measures, manifest = generate_strips(
-                    dataclasses.replace(spec, n_subjects=n))
-                save_dataset(measures, manifest, os.path.join(dataset_dir, f"n={n}"))
-            provenance = {**dataclasses.asdict(spec), "n_list": n_list,
-                          "sigma_list": sigma_list}
-            del provenance["n_subjects"]
-            n_subjects = sum(n_list)
-        else:
-            spec_type, generate = {"strips": (StripSpec, generate_strips),
-                                   "annuli": (AnnulusSpec, generate_annuli)}[kind]
-            spec = _load(spec_type, synth, "synth")
-            measures, manifest = generate(spec)
-            save_dataset(measures, manifest, dataset_dir)
-            provenance = dataclasses.asdict(spec)
-            n_subjects = len(measures)
-        provenance["kind"] = kind
+        measures, manifest = generate(spec)
+        save_dataset(measures, manifest, dataset_dir)
         with open(os.path.join(dataset_dir, "generation.json"), "w",
                   encoding="utf-8") as fh:
-            json.dump(provenance, fh, sort_keys=True, indent=2)
-        return {"subjects": n_subjects}
+            json.dump({**dataclasses.asdict(spec), "kind": kind}, fh,
+                      sort_keys=True, indent=2)
+        return {"subjects": len(measures)}
 
     input_hash = _stage_hash({"synth": cfg.synth, "seed": cfg.seed, "kind": kind})
     _run_stage(log, "synth", None, os.path.join(cfg.output_dir, "dataset"),
@@ -586,12 +570,6 @@ def run_pipeline(cfg: PipelineConfig, upto: str = "correlate",
     """
     last = STAGES.index(upto)
     runs = {upto} if stage_only else set(STAGES[:last + 1])
-    if last > 0 and cfg.synth is not None and cfg.synth.get("kind") == "sweep":
-        raise ConfigError(
-            "sweep datasets emit one cohort per sample size and cannot drive "
-            "the full pipeline; use the 'synth' stage command and point "
-            "per-cohort configs at dataset/n=<n>/manifest.csv"
-        )
     os.makedirs(cfg.output_dir, exist_ok=True)
     log = _RunLog(os.path.join(cfg.output_dir, "run_log.jsonl"))
     if "synth" in runs:

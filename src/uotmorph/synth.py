@@ -9,12 +9,13 @@ ones with the same seed).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, is_integer
+from .errors import ConfigError, is_integer, is_number
 from .grid import (
     GridDomain,
     GridMeasure,
@@ -52,13 +53,27 @@ def stream(seed: int, *fields) -> np.random.Generator:
 REGION_NAMES = ("A", "B", "C", "D")
 
 
+def _is_pair(value, test) -> bool:
+    return isinstance(value, (tuple, list)) and len(value) == 2 and all(map(test, value))
+
+
 def _check_counts(spec):
     if not is_integer(spec.seed):
         raise ConfigError(f"seed must be an integer, got {spec.seed!r}")
     if not (is_integer(spec.n_subjects) and spec.n_subjects >= 1):
         raise ConfigError(f"n_subjects must be an integer >= 1, got {spec.n_subjects!r}")
-    if not all(map(is_integer, spec.dims)):
-        raise ConfigError(f"dims must be integers, got {spec.dims!r}")
+    if not (_is_pair(spec.dims, is_integer) and min(spec.dims) >= 1):
+        raise ConfigError(f"dims must be two integers >= 1, got {spec.dims!r}")
+
+
+def _check_range(spec, name, top=math.inf):
+    """``spec.<name>`` is two finite numbers with 0 <= lo <= hi <= top."""
+    value = getattr(spec, name)
+    if not (_is_pair(value, is_number) and 0 <= value[0] <= value[1] <= top
+            and math.isfinite(value[1])):
+        bound = "" if top == math.inf else f" <= {top}"
+        raise ConfigError(f"{name} must be two numbers with 0 <= lo <= hi{bound}, "
+                          f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -72,13 +87,11 @@ class StripSpec:
 
     def __post_init__(self):
         _check_counts(self)
-        if len(self.dims) != 2 or self.dims[1] % 4 != 0:
+        if self.dims[1] % 4 != 0:
             raise ConfigError(
-                f"strip dims must be 2D with the last axis divisible by 4, got {self.dims}"
+                f"strip dims must have the last axis divisible by 4, got {self.dims}"
             )
-        lo, hi = self.removal_range
-        if not (0 <= lo <= hi <= 1):
-            raise ConfigError("removal_range must satisfy 0 <= lo <= hi <= 1")
+        _check_range(self, "removal_range", top=1)
 
     def region_slices(self):
         width = self.dims[1] // 4
@@ -104,10 +117,16 @@ class AnnulusSpec:
         _check_counts(self)
         if self.case not in ("fixed_total", "random_total"):
             raise ConfigError(f"unknown annulus case {self.case!r}")
-        if not self.inner_radii[0] < self.inner_radii[1] <= self.outer_radii[0]:
+        for name in ("inner_radii", "outer_radii", "total_range"):
+            _check_range(self, name)
+        _check_range(self, "outer_fraction_range", top=1)
+        if self.inner_radii[1] > self.outer_radii[0]:
             raise ConfigError("annuli must be disjoint: inner < outer")
         if self.outer_radii[1] > min(self.dims) / 2:
             raise ConfigError("outer annulus does not fit inside the domain")
+        if not all(mask.any() for mask in _annulus_masks(self)):
+            raise ConfigError(f"radii {self.inner_radii} and {self.outer_radii} leave "
+                              f"an annulus without a voxel on {self.dims}")
 
 
 def _subject_id(k: int) -> str:

@@ -114,38 +114,51 @@ def test_nan_lambda_exit_2_before_any_output(tmp_path, capsys):
 
 def test_integral_float_is_an_integer_config_value(tmp_path):
     raw = {**TINY_ANNULUS, "output_dir": "out", "quantization_units": 1e7,
-           "workers": 2.0}
+           "workers": 2.0,
+           "synth": {**TINY_ANNULUS["synth"], "seed": 11.0, "n_subjects": 4.0,
+                     "dims": [20.0, 20]},
+           "multiscale": {"coarsen_threshold": 1e3, "neighborhood_radius": 2.0},
+           "smoothing": {"truncation_radius": 3.0},
+           "template": {"barycenter_max_iters": 20.0}}
     cfg = pipeline.parse_config(raw, base_dir=str(tmp_path))
-    assert (cfg.quantization_units, cfg.workers) == (10**7, 2)
-    assert type(cfg.quantization_units) is int
+    spec, _ = pipeline._synth_spec(cfg)
+    values = (cfg.quantization_units, cfg.workers, cfg.multiscale.coarsen_threshold,
+              cfg.multiscale.neighborhood_radius, cfg.smoothing.truncation_radius,
+              cfg.template.barycenter_max_iters, spec.seed, spec.n_subjects, *spec.dims)
+    assert values == (10**7, 2, 1000, 2, 3, 20, 11, 4, 20, 20)
+    assert all(type(value) is int for value in values)
 
 
-@pytest.mark.parametrize("missing", ["n_list", "sigma_list"])
-def test_sweep_without_lists_exit_2(tmp_path, capsys, missing):
-    synth = {"kind": "sweep", "dims": [8, 16], "n_list": [2], "sigma_list": [0.0]}
-    del synth[missing]
-    path = write_config(tmp_path, synth=synth)
+def annulus(**keys):
+    return {"synth": {**TINY_ANNULUS["synth"], **keys}}
+
+
+def strips(**keys):
+    return {"synth": {"kind": "strips", "n_subjects": 2, "dims": [8, 16], **keys}}
+
+
+@pytest.mark.parametrize("overrides", [
+    annulus(inner_radii=[True, 3]),
+    annulus(inner_radii=[-3, 3]),
+    strips(removal_range=[0, True]),
+    annulus(inner_radii=[2]),
+    annulus(outer_fraction_range=["0.3", 0.7]),
+    annulus(total_range=[2, 1]),
+    annulus(dims=[16, 16], inner_radii=[0, 0.5]),
+    annulus(outer_fraction_range=[-1, 3]),
+    annulus(dims=[16]),
+    annulus(dims=[16, 16, 16]),
+    strips(dims=[4, 0]),
+    {"synth": {"kind": "sweep", "dims": [8, 16], "n_list": [2], "sigma_list": [0.0]}},
+    {"covariates": [1]},
+    {"manifest": "cohort/manifest.csv"},
+], ids=lambda overrides: json.dumps(overrides))
+def test_malformed_synth_exit_2_before_any_output(tmp_path, capsys, overrides):
+    path = write_config(tmp_path, **overrides)
     assert main(["synth", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and missing in err
-
-
-@pytest.mark.parametrize("lists", [
-    {"n_list": [2.5]},
-    {"n_list": [0]},
-    {"n_list": [True]},
-    {"n_list": ["2"]},
-    {"n_list": "2"},
-    {"sigma_list": ["1"]},
-    {"sigma_list": [True]},
-], ids=lambda lists: json.dumps(lists))
-def test_sweep_malformed_list_exit_2_before_any_output(tmp_path, capsys, lists):
-    synth = {"kind": "sweep", "dims": [8, 16], "n_list": [2], "sigma_list": [0.0],
-             **lists}
-    path = write_config(tmp_path, synth=synth)
-    assert main(["synth", "--config", str(path)]) == 2
-    assert "config error" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "dataset").exists()
+    assert "uotmorph: config error" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_manifest_exit_3(tmp_path):
@@ -479,39 +492,6 @@ def test_synth_writes_provenance(tmp_path):
     assert prov["seed"] == 5
 
 
-def test_sweep_stage_command(tmp_path):
-    cfg = {
-        "output_dir": str(tmp_path / "out"),
-        "synth": {"kind": "sweep", "dims": [8, 16], "n_list": [2, 4],
-                  "sigma_list": [0.0, 1.0]},
-        "lambdas": [1.0],
-        "seed": 3,
-    }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["synth", "--config", str(path)]) == 0
-    for n in (2, 4):
-        assert (tmp_path / "out" / "dataset" / f"n={n}" / "manifest.csv").exists()
-    prov = json.loads((tmp_path / "out" / "dataset" / "generation.json").read_text())
-    assert prov == {"kind": "sweep", "seed": 3, "dims": [8, 16],
-                    "removal_range": [0.0, 0.5], "n_list": [2, 4],
-                    "sigma_list": [0.0, 1.0]}
-    # a sweep cannot drive the full pipeline
-    assert main(["run", "--config", str(path)]) == 2
-
-
-@pytest.mark.parametrize("n_list", [[], [2, 4, 2]])
-def test_sweep_one_cohort_per_distinct_size(tmp_path, n_list):
-    synth = {"kind": "sweep", "dims": [8, 16], "n_list": n_list, "sigma_list": [0]}
-    path = write_config(tmp_path, synth=synth)
-    assert main(["synth", "--config", str(path)]) == 0
-    dataset = tmp_path / "out" / "dataset"
-    assert sorted(p.name for p in dataset.glob("n=*")) == [
-        f"n={n}" for n in sorted(set(n_list))]
-    prov = json.loads((dataset / "generation.json").read_text())
-    assert (prov["n_list"], prov["sigma_list"]) == (n_list, [0.0])
-
-
 def test_failed_stage_removes_partial_outputs(tmp_path):
     path = write_config(tmp_path, covariates=["does_not_exist"])
     assert main(["run", "--config", str(path)]) == 3
@@ -596,13 +576,6 @@ def test_stage_only_after_run_touches_nothing(tmp_path):
     for stage in pipeline.STAGES:
         assert main([stage, "--config", str(path), "--stage-only"]) == 0
         assert artifact_mtimes(tmp_path / "out") == before
-
-
-def test_template_on_sweep_config_exit_2(tmp_path, capsys):
-    path = write_config(tmp_path, synth={"kind": "sweep", "dims": [8, 16],
-                                         "n_list": [2], "sigma_list": [0.0]})
-    assert main(["template", "--config", str(path)]) == 2
-    assert "sweep datasets emit one cohort per sample size" in capsys.readouterr().err
 
 
 def test_run_stage_only_is_rejected(tmp_path):

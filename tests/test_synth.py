@@ -88,11 +88,17 @@ def test_strips_full_removal_of_one_region():
         assert e.covariates["dD"] == region_size
 
 
-def test_strips_validation():
+@pytest.mark.parametrize("keys", [
+    {"dims": (10, 30)},  # not divisible by 4
+    {"dims": (4, 0)},
+    {"dims": (4, 8, 8)},
+    {"removal_range": (0.5, 0.1)},
+    {"removal_range": (0, True)},
+    {"removal_range": (0, 1.5)},
+])
+def test_strips_validation(keys):
     with pytest.raises(ConfigError):
-        StripSpec(dims=(10, 30))  # not divisible by 4
-    with pytest.raises(ConfigError):
-        StripSpec(removal_range=(0.5, 0.1))
+        StripSpec(**keys)
 
 
 def test_annuli_case1_constant_total():
@@ -126,13 +132,25 @@ def test_annuli_case2_reproducible():
     assert m1.covariate_vector("total_mass").var() > 0
 
 
-def test_annuli_validation():
+@pytest.mark.parametrize("keys", [
+    {"inner_radii": (8.0, 21.0), "outer_radii": (20.0, 24.0)},
+    {"dims": (32, 32)},  # default outer radius does not fit
+    {"dims": (64, 64, 64)},
+    {"dims": (64,)},
+    {"case": "weird"},
+    {"inner_radii": (True, 3)},
+    {"inner_radii": (-3, 3)},
+    {"inner_radii": (2,)},
+    {"inner_radii": (0, 0.5)},  # the inner ring holds no voxel
+    {"outer_fraction_range": ("0.3", 0.7)},
+    {"outer_fraction_range": (-1, 3)},
+    {"outer_fraction_range": (0.3, 1.2)},
+    {"total_range": (2, 1)},
+    {"total_range": (0.5, float("inf"))},
+])
+def test_annuli_validation(keys):
     with pytest.raises(ConfigError):
-        AnnulusSpec(inner_radii=(8.0, 21.0), outer_radii=(20.0, 24.0))
-    with pytest.raises(ConfigError):
-        AnnulusSpec(dims=(32, 32))  # default outer radius does not fit
-    with pytest.raises(ConfigError):
-        AnnulusSpec(case="weird")
+        AnnulusSpec(**keys)
 
 
 def test_strips_prefix_property():
