@@ -1,10 +1,9 @@
 """Per-subject feature images from transport solutions.
 
 The allocation image is oriented template-minus-subject: mass the solver
-removed on the template side (tissue the subject lacks) counts positive,
-mass it added counts negative; target-side allocation enters with the
-opposite sign.  In the local limit (allocation far cheaper than any
-transport) this reduces to the voxel-wise difference template - subject,
+removed from the template (tissue the subject lacks) counts positive, mass
+it added counts negative.  In the local limit (allocation far cheaper than
+any transport) this reduces to the voxel-wise difference template - subject,
 the classical VBM/TBM feature.  The transport-cost image is outgoing
 transported cost minus incoming transported cost per voxel, which sums to
 zero over the grid.

@@ -120,8 +120,6 @@ class PipelineConfig:
     template: TemplateSpec = field(default_factory=TemplateSpec)
     cost: CostSpec = field(default_factory=CostSpec)
     lambdas: tuple[float, ...] = (1.0,)
-    allocation_side: str = AllocationSpec.side
-    tiebreak_epsilon: float = AllocationSpec.tiebreak_epsilon
     quantization_units: int = QuantizationSpec.units
     multiscale: MultiscaleConfig = field(default_factory=MultiscaleConfig)
     smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
@@ -143,7 +141,7 @@ class PipelineConfig:
             raise ConfigError("config needs exactly one of 'manifest' and 'synth'")
         if not all(isinstance(name, str) for name in self.covariates):
             raise ConfigError(f"covariates must be names, got {list(self.covariates)}")
-        # fail fast on a bad synth block, lambda, side, tiebreak or unit count
+        # fail fast on a bad synth block, lambda or unit count
         if self.synth is not None:
             _synth_spec(self)
         for lam in self.lambdas:
@@ -152,12 +150,9 @@ class PipelineConfig:
 
 def _solve_specs(cfg: PipelineConfig, lam: float):
     """``(alloc, quant, hash_inputs)`` of a solve at ``lam``; the last is hashed."""
-    alloc = AllocationSpec(lam=lam, side=cfg.allocation_side,
-                           tiebreak_epsilon=cfg.tiebreak_epsilon)
+    alloc = AllocationSpec(lam=lam)
     quant = QuantizationSpec(units=cfg.quantization_units)
-    return alloc, quant, {"lambda": lam, "side": alloc.side,
-                          "tiebreak": alloc.tiebreak_epsilon,
-                          "units": quant.units, "cost": cfg.cost.kind}
+    return alloc, quant, {"lambda": lam, "units": quant.units, "cost": cfg.cost.kind}
 
 
 _SYNTH_KINDS = {"strips": (StripSpec, generate_strips),
@@ -237,7 +232,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> PipelineConfig:
                                  barycenter_max_iters=_integer),
         cost=lambda kind: CostSpec(kind=kind),
         lambdas=lambda v: tuple(map(_number, _items(v))),
-        tiebreak_epsilon=_number, quantization_units=_integer,
+        quantization_units=_integer,
         multiscale=lambda v: _load(MultiscaleConfig, v, "multiscale",
                                    coarsen_threshold=_integer,
                                    neighborhood_radius=_integer),
@@ -518,15 +513,14 @@ def stage_features(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
                    input_hash, work, lam=lam)
 
 
-def stage_correlate(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
-    """Voxel-wise correlation maps for every lambda and covariate."""
+def stage_correlate(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog,
+                    values: dict) -> None:
+    """Voxel-wise correlation maps for every lambda and covariate.
+
+    ``values`` maps each covariate name to its values, one per subject.
+    """
     from .grid import load_field
 
-    covariates = cfg.covariates or cohort.manifest.covariate_names
-    try:
-        values = {cov: cohort.manifest.covariate_vector(cov) for cov in covariates}
-    except DataError as exc:
-        raise StageFailure("correlate", exc) from exc
     for lam in cfg.lambdas:
         label = _lambda_dirname(lam)
         feat_dir = os.path.join(cfg.output_dir, "features", label)
@@ -537,7 +531,7 @@ def stage_correlate(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
             _require(f"correlate[{label}]", kind_paths, "features")
         digests = {kind: [_digest_file(p) for p in kind_paths]
                    for kind, kind_paths in paths.items()}
-        for cov in covariates:
+        for cov in values:
 
             def work(stage_dir):
                 for kind, kind_paths in paths.items():
@@ -565,9 +559,13 @@ def run_pipeline(cfg: PipelineConfig, upto: str = "correlate",
     """Run the stages up to ``upto`` in order, skipping completed ones.
 
     With ``stage_only`` only the ``upto`` stage runs, and it fails with a
-    DataError cause when its upstream artifacts are missing.  The manifest,
-    images and image digests are loaded once and shared by the stages.
+    DataError cause when its upstream artifacts are missing.  A configured
+    manifest that does not exist is a DataError before any output.  The
+    manifest, images and image digests are loaded once and shared by the
+    stages; the covariates are resolved as soon as the manifest loads.
     """
+    if cfg.manifest is not None and not os.path.exists(cfg.manifest):
+        raise DataError(f"manifest {cfg.manifest!r} not found")
     last = STAGES.index(upto)
     runs = {upto} if stage_only else set(STAGES[:last + 1])
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -576,16 +574,19 @@ def run_pipeline(cfg: PipelineConfig, upto: str = "correlate",
         stage_synth(cfg, log)
     if last == 0:
         return
-    manifest_path = (cfg.manifest if cfg.synth is None
-                     else os.path.join(cfg.output_dir, "dataset", "manifest.csv"))
-    if not os.path.exists(manifest_path):
-        raise StageFailure(
-            "synth", DataError(f"manifest {manifest_path!r} not found")
-        )
+    manifest_path = cfg.manifest or os.path.join(cfg.output_dir, "dataset",
+                                                 "manifest.csv")
+    _require(upto, [manifest_path], "synth")
     # workers start at the first solve, so a run that solves nothing forks none
     with (ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1
           else nullcontext()) as pool:
         cohort = _Cohort(cfg, manifest_path, pool.map if pool else map)
+        if "correlate" in runs:
+            names = cfg.covariates or cohort.manifest.covariate_names
+            try:
+                values = {cov: cohort.manifest.covariate_vector(cov) for cov in names}
+            except DataError as exc:
+                raise StageFailure("correlate", exc) from exc
         if "template" in runs:
             stage_template(cfg, cohort, log)
         if "transport" in runs:
@@ -593,7 +594,7 @@ def run_pipeline(cfg: PipelineConfig, upto: str = "correlate",
         if "features" in runs:
             stage_features(cfg, cohort, log)
         if "correlate" in runs:
-            stage_correlate(cfg, cohort, log)
+            stage_correlate(cfg, cohort, log, values)
 
 
 def tree_checksums(root, exclude=("run_log.jsonl",)) -> dict:

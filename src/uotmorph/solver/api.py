@@ -66,12 +66,12 @@ def uot_distance(
 
 
 # row label per arc kind (ARC_* constants index this tuple)
-_KIND_LABELS = ("arc", "add_src", "rem_src", "add_tgt", "rem_tgt")
+_KIND_LABELS = ("arc", "add_src", "rem_src")
 _HEADER = "kind,source_index,target_index,mass"
 # an arc row with two indices or an allocation row with an empty target, then
 # a non-negative decimal mass; indices below 2**53 are exact in float64
-_ROW = re.compile(r"(?:arc,\d{1,15},\d{1,15}|(?:add_src|rem_src|add_tgt|rem_tgt),"
-                  r"\d{1,15},),\d+(?:\.\d+)?(?:[eE][-+]?\d+)?", re.ASCII)
+_ROW = re.compile(r"(?:arc,\d{1,15},\d{1,15}|(?:add_src|rem_src),\d{1,15},),"
+                  r"\d+(?:\.\d+)?(?:[eE][-+]?\d+)?", re.ASCII)
 _ROWS = re.compile(rf"(?:{_ROW.pattern}(?:\n{_ROW.pattern})*)?", re.ASCII)
 
 
@@ -80,9 +80,9 @@ def export_solution(sol: TransportSolution, path) -> None:
 
     Three ``# key=value`` lines (objective, delta, mass_per_unit) precede the
     header.  Plan arcs come first as ``arc`` rows, then allocation rows
-    labelled ``add_src``, ``rem_src``, ``add_tgt`` or ``rem_tgt`` with an
-    empty target index.  Each mass is the ``repr`` of ``units *
-    mass_per_unit``, so it is an exact multiple of ``mass_per_unit``.
+    labelled ``add_src`` or ``rem_src`` with an empty target index.  Each
+    mass is the ``repr`` of ``units * mass_per_unit``, so it is an exact
+    multiple of ``mass_per_unit``.
     """
     rows = ([f"arc,{i},{j}," for i, j in sol.plan_arcs[:, :2].tolist()]
             + [f"{_KIND_LABELS[k]},{v},," for k, v in sol.allocation[:, :2].tolist()])

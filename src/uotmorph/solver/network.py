@@ -1,11 +1,13 @@
 """Build the min-cost-flow network of unbalanced transport, the one builder.
 
 Balanced transport is this program at lambda = inf.  Nodes are the support
-voxels of the two measures plus, for finite lambda, a source-side bank node
-(net supply equal to the quantized mass imbalance) and, with both-sided
-allocation, a target-side bank node with zero net supply.  This realizes
-the three constraint families: source and target marginals, and net source
-allocation minus net target allocation equal to the imbalance.
+voxels of the two measures plus, for finite lambda, a bank node whose net
+supply is the quantized mass imbalance.  Every voxel of either support is
+a source site that adds or removes mass through the bank, and every target
+has a cost-0 self arc from its own site, so target-side allocation would
+never be cheaper and has no arcs.  This realizes the three constraint
+families: source and target marginals, and net allocation equal to the
+imbalance.
 
 Two exact reductions keep networks small without changing the optimum:
 
@@ -34,11 +36,8 @@ from ..errors import DataError, InfeasibleError
 from ..grid import GridMeasure, voxel_positions
 from .specs import (
     ARC_ADD_SRC,
-    ARC_ADD_TGT,
     ARC_REM_SRC,
-    ARC_REM_TGT,
     ARC_TRANSPORT,
-    SIDE_BOTH,
     AllocationSpec,
     CostSpec,
     QuantizationSpec,
@@ -61,7 +60,6 @@ class FlowProblem:
     arc_voxel_b: np.ndarray  # transport: target voxel; virtual: -1
     mass_per_unit: float
     delta_real: float
-    delta_units: int
     # per node, the arc hanging it from its parent in the simplex's starting
     # tree, or -1 for its artificial arc to the root; None means all -1
     basis: np.ndarray | None = None
@@ -97,13 +95,13 @@ def build_unbalanced_problem(
     w_units_full, z_units_full, mass_per_unit = quantized_masses(
         w_flat, z_flat, quant.units
     )
-    delta_units = int(z_units_full.sum() - w_units_full.sum())
+    imbalance = int(z_units_full.sum() - w_units_full.sum())
     delta_real = nu.total_mass - mu.total_mass
 
     max_cost = cost.max_on_domain(domain)
     lam = alloc.effective_lambda(max_cost)
     finite_lam = math.isfinite(lam)
-    if not finite_lam and delta_units != 0:
+    if not finite_lam and imbalance != 0:
         raise InfeasibleError(
             "infinite allocation cost with unbalanced quantized totals"
         )
@@ -125,20 +123,15 @@ def build_unbalanced_problem(
     tgt_node = np.full(len(z_flat), -1, dtype=np.int64)
     tgt_node[tgt_voxels] = np.arange(n_src, n_src + n_tgt)
 
-    n_nodes = n_src + n_tgt
-    bank_src = bank_tgt = -1
-    if finite_lam:
-        bank_src = n_nodes
-        n_nodes += 1
-        if alloc.side == SIDE_BOTH:
-            bank_tgt = n_nodes
-            n_nodes += 1
+    # the bank node, for finite lambda, follows the voxel nodes
+    bank = n_src + n_tgt
+    n_nodes = bank + 1 if finite_lam else bank
 
     supplies = np.zeros(n_nodes, dtype=np.int64)
     supplies[:n_src] = w_units_full[src_voxels]
     supplies[n_src : n_src + n_tgt] -= z_units_full[tgt_voxels]
     if finite_lam:
-        supplies[bank_src] = delta_units
+        supplies[bank] = imbalance
 
     # arc blocks of (tail, head, cost, kind, voxel a, voxel b); a scalar
     # stands for the same value on every arc of its block
@@ -175,13 +168,8 @@ def build_unbalanced_problem(
 
     if finite_lam:
         # bank -> site (mass added at source side), site -> bank (removed)
-        add(bank_src, np.arange(n_src), lam, ARC_ADD_SRC, src_voxels)
-        add(src_node[positive_src], bank_src, lam, ARC_REM_SRC, positive_src)
-        if alloc.side == SIDE_BOTH and n_tgt:
-            lam_t = lam * (1.0 + alloc.tiebreak_epsilon)
-            tgt_nodes = np.arange(n_src, n_src + n_tgt)
-            add(bank_tgt, tgt_nodes, lam_t, ARC_ADD_TGT, tgt_voxels)
-            add(tgt_nodes, bank_tgt, lam_t, ARC_REM_TGT, tgt_voxels)
+        add(bank, np.arange(n_src), lam, ARC_ADD_SRC, src_voxels)
+        add(src_node[positive_src], bank, lam, ARC_REM_SRC, positive_src)
 
     dtypes = (np.int64, np.int64, np.float64, np.int8, np.int64, np.int64)
     tails, heads, costs, kinds, vox_a, vox_b = (
@@ -198,7 +186,6 @@ def build_unbalanced_problem(
         arc_voxel_b=vox_b,
         mass_per_unit=mass_per_unit,
         delta_real=delta_real,
-        delta_units=delta_units,
     )
     if finite_lam:
         problem.basis = _bank_basis(problem, feeder)
@@ -212,7 +199,7 @@ def _bank_basis(problem: FlowProblem, feeder=None) -> np.ndarray:
     a transport arc: the arc from ``feeder[voxel]`` where one was built,
     else its self arc (voxel a == voxel b).  Each site hangs from the bank
     by its remove arc (``ARC_REM_SRC``) when its supply covers the demand
-    hung on it, else by its add arc (``ARC_ADD_SRC``); the bank nodes,
+    hung on it, else by its add arc (``ARC_ADD_SRC``); the bank node,
     targets without demand and sites with neither supply nor demand hang
     from the simplex's root.  Every tree flow is then >= 0 and every
     zero-flow tree arc points towards the root.  At lambda = 0 this tree is

@@ -15,17 +15,12 @@ import numpy as np
 
 from ..errors import ConfigError, InfeasibleError
 
-SIDE_SOURCE_ONLY = "source_only"
-SIDE_BOTH = "both_sides"
-
 # arc kinds in a FlowProblem
 ARC_TRANSPORT = 0
 ARC_ADD_SRC = 1
 ARC_REM_SRC = 2
-ARC_ADD_TGT = 3
-ARC_REM_TGT = 4
 # per arc kind, the sign of its flow in the net allocation
-NET_SIGN = np.array([0, 1, -1, -1, 1], dtype=np.int64)
+NET_SIGN = np.array([0, 1, -1], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -58,24 +53,17 @@ class CostSpec:
 class AllocationSpec:
     """Mass allocation pricing: constant cost per unit added or removed.
 
-    ``lam`` may be ``math.inf`` to forbid allocation entirely.  With
-    ``side="both_sides"`` the target-side virtual arcs carry a
-    multiplicative ``tiebreak_epsilon`` surcharge so that optima are unique
-    and feature images reproducible.  ``lam == 0`` is replaced internally
-    by a tiny positive cost to keep the solution deterministic.
+    Mass is added or removed at source-side sites, one per voxel of either
+    support.  ``lam`` may be ``math.inf`` to forbid allocation entirely.
+    ``lam == 0`` is replaced internally by a tiny positive cost to keep the
+    solution deterministic.
     """
 
     lam: float = 1.0
-    side: str = SIDE_SOURCE_ONLY
-    tiebreak_epsilon: float = 1e-9
 
     def __post_init__(self):
         if not (self.lam >= 0):
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
-        if self.side not in (SIDE_SOURCE_ONLY, SIDE_BOTH):
-            raise ConfigError(f"unknown allocation side {self.side!r}")
-        if not (self.tiebreak_epsilon > 0):
-            raise ConfigError("tiebreak_epsilon must be > 0")
 
     def effective_lambda(self, max_cost: float) -> float:
         """The lambda actually priced; 0 becomes 1e-12 * max cost."""
@@ -150,10 +138,10 @@ class TransportSolution:
     ``(source voxel, target voxel, flow units)``: the coupling restricted to
     its support, sorted by source, then target.  ``allocation`` is an int64
     array of shape (a, 3) whose rows are ``(kind, site voxel, flow units)``
-    with ``kind`` one of ``ARC_ADD_SRC``, ``ARC_REM_SRC``, ``ARC_ADD_TGT``,
-    ``ARC_REM_TGT`` (mass added/removed on the source (template) and target
-    (subject) sides), sorted by kind, then voxel.  Every flow is positive;
-    its real mass is ``units * mass_per_unit``.
+    with ``kind`` ``ARC_ADD_SRC`` or ``ARC_REM_SRC`` (mass added to or
+    removed from the source (template) at that voxel), sorted by kind, then
+    voxel.  Every flow is positive; its real mass is ``units *
+    mass_per_unit``.
     """
 
     plan_arcs: np.ndarray
@@ -169,7 +157,7 @@ class TransportSolution:
                 f"delta={self.delta!r}, mass_per_unit={self.mass_per_unit!r})")
 
     def gross_allocation(self) -> float:
-        """Total mass added or removed on either side."""
+        """Total mass added or removed."""
         return float(self.allocation[:, 2].sum()) * self.mass_per_unit
 
     @classmethod
@@ -199,6 +187,6 @@ def feasibility_violation_units(
     np.add.at(balance, size + j, flow)
     kind, site, flow = sol.allocation.T
     signed = NET_SIGN[kind] * flow
-    np.subtract.at(balance, site + size * (kind >= ARC_ADD_TGT), signed)
+    np.subtract.at(balance, site, signed)
     delta_violation = abs(int(signed.sum()) - int(z_units.sum() - w_units.sum()))
     return int(max(np.abs(balance).max(initial=0), delta_violation))

@@ -98,8 +98,8 @@ def ot_barycenter(
     its solves as ``pool_map(solve, images)``, which the pipeline points at
     its worker pool.  An objective rise beyond twice the round's rounding
     bound raises ``BarycenterDivergenceError``: the program is lambda-Lipschitz
-    in the masses, so each solve is within ``min(lambda_eff (1 + tiebreak),
-    max_cost) * 2 (|supp mu| + |supp nu|) * mass_per_unit`` of its optimum.
+    in the masses, so each solve is within ``min(lambda_eff, max_cost) * 2
+    (|supp mu| + |supp nu|) * mass_per_unit`` of its optimum.
 
     Returns (template, objective, iterations).
     """
@@ -112,8 +112,7 @@ def ot_barycenter(
 
     n = len(images)
     max_cost = cost.max_on_domain(domain)
-    lam_cap = min(alloc.effective_lambda(max_cost) * (1 + alloc.tiebreak_epsilon),
-                  max_cost)
+    lam_cap = min(alloc.effective_lambda(max_cost), max_cost)
     supports = np.array([np.count_nonzero(im.flat) for im in images])
     prev_objective = None
     # the round after the last relocation only scores the final template

@@ -89,7 +89,8 @@ def test_invalid_alpha_exit_2(tmp_path):
     {"smoothing": {"truncation_radius": False}},
     {"lambdas": [True]},
     {"lambdas": ["2"]},
-    {"tiebreak_epsilon": True},
+    {"allocation_side": "source_only"},
+    {"tiebreak_epsilon": 1e-9},
     {"alpha": "0.05"},
     {"smoothing": {"sigma": True}},
     {"template": {"sparse_threshold_fraction": True}},
@@ -161,20 +162,33 @@ def test_malformed_synth_exit_2_before_any_output(tmp_path, capsys, overrides):
     assert not (tmp_path / "out").exists()
 
 
-def test_missing_manifest_exit_3(tmp_path):
-    cfg = {
-        "output_dir": str(tmp_path / "out"),
-        "manifest": str(tmp_path / "nope.csv"),
-        "lambdas": [1.0],
-    }
+@pytest.mark.parametrize("command", ["run", "synth", "template"])
+def test_missing_manifest_exit_3(tmp_path, capsys, command):
+    # a data error of the config itself: no stage is named, nothing is written
+    manifest = str(tmp_path / "nope.csv")
+    cfg = {"output_dir": str(tmp_path / "out"), "manifest": manifest, "lambdas": [1.0]}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"uotmorph: data error: manifest {manifest!r} not found" in err
+    assert "stage" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_covariate_exit_3_before_any_solve(tmp_path, capsys):
+    path = write_config(tmp_path, covariates=["total_mas"])
     assert main(["run", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "stage 'correlate' failed: unknown covariate 'total_mas'" in err
+    assert not (tmp_path / "out" / "template").exists()
+    assert not (tmp_path / "out" / "solutions").exists()
 
 
-def test_stage_only_requires_upstream(tmp_path):
+def test_stage_only_requires_upstream(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["template", "--config", str(path), "--stage-only"]) == 3
+    assert "stage 'template' failed: missing " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("template", [
@@ -492,13 +506,16 @@ def test_synth_writes_provenance(tmp_path):
     assert prov["seed"] == 5
 
 
-def test_failed_stage_removes_partial_outputs(tmp_path):
-    path = write_config(tmp_path, covariates=["does_not_exist"])
+def test_failed_stage_removes_partial_outputs(tmp_path, capsys):
+    # every subject has the same total mass: its correlation fails after the
+    # outer-mass maps are written
+    synth = {**TINY_ANNULUS["synth"], "case": "fixed_total"}
+    path = write_config(tmp_path, synth=synth, covariates=["outer_mass", "total_mass"])
     assert main(["run", "--config", str(path)]) == 3
-    # transport/features ran; the failing correlate stage left nothing behind
-    out = tmp_path / "out"
-    assert (out / "features" / "lambda=150.0").is_dir()
-    assert not (out / "maps" / "lambda=150.0" / "does_not_exist").exists()
+    assert "zero-variance covariate" in capsys.readouterr().err
+    maps = tmp_path / "out" / "maps" / "lambda=150.0"
+    assert (maps / "outer_mass" / "allocation.r.otfg").is_file()
+    assert not (maps / "total_mass").exists()
 
 
 def test_export_slice_zero_map_is_mid_gray(tmp_path):
@@ -564,9 +581,12 @@ def artifact_mtimes(out):
 
 
 @pytest.mark.parametrize("stage", ["transport", "features", "correlate"])
-def test_stage_only_on_fresh_output_exit_3(tmp_path, stage):
+def test_stage_only_on_fresh_output_exit_3(tmp_path, capsys, stage):
     path = write_config(tmp_path)
     assert main([stage, "--config", str(path), "--stage-only"]) == 3
+    err = capsys.readouterr().err
+    assert f"stage {stage!r} failed: missing " in err
+    assert "manifest.csv; run the synth stage" in err
 
 
 def test_stage_only_after_run_touches_nothing(tmp_path):

@@ -16,7 +16,7 @@ from uotmorph.solver import (
     TransportSolution,
     solve_unbalanced,
 )
-from uotmorph.solver.specs import ARC_ADD_SRC, ARC_ADD_TGT, ARC_REM_SRC, ARC_REM_TGT
+from uotmorph.solver.specs import ARC_ADD_SRC, ARC_REM_SRC
 
 COST = CostSpec()
 QUANT = QuantizationSpec(units=10**6)
@@ -63,10 +63,10 @@ def test_images_match_loop_reference():
     rows = np.array([
         [0, 0, 5, 3], [0, 0, 0, 7], [0, 4, 1, 2], [0, 2, 1, 9],
         [ARC_ADD_SRC, 1, -1, 4], [ARC_REM_SRC, 0, -1, 6], [ARC_REM_SRC, 5, -1, 1],
-        [ARC_ADD_TGT, 1, -1, 8], [ARC_REM_TGT, 3, -1, 5], [ARC_ADD_TGT, 5, -1, 2],
+        [ARC_ADD_SRC, 5, -1, 8], [ARC_REM_SRC, 3, -1, 5], [ARC_ADD_SRC, 1, -1, 2],
     ], dtype=np.int64)
     sol = TransportSolution.from_rows(rows, mass_per_unit=0.1)
-    signs = {ARC_REM_SRC: 1, ARC_ADD_SRC: -1, ARC_REM_TGT: -1, ARC_ADD_TGT: 1}
+    signs = {ARC_REM_SRC: 1, ARC_ADD_SRC: -1}
     alloc = np.zeros(dom.size)
     for kind, vox, units in sol.allocation.tolist():
         alloc[vox] += signs[kind] * (units * 0.1)

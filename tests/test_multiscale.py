@@ -184,10 +184,7 @@ def fed_cases(draw):
     w = np.array(draw(masses), dtype=float)
     z = np.array(draw(masses), dtype=float)
     assume(w.sum() > 0 and z.sum() > 0)
-    alloc = AllocationSpec(
-        lam=draw(st.sampled_from([0.0, 0.6, 2.0, 50.0])),
-        side=draw(st.sampled_from(["source_only", "both_sides"])),
-    )
+    alloc = AllocationSpec(lam=draw(st.sampled_from([0.0, 0.6, 2.0, 50.0])))
     feeder = np.array(
         draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
     )

@@ -30,13 +30,7 @@ from uotmorph.solver import (
 )
 from uotmorph.solver import network, simplex, ssp
 from uotmorph.solver.api import _run
-from uotmorph.solver.specs import (
-    ARC_ADD_SRC,
-    ARC_ADD_TGT,
-    ARC_REM_SRC,
-    ARC_REM_TGT,
-    ARC_TRANSPORT,
-)
+from uotmorph.solver.specs import ARC_ADD_SRC, ARC_REM_SRC, ARC_TRANSPORT
 
 COST = CostSpec()
 QUANT = QuantizationSpec(units=10**7)
@@ -139,7 +133,6 @@ def test_lambda_zero_reduces_to_pointwise_difference():
             net[vox] -= m
         expected = nu.flat - mu.flat
         assert np.max(np.abs(net - expected)) <= 2 * sol.mass_per_unit
-        assert not allocated(sol, ARC_ADD_TGT) and not allocated(sol, ARC_REM_TGT)
 
 
 def test_unbalanced_matches_ssp_oracle_small():
@@ -242,17 +235,6 @@ def test_infinite_lambda_requires_balance():
     assert sol.objective == pytest.approx(1.0)
 
 
-def test_both_sides_tiebreak_prefers_source():
-    mu = line_measure([1.0, 0.0])
-    nu = line_measure([0.0, 1.0])
-    sol = solve_unbalanced(
-        mu, nu, COST, AllocationSpec(lam=0.4, side="both_sides")
-    )
-    assert sol.objective == pytest.approx(0.8, rel=1e-9)
-    assert not allocated(sol, ARC_ADD_TGT) and not allocated(sol, ARC_REM_TGT)
-    assert allocated(sol, ARC_REM_SRC) == {0: 1.0}
-
-
 def assert_csv_round_trip(sol, path):
     """load_solution gives sol back, and exporting it again rewrites path exactly."""
     export_solution(sol, path)
@@ -267,13 +249,12 @@ def assert_csv_round_trip(sol, path):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 2**32 - 1),
-       side=st.sampled_from(["both_sides", "source_only"]),
        lam=st.sampled_from([0.0, 0.7, math.inf]))
-def test_solution_csv_round_trip(tmp_path, seed, side, lam):
+def test_solution_csv_round_trip(tmp_path, seed, lam):
     mu, nu = random_measure_pair(np.random.default_rng(seed), dims=(3, 3))
     if lam == math.inf:
         nu = GridMeasure(nu.domain, nu.values * (mu.total_mass / nu.total_mass))
-    sol = solve_unbalanced(mu, nu, COST, AllocationSpec(lam=lam, side=side), QUANT)
+    sol = solve_unbalanced(mu, nu, COST, AllocationSpec(lam=lam), QUANT)
     path = tmp_path / "sol.csv"
     assert_csv_round_trip(sol, path)
     assert path.read_text().splitlines()[0].startswith("# objective=")
@@ -281,7 +262,7 @@ def test_solution_csv_round_trip(tmp_path, seed, side, lam):
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rows=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 99),
+@given(rows=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 99),
                                st.integers(0, 99), st.integers(1, 2**40))),
        mpu=st.floats(1e-12, 1e3))
 def test_solution_csv_round_trip_every_row_kind(tmp_path, rows, mpu):
@@ -330,6 +311,7 @@ def test_load_solution_reads_units(tmp_path):
     "arc,0,,1.0",  # transport row without a target
     "rem_src,1,2,0.5",  # allocation row with a target
     "mov,0,1,1.0",  # unknown kind
+    "add_tgt,3,,1.0",  # target-side allocation: not a row kind
     "arc,0,1,nan",
     "arc,0,1,inf",
     "arc,0,1,0.0",
@@ -374,7 +356,7 @@ def test_feasibility_violation_counts_units():
     plan = sol.plan_arcs.copy()
     plan[0, 2] += 3
     assert violation(plan_arcs=plan) == 3
-    for kind in (ARC_ADD_SRC, ARC_REM_SRC, ARC_ADD_TGT, ARC_REM_TGT):
+    for kind in (ARC_ADD_SRC, ARC_REM_SRC):
         extra = np.array([[kind, 4, 5]], dtype=np.int64)
         assert violation(allocation=np.vstack((sol.allocation, extra))) == 5
 
@@ -394,7 +376,6 @@ def flow_problem(n_nodes, arcs, supplies):
         arc_voxel_b=np.arange(e, dtype=np.int64),
         mass_per_unit=1.0,
         delta_real=0.0,
-        delta_units=0,
     )
 
 
@@ -514,13 +495,12 @@ def test_simplex_rejects_basis_arc_not_at_node():
         simplex.solve_min_cost_flow(with_basis(problem, [-1, 1, -1]))
 
 
-@pytest.mark.parametrize("side", ["source_only", "both_sides"])
-def test_all_artificial_basis_equals_default_start(side):
+def test_all_artificial_basis_equals_default_start():
     rng = np.random.default_rng(8)
     for lam in (0.5, 3.0, 30.0):
         mu, nu = random_measure_pair(rng, dims=(4, 4))
         problem = network.build_unbalanced_problem(
-            mu, nu, COST, AllocationSpec(lam=lam, side=side), QUANT
+            mu, nu, COST, AllocationSpec(lam=lam), QUANT
         )
         star = np.full(problem.n_nodes, -1)
         default = dataclasses.replace(problem, basis=None)
@@ -532,15 +512,14 @@ def test_all_artificial_basis_equals_default_start(side):
         assert objective_star == objective
 
 
-@pytest.mark.parametrize("side", ["source_only", "both_sides"])
-def test_bank_basis_is_optimal_at_lambda_zero(side):
+def test_bank_basis_is_optimal_at_lambda_zero():
     # every target is fed by its own voxel's self arc and every site settles
     # with the bank: the solve returns exactly that tree's flows
     rng = np.random.default_rng(12)
     for _ in range(10):
         mu, nu = random_measure_pair(rng, dims=(4, 4))
         problem = network.build_unbalanced_problem(
-            mu, nu, COST, AllocationSpec(lam=0.0, side=side), QUANT
+            mu, nu, COST, AllocationSpec(lam=0.0), QUANT
         )
         flows, _ = simplex.solve_min_cost_flow(problem)
         tree_arcs = problem.basis[problem.basis >= 0]
@@ -554,9 +533,8 @@ def test_bank_basis_is_optimal_at_lambda_zero(side):
         assert (net_outflow(problem, flows) == problem.supplies).all()
 
 
-@pytest.mark.parametrize("side", ["source_only", "both_sides"])
 @pytest.mark.parametrize("restricted", [False, True])
-def test_bank_basis_does_not_depend_on_arc_order(side, restricted):
+def test_bank_basis_does_not_depend_on_arc_order(restricted):
     # the starting tree is read from the arcs, so permuting them permutes it
     rng = np.random.default_rng(31)
     fed_by_other = 0
@@ -568,7 +546,7 @@ def test_bank_basis_does_not_depend_on_arc_order(side, restricted):
             pairs = np.divmod(np.flatnonzero(rng.random(size * size) < 0.3), size)
             feeder = rng.integers(size, size=size)
         problem = network.build_unbalanced_problem(
-            mu, nu, COST, AllocationSpec(lam=lam, side=side), QUANT,
+            mu, nu, COST, AllocationSpec(lam=lam), QUANT,
             allowed_pairs=pairs, feeder=feeder,
         )
         order = rng.permutation(problem.n_arcs)
