@@ -559,24 +559,28 @@ def run_pipeline(cfg: PipelineConfig, upto: str = "correlate",
     """Run the stages up to ``upto`` in order, skipping completed ones.
 
     With ``stage_only`` only the ``upto`` stage runs, and it fails with a
-    DataError cause when its upstream artifacts are missing.  A configured
-    manifest that does not exist is a DataError before any output.  The
-    manifest, images and image digests are loaded once and shared by the
-    stages; the covariates are resolved as soon as the manifest loads.
+    DataError cause when its upstream artifacts are missing; a missing
+    manifest fails it before any output.  A configured manifest that does
+    not exist is a DataError before any output.  The manifest, images and
+    image digests are loaded once and shared by the stages; the covariates
+    are resolved as soon as the manifest loads.
     """
     if cfg.manifest is not None and not os.path.exists(cfg.manifest):
         raise DataError(f"manifest {cfg.manifest!r} not found")
     last = STAGES.index(upto)
     runs = {upto} if stage_only else set(STAGES[:last + 1])
+    manifest_path = cfg.manifest or os.path.join(cfg.output_dir, "dataset",
+                                                 "manifest.csv")
+    if "synth" not in runs:
+        # nothing this run writes makes the manifest: check it before any output
+        _require(upto, [manifest_path], "synth")
     os.makedirs(cfg.output_dir, exist_ok=True)
     log = _RunLog(os.path.join(cfg.output_dir, "run_log.jsonl"))
     if "synth" in runs:
         stage_synth(cfg, log)
-    if last == 0:
-        return
-    manifest_path = cfg.manifest or os.path.join(cfg.output_dir, "dataset",
-                                                 "manifest.csv")
-    _require(upto, [manifest_path], "synth")
+        if last == 0:
+            return
+        _require(upto, [manifest_path], "synth")
     # workers start at the first solve, so a run that solves nothing forks none
     with (ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1
           else nullcontext()) as pool:

@@ -185,6 +185,17 @@ def test_unknown_covariate_exit_3_before_any_solve(tmp_path, capsys):
     assert not (tmp_path / "out" / "solutions").exists()
 
 
+def test_unknown_covariate_stops_only_correlate(tmp_path, capsys):
+    # covariates are resolved only when correlate is among the stages to run
+    path = write_config(tmp_path, covariates=["total_mas"])
+    assert main(["features", "--config", str(path)]) == 0
+    assert (tmp_path / "out" / "features").is_dir()
+    assert main(["correlate", "--config", str(path), "--stage-only"]) == 3
+    err = capsys.readouterr().err
+    assert "stage 'correlate' failed: unknown covariate 'total_mas'" in err
+    assert not (tmp_path / "out" / "maps").exists()
+
+
 def test_stage_only_requires_upstream(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["template", "--config", str(path), "--stage-only"]) == 3
@@ -587,6 +598,7 @@ def test_stage_only_on_fresh_output_exit_3(tmp_path, capsys, stage):
     err = capsys.readouterr().err
     assert f"stage {stage!r} failed: missing " in err
     assert "manifest.csv; run the synth stage" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_stage_only_after_run_touches_nothing(tmp_path):

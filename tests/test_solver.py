@@ -585,3 +585,34 @@ def test_bank_basis_only_for_finite_lambda():
         mu, line_measure([0.0, 1.0, 2.0]), COST, AllocationSpec(lam=math.inf), QUANT
     )
     assert infinite.basis is None
+
+
+def test_network_allocation_is_source_side_only():
+    # one bank; every site of either support adds mass from it, every site
+    # with mass removes to it, and no allocation arc touches a target node
+    rng = np.random.default_rng(44)
+    for lam in (0.0, 0.3, 1.5, 12.0):
+        mu, nu = random_measure_pair(rng, dims=(4, 4), density=0.6)
+        alloc = AllocationSpec(lam=lam)
+        problem = network.build_unbalanced_problem(mu, nu, COST, alloc, QUANT)
+        sites = np.union1d(np.flatnonzero(mu.flat > 0), np.flatnonzero(nu.flat > 0))
+        n_tgt = np.count_nonzero(nu.flat > 0)
+        bank = len(sites) + n_tgt
+        assert problem.n_nodes == bank + 1
+        kind = problem.arc_kind
+        assert set(kind.tolist()) <= {ARC_TRANSPORT, ARC_ADD_SRC, ARC_REM_SRC}
+        add = kind == ARC_ADD_SRC
+        remove = kind == ARC_REM_SRC
+        assert (problem.tails[add] == bank).all()
+        assert (problem.arc_voxel_a[add] == sites).all()
+        assert (problem.heads[remove] == bank).all()
+        assert (problem.arc_voxel_a[remove]
+                == sites[problem.supplies[:len(sites)] > 0]).all()
+        arc_cost = alloc.effective_lambda(COST.max_on_domain(mu.domain))
+        assert (problem.costs[add | remove] == arc_cost).all()
+        assert (problem.arc_voxel_b[add | remove] == -1).all()
+        assert (problem.heads[~remove] < bank).all()
+        # transport arcs run from site nodes to target nodes
+        transport = kind == ARC_TRANSPORT
+        assert (problem.tails[transport] < len(sites)).all()
+        assert (problem.heads[transport] >= len(sites)).all()
