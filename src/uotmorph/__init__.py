@@ -38,10 +38,8 @@ from .solver import (
     CostSpec,
     QuantizationSpec,
     TransportSolution,
-    solve_balanced,
     solve_multiscale,
     solve_unbalanced,
-    uot_distance,
 )
 from .stats import CorrelationMap, correlate_stack, correlation_p, export_map
 from .synth import AnnulusSpec, StripSpec, generate_annuli, generate_strips

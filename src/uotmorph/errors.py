@@ -43,9 +43,5 @@ class InfeasibleError(SolverError):
     """The flow problem admits no feasible solution (e.g. both measures empty)."""
 
 
-class MassImbalanceError(SolverError):
-    """Balanced solve requested on measures whose totals differ beyond tolerance."""
-
-
 class BarycenterDivergenceError(SolverError):
     """Barycenter objective increased between iterations, indicating a solver bug."""

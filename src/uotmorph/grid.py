@@ -311,8 +311,19 @@ class SubjectManifest:
         return np.array([e.covariates[name] for e in self.entries], dtype=np.float64)
 
 
+def _check_name(path, lineno: int, what: str, name: str) -> None:
+    """Subject ids and covariate names become file and directory names."""
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise DataError(f"{path}:{lineno}: {what} {name!r} is not a valid file name")
+
+
 def load_manifest(path) -> SubjectManifest:
-    """Read a manifest CSV with header `subject_id,path,<covariate>...`."""
+    """Read a manifest CSV with header `subject_id,path,<covariate>...`.
+
+    A subject id or covariate name that is empty, ``.`` or ``..``, or holds
+    ``/``, ``\\`` or NUL, a covariate named twice, and a covariate value that
+    is not a finite number raise DataError naming the line.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -324,6 +335,10 @@ def load_manifest(path) -> SubjectManifest:
                 f"{path}: manifest header must start with 'subject_id,path', got {header}"
             )
         cov_names = tuple(header[2:])
+        for name in cov_names:
+            _check_name(path, 1, "covariate name", name)
+            if cov_names.count(name) > 1:
+                raise DataError(f"{path}:1: covariate {name!r} is named twice")
         entries = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -332,14 +347,17 @@ def load_manifest(path) -> SubjectManifest:
                 raise DataError(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                 )
+            _check_name(path, lineno, "subject id", row[0])
             covs = {}
             for name, cell in zip(cov_names, row[2:]):
                 try:
-                    covs[name] = float(cell)
+                    value = float(cell)
                 except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno}: covariate {name!r} value {cell!r} is not a number"
-                    ) from None
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise DataError(f"{path}:{lineno}: covariate {name!r} value "
+                                    f"{cell!r} is not a finite number")
+                covs[name] = value
             entries.append(ManifestEntry(row[0], row[1], covs))
     return SubjectManifest(covariate_names=cov_names, entries=tuple(entries))
 

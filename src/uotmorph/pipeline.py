@@ -22,10 +22,11 @@ with a ``.stage.json`` marker holding a content hash of its inputs, and
 
 A failed stage removes its partial outputs and aborts, naming the stage,
 lambda, covariate and cause.  Every solve of the cohort goes through
-``_Cohort.solve_each``: on one process pool per invocation when
-``workers`` > 1, in-process with 1 worker.  With a fixed config, seed, and
-worker count, the artifact tree (everything except the run_log.jsonl
-diagnostics) is byte-reproducible; results do not depend on the worker count.
+``_Cohort.solve_each``: on one process pool per invocation of
+``min(workers, subjects)`` workers, in-process when that is 1.  With a
+fixed config, seed, and worker count, the artifact tree (everything except
+the run_log.jsonl diagnostics) is byte-reproducible; results do not depend
+on the worker count.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from .templates import METHOD_OT_BARYCENTER, TemplateSpec, build_template
 
 # progress of each stage; log records never enter the artifact tree
 logger = logging.getLogger("uotmorph.pipeline")
+_COST = CostSpec()
 
 
 class StageFailure(UotmorphError):
@@ -118,7 +120,6 @@ class PipelineConfig:
     synth: dict | None = None
     downsample_factor: int = 1
     template: TemplateSpec = field(default_factory=TemplateSpec)
-    cost: CostSpec = field(default_factory=CostSpec)
     lambdas: tuple[float, ...] = (1.0,)
     quantization_units: int = QuantizationSpec.units
     multiscale: MultiscaleConfig = field(default_factory=MultiscaleConfig)
@@ -152,7 +153,7 @@ def _solve_specs(cfg: PipelineConfig, lam: float):
     """``(alloc, quant, hash_inputs)`` of a solve at ``lam``; the last is hashed."""
     alloc = AllocationSpec(lam=lam)
     quant = QuantizationSpec(units=cfg.quantization_units)
-    return alloc, quant, {"lambda": lam, "units": quant.units, "cost": cfg.cost.kind}
+    return alloc, quant, {"lambda": lam, "units": quant.units}
 
 
 _SYNTH_KINDS = {"strips": (StripSpec, generate_strips),
@@ -230,7 +231,6 @@ def parse_config(raw: dict, base_dir: str = ".") -> PipelineConfig:
         output_dir=path, manifest=path, downsample_factor=_integer,
         template=lambda v: _load(TemplateSpec, v, "template",
                                  barycenter_max_iters=_integer),
-        cost=lambda kind: CostSpec(kind=kind),
         lambdas=lambda v: tuple(map(_number, _items(v))),
         quantization_units=_integer,
         multiscale=lambda v: _load(MultiscaleConfig, v, "multiscale",
@@ -353,13 +353,13 @@ def _solve_named(solve, sid, item):
 class _Cohort:
     """The manifest of one invocation; images and digests load on first use."""
 
-    def __init__(self, cfg: PipelineConfig, manifest_path, pool_map):
+    def __init__(self, cfg: PipelineConfig, manifest_path):
         self.manifest = load_manifest(manifest_path)
         base = os.path.dirname(os.path.abspath(manifest_path))
         self.ids = [e.subject_id for e in self.manifest.entries]
         self.paths = [os.path.join(base, e.image_path) for e in self.manifest.entries]
         self.downsample_factor = cfg.downsample_factor
-        self.pool_map = pool_map
+        self.pool_map = map  # run_pipeline points it at its worker pool
 
     def solve_each(self, solve, items) -> list:
         """``solve(item)`` per subject on ``pool_map``; a failure names its subject."""
@@ -427,7 +427,7 @@ def stage_template(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
 
     def work(template_dir):
         template, meta = build_template(
-            cohort.images, cfg.template, cost=cfg.cost, alloc=alloc, quant=quant,
+            cohort.images, cfg.template, cost=_COST, alloc=alloc, quant=quant,
             pool_map=cohort.solve_each,
         )
         save_measure(template, os.path.join(template_dir, "template.otfg"))
@@ -462,7 +462,7 @@ def stage_transport(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
                 raise DataError("template domain does not match cohort")
             # with multiscale off, every problem is one level: an exact solve
             solve = partial(
-                solve_multiscale, template, cost=cfg.cost, alloc=alloc, quant=quant,
+                solve_multiscale, template, cost=_COST, alloc=alloc, quant=quant,
                 coarsen_threshold=ms.coarsen_threshold if ms.enabled else math.inf,
                 neighborhood_radius=ms.neighborhood_radius)
             sols = cohort.solve_each(solve, cohort.images)
@@ -498,7 +498,7 @@ def stage_features(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
                     raise DataError(f"{sol_path}: voxel index outside the "
                                     f"{domain.dims} domain")
                 images = extract_features(
-                    sol, cfg.cost, domain, sigma=cfg.smoothing.sigma,
+                    sol, _COST, domain, sigma=cfg.smoothing.sigma,
                     truncation_radius=cfg.smoothing.truncation_radius)
                 for (_, suffix), image in zip(_FEATURES, images):
                     save_field(domain, image,
@@ -563,7 +563,8 @@ def run_pipeline(cfg: PipelineConfig, upto: str = "correlate",
     manifest fails it before any output.  A configured manifest that does
     not exist is a DataError before any output.  The manifest, images and
     image digests are loaded once and shared by the stages; the covariates
-    are resolved as soon as the manifest loads.
+    and the 3-subject minimum of correlation are checked as soon as the
+    manifest loads.  The worker pool has at most one worker per subject.
     """
     if cfg.manifest is not None and not os.path.exists(cfg.manifest):
         raise DataError(f"manifest {cfg.manifest!r} not found")
@@ -581,16 +582,23 @@ def run_pipeline(cfg: PipelineConfig, upto: str = "correlate",
         if last == 0:
             return
         _require(upto, [manifest_path], "synth")
+    cohort = _Cohort(cfg, manifest_path)
+    if "correlate" in runs:
+        names = cfg.covariates or cohort.manifest.covariate_names
+        try:
+            values = {cov: cohort.manifest.covariate_vector(cov) for cov in names}
+        except DataError as exc:
+            raise StageFailure("correlate", exc) from exc
+        if len(cohort.ids) < 3:
+            raise StageFailure("correlate", DataError(
+                f"correlation needs at least 3 subjects, got {len(cohort.ids)}"))
+    # each map has one item per subject, so more workers would only idle;
     # workers start at the first solve, so a run that solves nothing forks none
-    with (ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1
+    workers = min(cfg.workers, len(cohort.ids))
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
-        cohort = _Cohort(cfg, manifest_path, pool.map if pool else map)
-        if "correlate" in runs:
-            names = cfg.covariates or cohort.manifest.covariate_names
-            try:
-                values = {cov: cohort.manifest.covariate_vector(cov) for cov in names}
-            except DataError as exc:
-                raise StageFailure("correlate", exc) from exc
+        if pool:
+            cohort.pool_map = pool.map
         if "template" in runs:
             stage_template(cfg, cohort, log)
         if "transport" in runs:

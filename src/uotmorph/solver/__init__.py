@@ -1,10 +1,4 @@
-from .api import (
-    export_solution,
-    load_solution,
-    solve_balanced,
-    solve_unbalanced,
-    uot_distance,
-)
+from .api import export_solution, load_solution, solve_unbalanced
 from .multiscale import solve_multiscale
 from .specs import (
     AllocationSpec,
@@ -33,8 +27,6 @@ __all__ = [
     "feasibility_violation_units",
     "load_solution",
     "quantize_to_total",
-    "solve_balanced",
     "solve_multiscale",
     "solve_unbalanced",
-    "uot_distance",
 ]

@@ -7,11 +7,10 @@ import re
 
 import numpy as np
 
-from ..errors import DataError, InfeasibleError, MassImbalanceError
+from ..errors import DataError
 from ..grid import GridMeasure
 from . import network, simplex, ssp
-from .specs import (AllocationSpec, CostSpec, QuantizationSpec, TransportSolution,
-                    quantized_masses)
+from .specs import AllocationSpec, CostSpec, QuantizationSpec, TransportSolution
 
 _ENGINES = {
     "simplex": simplex.solve_min_cost_flow,
@@ -24,24 +23,6 @@ def _run(problem, engine: str) -> TransportSolution:
     return network.extract_solution(problem, flows)
 
 
-def solve_balanced(
-    mu: GridMeasure,
-    nu: GridMeasure,
-    cost: CostSpec,
-    quant: QuantizationSpec = QuantizationSpec(),
-) -> TransportSolution:
-    """Optimal coupling of equal totals on one domain: the program at lambda = inf."""
-    mu_total, nu_total = mu.total_mass, nu.total_mass
-    if mu_total <= 0 or nu_total <= 0:
-        raise InfeasibleError("balanced solve requires two non-empty measures")
-    if abs(mu_total - nu_total) > 1e-9 * max(mu_total, nu_total):
-        raise MassImbalanceError(f"totals differ: |mu|={mu_total!r}, |nu|={nu_total!r}")
-    w_units, z_units, _ = quantized_masses(mu.flat, nu.flat, quant.units)
-    if int(w_units.sum()) != int(z_units.sum()):
-        raise MassImbalanceError("quantized totals differ")
-    return solve_unbalanced(mu, nu, cost, AllocationSpec(lam=math.inf), quant)
-
-
 def solve_unbalanced(
     mu: GridMeasure,
     nu: GridMeasure,
@@ -49,20 +30,13 @@ def solve_unbalanced(
     alloc: AllocationSpec,
     quant: QuantizationSpec = QuantizationSpec(),
 ) -> TransportSolution:
-    """Unbalanced transport with priced mass allocation between two measures."""
+    """Unbalanced transport with priced mass allocation between two measures.
+
+    ``AllocationSpec(lam=math.inf)`` gives balanced transport; quantized
+    totals that differ then raise InfeasibleError.
+    """
     problem = network.build_unbalanced_problem(mu, nu, cost, alloc, quant)
     return _run(problem, "simplex")
-
-
-def uot_distance(
-    mu: GridMeasure,
-    nu: GridMeasure,
-    cost: CostSpec,
-    alloc: AllocationSpec,
-    quant: QuantizationSpec = QuantizationSpec(),
-) -> float:
-    """Minimum objective value of the unbalanced program."""
-    return solve_unbalanced(mu, nu, cost, alloc, quant).objective
 
 
 # row label per arc kind (ARC_* constants index this tuple)

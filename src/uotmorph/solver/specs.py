@@ -25,13 +25,7 @@ NET_SIGN = np.array([0, 1, -1], dtype=np.int64)
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Ground cost c(x, y) on physical coordinates."""
-
-    kind: str = "squared_euclidean"
-
-    def __post_init__(self):
-        if self.kind != "squared_euclidean":
-            raise ConfigError(f"unsupported cost kind {self.kind!r}")
+    """Squared Euclidean ground cost c(x, y) = |x - y|^2 on physical coordinates."""
 
     def pairwise(self, pos_a: np.ndarray, pos_b: np.ndarray) -> np.ndarray:
         """Cost matrix between coordinate arrays of shape (n, d) and (m, d)."""

@@ -91,6 +91,7 @@ def test_invalid_alpha_exit_2(tmp_path):
     {"lambdas": ["2"]},
     {"allocation_side": "source_only"},
     {"tiebreak_epsilon": 1e-9},
+    {"cost": "squared_euclidean"},
     {"alpha": "0.05"},
     {"smoothing": {"sigma": True}},
     {"template": {"sparse_threshold_fraction": True}},
@@ -102,6 +103,7 @@ def test_malformed_config_value_exit_2(tmp_path, capsys, overrides):
     assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "uotmorph: " in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_nan_lambda_exit_2_before_any_output(tmp_path, capsys):
@@ -196,6 +198,73 @@ def test_unknown_covariate_stops_only_correlate(tmp_path, capsys):
     assert not (tmp_path / "out" / "maps").exists()
 
 
+def manifest_config(tmp_path):
+    """A config that reads the TINY_ANNULUS cohort through a manifest generated
+    outside its output tree; returns the config path and the manifest path."""
+    gen = write_config(tmp_path, "gen.json", output_dir=str(tmp_path / "gen"))
+    assert main(["synth", "--config", str(gen)]) == 0
+    manifest = tmp_path / "gen" / "dataset" / "manifest.csv"
+    cfg = {key: value for key, value in TINY_ANNULUS.items()
+           if key not in ("synth", "covariates")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg, "output_dir": str(tmp_path / "out"),
+                                "manifest": str(manifest)}))
+    return path, manifest
+
+
+def set_manifest_cell(manifest, lineno, column, value):
+    lines = manifest.read_text().splitlines()
+    cells = lines[lineno - 1].split(",")
+    cells[column] = value
+    lines[lineno - 1] = ",".join(cells)
+    manifest.write_text("\n".join(lines) + "\n")
+
+
+def test_covariate_name_cannot_clear_the_output_tree(tmp_path, capsys):
+    path, manifest = manifest_config(tmp_path)
+    assert main(["run", "--config", str(path)]) == 0
+    before = tree_checksums(tmp_path / "out")
+    set_manifest_cell(manifest, 1, 2, "../..")
+    assert main(["run", "--config", str(path)]) == 3
+    assert f"{manifest}:1: covariate name '../..'" in capsys.readouterr().err
+    assert tree_checksums(tmp_path / "out") == before
+
+
+def test_subject_id_cannot_write_outside_the_output_tree(tmp_path, capsys):
+    path, manifest = manifest_config(tmp_path)
+    set_manifest_cell(manifest, 3, 0, "../../../x")
+
+    def outside():
+        return {name: digest for name, digest in tree_checksums(tmp_path).items()
+                if not name.startswith("out" + os.sep)}
+
+    before = outside()
+    assert main(["run", "--config", str(path)]) == 3
+    assert f"{manifest}:3: subject id '../../../x'" in capsys.readouterr().err
+    assert outside() == before
+
+
+def test_non_finite_covariate_exit_3_before_any_solve(tmp_path, capsys):
+    path, manifest = manifest_config(tmp_path)
+    set_manifest_cell(manifest, 3, 2, "nan")
+    assert main(["run", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"{manifest}:3: covariate 'outer_mass' value 'nan' is not a finite" in err
+    assert not (tmp_path / "out" / "template").exists()
+    assert not (tmp_path / "out" / "solutions").exists()
+
+
+def test_two_subjects_fail_correlate_before_any_solve(tmp_path, capsys):
+    path = write_config(tmp_path, synth={**TINY_ANNULUS["synth"], "n_subjects": 2})
+    assert main(["run", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "stage 'correlate' failed: correlation needs at least 3 subjects" in err
+    assert not (tmp_path / "out" / "template").exists()
+    assert not (tmp_path / "out" / "solutions").exists()
+    # without correlate, two subjects are a cohort
+    assert main(["features", "--config", str(path)]) == 0
+
+
 def test_stage_only_requires_upstream(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["template", "--config", str(path), "--stage-only"]) == 3
@@ -263,6 +332,34 @@ def test_one_pool_per_invocation(tmp_path, monkeypatch, workers, pools):
                                   "barycenter_max_iters": 2})
     assert main(["run", "--config", str(path)]) == 0
     assert len(started) == pools
+
+
+def test_pool_has_at_most_one_worker_per_subject(tmp_path, monkeypatch):
+    asked = []
+
+    class InProcessPool:
+        """Records the pool size and maps in-process: starts no process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
+    p64 = write_config(tmp_path, "c64.json", output_dir=str(tmp_path / "o64"),
+                       workers=64)
+    p1 = write_config(tmp_path, "c1.json", output_dir=str(tmp_path / "o1"), workers=1)
+    assert main(["run", "--config", str(p64)]) == 0
+    assert main(["run", "--config", str(p1)]) == 0
+    assert asked == [TINY_ANNULUS["synth"]["n_subjects"]]
+    assert tree_checksums(tmp_path / "o64") == tree_checksums(tmp_path / "o1")
 
 
 def test_full_run_and_stage_idempotence(tmp_path):

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -257,4 +258,24 @@ def test_manifest_errors(tmp_path):
         load_manifest(p)
     p.write_text("subject_id,path,age\ns1,a.otfg,not-a-number\n")
     with pytest.raises(DataError, match="age"):
+        load_manifest(p)
+    # non-finite covariate values
+    for cell in ("nan", "inf", "-Infinity"):
+        p.write_text(f"subject_id,path,age\ns1,a.otfg,1.0\ns2,b.otfg,{cell}\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{p}:3: covariate 'age' value {cell!r} is not a finite number")):
+            load_manifest(p)
+    # subject ids and covariate names become file names: none may leave the
+    # directory it names a file in, and a covariate is named once
+    for name in ("", ".", "..", "../..", "a/b", "a\\b", "a\0b"):
+        p.write_text(f"subject_id,path,{name}\ns1,a.otfg,1.0\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{p}:1: covariate name {name!r} is not a valid file name")):
+            load_manifest(p)
+        p.write_text(f"subject_id,path,age\ns1,a.otfg,1.0\n{name},b.otfg,2.0\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{p}:3: subject id {name!r} is not a valid file name")):
+            load_manifest(p)
+    p.write_text("subject_id,path,age,sex,age\ns1,a.otfg,1.0,0.0,2.0\n")
+    with pytest.raises(DataError, match=re.escape(f"{p}:1: covariate 'age' is named twice")):
         load_manifest(p)

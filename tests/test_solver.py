@@ -13,7 +13,7 @@ from conftest import (
     random_measure_pair,
     same_solution,
 )
-from uotmorph.errors import DataError, InfeasibleError, MassImbalanceError, SolverError
+from uotmorph.errors import DataError, InfeasibleError, SolverError
 from uotmorph.grid import GridDomain, GridMeasure
 from uotmorph.solver import (
     AllocationSpec,
@@ -24,9 +24,7 @@ from uotmorph.solver import (
     feasibility_violation_units,
     load_solution,
     quantize_to_total,
-    solve_balanced,
     solve_unbalanced,
-    uot_distance,
 )
 from uotmorph.solver import network, simplex, ssp
 from uotmorph.solver.api import _run
@@ -34,6 +32,7 @@ from uotmorph.solver.specs import ARC_ADD_SRC, ARC_REM_SRC, ARC_TRANSPORT
 
 COST = CostSpec()
 QUANT = QuantizationSpec(units=10**7)
+BALANCED = AllocationSpec(lam=math.inf)
 
 
 def test_quantize_largest_remainder():
@@ -50,7 +49,7 @@ def test_quantize_largest_remainder():
 def test_balanced_identity_is_diagonal():
     rng = np.random.default_rng(3)
     mu, _ = random_measure_pair(rng, dims=(3, 3))
-    sol = solve_balanced(mu, mu, COST)
+    sol = solve_unbalanced(mu, mu, COST, BALANCED)
     assert sol.objective == 0.0
     assert all(i == j for i, j, _ in sol.plan_arcs)
     assert sol.gross_allocation() == 0
@@ -59,28 +58,25 @@ def test_balanced_identity_is_diagonal():
 def test_balanced_two_voxel_line():
     mu = line_measure([1.0, 0.0])
     nu = line_measure([0.0, 1.0])
-    sol = solve_balanced(mu, nu, COST)
+    sol = solve_unbalanced(mu, nu, COST, BALANCED)
     assert plan_masses(sol) == [(0, 1, 1.0)]
     assert sol.objective == pytest.approx(1.0, rel=1e-12)
     assert not allocated(sol, ARC_ADD_SRC) and not allocated(sol, ARC_REM_SRC)
 
 
 def test_balanced_rejects_imbalance():
-    mu = line_measure([1.0, 0.0])
-    nu = line_measure([0.0, 2.0])
-    with pytest.raises(MassImbalanceError):
-        solve_balanced(mu, nu, COST)
     # equal to 1e-9 relative, but 2**40 units resolve the difference
+    mu = line_measure([1.0, 0.0])
     nu = line_measure([0.0, 1.0 + 5e-10])
-    with pytest.raises(MassImbalanceError, match="quantized totals differ"):
-        solve_balanced(mu, nu, COST, QuantizationSpec(units=2**40))
+    with pytest.raises(InfeasibleError, match="unbalanced quantized totals"):
+        solve_unbalanced(mu, nu, COST, BALANCED, QuantizationSpec(units=2**40))
 
 
 def test_balanced_requires_one_domain():
     mu = line_measure([1.0, 0.0])
     nu = line_measure([0.0, 0.0, 1.0])
     with pytest.raises(DataError, match="same domain"):
-        solve_balanced(mu, nu, COST)
+        solve_unbalanced(mu, nu, COST, BALANCED)
 
 
 def test_balanced_matches_ssp_oracle():
@@ -189,25 +185,27 @@ def test_objective_monotone_in_lambda():
         assert b >= a - 1e-9 * max(1.0, abs(a))
 
 
-def test_uot_distance_and_feasible_plan_bound():
+def test_objective_and_feasible_plan_bound():
     mu = line_measure([1.0, 0.0])
     nu = line_measure([0.0, 1.0])
-    assert uot_distance(mu, mu, COST, AllocationSpec(lam=1.0)) == 0.0
-    assert uot_distance(mu, nu, COST, AllocationSpec(lam=10.0)) == pytest.approx(1.0)
+    assert solve_unbalanced(mu, mu, COST, AllocationSpec(lam=1.0)).objective == 0.0
+    sol = solve_unbalanced(mu, nu, COST, AllocationSpec(lam=10.0))
+    assert sol.objective == pytest.approx(1.0)
     # hand-built feasible plan: remove everything, add everything (cost 2*lam)
     lam = 3.0
     hand_cost = 2 * lam * 1.0
-    assert uot_distance(mu, nu, COST, AllocationSpec(lam=lam)) <= hand_cost + 1e-12
+    sol = solve_unbalanced(mu, nu, COST, AllocationSpec(lam=lam))
+    assert sol.objective <= hand_cost + 1e-12
 
 
-def test_uot_distance_below_any_feasible_plan():
+def test_objective_below_any_feasible_plan():
     # the remove-all/add-all plan is feasible for every instance, so its cost
     # lambda * (|mu| + |nu|) upper-bounds the optimum
     rng = np.random.default_rng(31)
     for _ in range(10):
         mu, nu = random_measure_pair(rng, dims=(3, 3))
         lam = float(rng.uniform(0.05, 5.0))
-        d = uot_distance(mu, nu, COST, AllocationSpec(lam=lam), QUANT)
+        d = solve_unbalanced(mu, nu, COST, AllocationSpec(lam=lam), QUANT).objective
         # one quantization unit of slack: the nu-side total may round up
         bound = lam * (mu.total_mass + nu.total_mass + mu.total_mass / QUANT.units)
         assert d <= bound

@@ -6,7 +6,7 @@ import pytest
 from conftest import line_measure
 from uotmorph.errors import BarycenterDivergenceError, DataError
 from uotmorph.grid import GridDomain, GridMeasure, downsample
-from uotmorph.solver import AllocationSpec, CostSpec, QuantizationSpec, uot_distance
+from uotmorph.solver import AllocationSpec, CostSpec, QuantizationSpec, solve_unbalanced
 from uotmorph.synth import AnnulusSpec, generate_annuli
 from uotmorph.templates import (
     TemplateSpec,
@@ -97,7 +97,7 @@ def test_barycenter_two_atoms_meets_in_middle():
     best = min(
         range(3),
         key=lambda v: sum(
-            uot_distance(x, line_measure(np.eye(3)[v]), COST, alloc)
+            solve_unbalanced(x, line_measure(np.eye(3)[v]), COST, alloc).objective
             for x in (x1, x2)
         ),
     )
