@@ -392,9 +392,7 @@ class _Cohort:
 
 
 def stage_synth(cfg: PipelineConfig, log: _RunLog) -> None:
-    """Generate the synthetic cohort (when configured) into dataset/."""
-    if cfg.synth is None:
-        return
+    """Generate the configured synthetic cohort into dataset/."""
     spec, generate = _synth_spec(cfg)
     kind = cfg.synth["kind"]
 
@@ -559,12 +557,13 @@ def run_pipeline(cfg: PipelineConfig, upto: str = "correlate",
     """Run the stages up to ``upto`` in order, skipping completed ones.
 
     With ``stage_only`` only the ``upto`` stage runs, and it fails with a
-    DataError cause when its upstream artifacts are missing; a missing
-    manifest fails it before any output.  A configured manifest that does
-    not exist is a DataError before any output.  The manifest, images and
-    image digests are loaded once and shared by the stages; the covariates
-    and the 3-subject minimum of correlation are checked as soon as the
-    manifest loads.  The worker pool has at most one worker per subject.
+    DataError cause when its upstream artifacts are missing.  A configured
+    manifest that does not exist is a DataError before any output.  Unless
+    this run generates the manifest, it is loaded and checked before any
+    output.  The manifest, images and image digests are loaded once and
+    shared by the stages; the covariates and the 3-subject minimum of
+    correlation are checked as soon as the manifest loads.  The worker pool
+    has at most one worker per subject.
     """
     if cfg.manifest is not None and not os.path.exists(cfg.manifest):
         raise DataError(f"manifest {cfg.manifest!r} not found")
@@ -572,16 +571,13 @@ def run_pipeline(cfg: PipelineConfig, upto: str = "correlate",
     runs = {upto} if stage_only else set(STAGES[:last + 1])
     manifest_path = cfg.manifest or os.path.join(cfg.output_dir, "dataset",
                                                  "manifest.csv")
-    if "synth" not in runs:
-        # nothing this run writes makes the manifest: check it before any output
-        _require(upto, [manifest_path], "synth")
-    os.makedirs(cfg.output_dir, exist_ok=True)
     log = _RunLog(os.path.join(cfg.output_dir, "run_log.jsonl"))
-    if "synth" in runs:
+    if "synth" in runs and cfg.synth is not None:
+        os.makedirs(cfg.output_dir, exist_ok=True)
         stage_synth(cfg, log)
-        if last == 0:
-            return
-        _require(upto, [manifest_path], "synth")
+    if last == 0:
+        return
+    _require(upto, [manifest_path], "synth")
     cohort = _Cohort(cfg, manifest_path)
     if "correlate" in runs:
         names = cfg.covariates or cohort.manifest.covariate_names
@@ -592,6 +588,7 @@ def run_pipeline(cfg: PipelineConfig, upto: str = "correlate",
         if len(cohort.ids) < 3:
             raise StageFailure("correlate", DataError(
                 f"correlation needs at least 3 subjects, got {len(cohort.ids)}"))
+    os.makedirs(cfg.output_dir, exist_ok=True)
     # each map has one item per subject, so more workers would only idle;
     # workers start at the first solve, so a run that solves nothing forks none
     workers = min(cfg.workers, len(cohort.ids))

@@ -4,7 +4,11 @@ Both measures are sum-pooled by factor 2 per level until the larger
 support drops below ``coarsen_threshold``.  The coarsest problem is solved
 exactly; each refinement level admits transport arcs only between children
 of coarse plan arcs whose endpoints are dilated by ``neighborhood_radius``
-coarse cells.  Self arcs and virtual (allocation) arcs are always admitted,
+coarse cells, and only from a voxel with mass in ``mu`` to one with mass
+in ``nu``.  Admission dilates one boolean mask over coarse cell pairs, which
+takes n_coarse^2 bytes (3 MB under a 24^3 level, 17 MB under 32^3); a
+radius beyond the coarse grid admits every pair and is clamped to it.
+Self arcs and virtual (allocation) arcs are always admitted,
 so at finite lambda every level stays feasible; at lambda = inf, which has
 no virtual arcs, a level the admitted arcs cannot route is solved exactly.
 The final solution is feasible for the full problem and its objective
@@ -21,6 +25,7 @@ still an upper bound.
 from __future__ import annotations
 
 import numpy as np
+from scipy.ndimage import maximum_filter1d
 
 from ..errors import InfeasibleError
 from ..grid import GridMeasure, downsample
@@ -30,49 +35,35 @@ from .simplex import solve_min_cost_flow
 from .specs import AllocationSpec, CostSpec, QuantizationSpec, TransportSolution
 
 
-def _offset_cells(cells, dims, out_dims, scale, offsets):
-    """Cells ``scale * c + o`` of grid ``out_dims`` for each cell c and offset o.
+def _admitted_pairs(coarse_sol: TransportSolution, coarse_dims, fine_mu, fine_nu,
+                    radius):
+    """Support (source, target) voxel pairs of a fine level admitted by a coarse plan.
 
-    ``cells`` are linear indices on grid ``dims``.  Returns, for every
-    result on the grid, the position in ``cells`` it came from and its
-    linear index; results off the grid are dropped.
-    """
-    multi = np.stack(np.unravel_index(cells, dims), axis=-1)
-    grown = multi[:, None, :] * scale + offsets[None, :, :]
-    ok = ((grown >= 0) & (grown < np.asarray(out_dims))).all(axis=-1)
-    return np.nonzero(ok)[0], np.ravel_multi_index(grown[ok].T, out_dims)
-
-
-def _box(lo, hi, ndim):
-    """All integer offsets in [lo, hi]^ndim, one per row."""
-    axes = np.meshgrid(*([np.arange(lo, hi + 1)] * ndim), indexing="ij")
-    return np.stack(axes, axis=-1).reshape(-1, ndim)
-
-
-def _admitted_pairs(coarse_sol: TransportSolution, coarse_dims, fine_dims, radius):
-    """Fine (source, target) voxel pairs admitted by a coarse plan.
-
-    A pair is admitted when its voxels' coarse cells lie within ``radius``
+    A pair is admitted when its source has mass in ``fine_mu``, its target
+    has mass in ``fine_nu``, and their coarse cells lie within ``radius``
     cells (Chebyshev) of the two ends of one coarse plan arc.  Pairs come
     sorted by source, then target.
     """
-    ndim = len(fine_dims)
     n_coarse = int(np.prod(coarse_dims))
-    n_fine = int(np.prod(fine_dims))
-    ring = _box(-max(radius, 0), max(radius, 0), ndim)
+    admitted = np.zeros(n_coarse * n_coarse, dtype=bool)
     src, tgt = coarse_sol.plan_arcs[:, :2].T
-    # dilate one end at a time on the coarse grid, deduplicating in between
-    owner, src = _offset_cells(src, coarse_dims, coarse_dims, 1, ring)
-    src, tgt = np.divmod(np.unique(src * n_coarse + tgt[owner]), n_coarse)
-    owner, tgt = _offset_cells(tgt, coarse_dims, coarse_dims, 1, ring)
-    src, tgt = np.divmod(np.unique(src[owner] * n_coarse + tgt), n_coarse)
-    # each fine voxel has one coarse cell, so distinct coarse pairs give
-    # distinct fine pairs
-    kids = _box(0, 1, ndim)
-    owner, src = _offset_cells(src, coarse_dims, fine_dims, 2, kids)
-    owner, tgt = _offset_cells(tgt[owner], coarse_dims, fine_dims, 2, kids)
-    keys = np.sort(src[owner] * n_fine + tgt)
-    return keys // n_fine, keys % n_fine
+    admitted[src * n_coarse + tgt] = True
+    # a Chebyshev box is one window per axis of the (source cell, target
+    # cell) grid; a window wider than the grid admits nothing more
+    size = 2 * min(max(radius, 0), max(coarse_dims) - 1) + 1
+    admitted = admitted.reshape(tuple(coarse_dims) * 2)
+    for axis in range(admitted.ndim):
+        admitted = maximum_filter1d(admitted, size, axis=axis, mode="constant")
+    admitted = admitted.reshape(n_coarse, n_coarse)
+
+    fine_dims = fine_mu.domain.dims
+    src, tgt = (np.flatnonzero(m.flat > 0) for m in (fine_mu, fine_nu))
+    src_cell, tgt_cell = (
+        np.ravel_multi_index(np.array(np.unravel_index(v, fine_dims)) // 2, coarse_dims)
+        for v in (src, tgt)
+    )
+    i, j = np.nonzero(admitted[np.ix_(src_cell, tgt_cell)])
+    return src[i], tgt[j]
 
 
 def _feeder(coarse_sol: TransportSolution, coarse_dims, fine_dims):
@@ -131,7 +122,7 @@ def solve_multiscale(
         fine_mu, fine_nu = pyramid[level]
         coarse_dims = pyramid[level + 1][0].domain.dims
         pairs = _admitted_pairs(
-            sol, coarse_dims, fine_mu.domain.dims, neighborhood_radius
+            sol, coarse_dims, fine_mu, fine_nu, neighborhood_radius
         )
         feeder = _feeder(sol, coarse_dims, fine_mu.domain.dims)
         try:

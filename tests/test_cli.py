@@ -254,6 +254,22 @@ def test_non_finite_covariate_exit_3_before_any_solve(tmp_path, capsys):
     assert not (tmp_path / "out" / "solutions").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "transport"])
+@pytest.mark.parametrize("lineno, column, value, message", [
+    pytest.param(1, 1, "image", "manifest header must start with 'subject_id,path'",
+                 id="bad-header"),
+    pytest.param(3, 2, "nan", "covariate 'outer_mass' value 'nan' is not a finite number",
+                 id="nan-covariate"),
+])
+def test_rejected_manifest_exit_3_before_any_output(tmp_path, capsys, command,
+                                                    lineno, column, value, message):
+    path, manifest = manifest_config(tmp_path)
+    set_manifest_cell(manifest, lineno, column, value)
+    assert main([command, "--config", str(path)]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_two_subjects_fail_correlate_before_any_solve(tmp_path, capsys):
     path = write_config(tmp_path, synth={**TINY_ANNULUS["synth"], "n_subjects": 2})
     assert main(["run", "--config", str(path)]) == 3

@@ -12,7 +12,7 @@ from conftest import (
     same_solution,
 )
 from uotmorph.errors import InfeasibleError
-from uotmorph.grid import GridDomain, GridMeasure
+from uotmorph.grid import GridDomain, GridMeasure, downsample
 from uotmorph.solver import (
     AllocationSpec,
     CostSpec,
@@ -231,7 +231,14 @@ def brute_admitted_pairs(arcs, coarse_dims, fine_dims, radius):
     return sorted(pairs)
 
 
-@pytest.mark.parametrize("radius", [0, 1, 2])
+def grid_measure(dims, values):
+    """Measure with the given values (booleans are unit masses) on a unit grid."""
+    dom = GridDomain(dims=dims, spacing=(1.0,) * len(dims), origin=(0.0,) * len(dims))
+    return GridMeasure(dom, np.asarray(values, dtype=float).reshape(dims))
+
+
+# radius 4 spans every coarse grid drawn here and 10**6 exercises the clamp
+@pytest.mark.parametrize("radius", [0, 1, 2, 4, 10**6])
 @pytest.mark.parametrize("ndim", [2, 3])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
@@ -242,14 +249,80 @@ def test_admitted_pairs_match_brute_force(ndim, radius, data):
     coarse_dims = tuple((d + 1) // 2 for d in fine_dims)
     cells = st.integers(0, int(np.prod(coarse_dims)) - 1)
     arcs = data.draw(st.lists(st.tuples(cells, cells), max_size=6, unique=True))
+    n = int(np.prod(fine_dims))
+    # all-false, all-true or random: the subsets include empty and full supports
+    subset = st.one_of(st.just([False] * n), st.just([True] * n),
+                       st.lists(st.booleans(), min_size=n, max_size=n))
+    in_src, in_tgt = data.draw(subset), data.draw(subset)
     sol = plan_solution([(s, t, 1) for s, t in arcs])
-    src, tgt = _admitted_pairs(sol, coarse_dims, fine_dims, radius)
+    src, tgt = _admitted_pairs(sol, coarse_dims, grid_measure(fine_dims, in_src),
+                               grid_measure(fine_dims, in_tgt), radius)
     assert src.dtype == tgt.dtype == np.int64
-    assert list(zip(src.tolist(), tgt.tolist())) == brute_admitted_pairs(
-        arcs, coarse_dims, fine_dims, radius)
+    assert list(zip(src.tolist(), tgt.tolist())) == [
+        (i, j) for i, j in brute_admitted_pairs(arcs, coarse_dims, fine_dims, radius)
+        if in_src[i] and in_tgt[j]]
 
 
 def test_admitted_pairs_of_an_empty_plan():
-    src, tgt = _admitted_pairs(plan_solution([]), (3, 3), (5, 5), 1)
+    full = grid_measure((5, 5), [True] * 25)
+    src, tgt = _admitted_pairs(plan_solution([]), (3, 3), full, full, 1)
     assert src.dtype == tgt.dtype == np.int64
     assert len(src) == len(tgt) == 0
+
+
+@st.composite
+def refinement_cases(draw):
+    ndim = draw(st.sampled_from([2, 3]))
+    odd = st.integers(1, 4 if ndim == 2 else 3).map(lambda k: 2 * k - 1)
+    dims = tuple(draw(st.lists(odd, min_size=ndim, max_size=ndim)))
+    size = int(np.prod(dims))
+    # integer masses with zeros leave holes in both supports
+    w = np.array(draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)),
+                 dtype=float)
+    lam = draw(st.sampled_from([0.0, 0.6, 50.0, math.inf]))
+    if math.isinf(lam):
+        # balanced transport needs equal totals: move the same masses around
+        z = np.array(draw(st.permutations(w.tolist())))
+    else:
+        z = np.array(draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)),
+                     dtype=float)
+    assume(w.sum() > 0 and z.sum() > 0)
+    radius = draw(st.sampled_from([0, 1, 2]))
+    return grid_measure(dims, w), grid_measure(dims, z), AllocationSpec(lam=lam), radius
+
+
+@given(case=refinement_cases())
+@settings(max_examples=60, deadline=None)
+def test_support_pairs_build_the_full_grid_network(case):
+    # restricting admission to the supports drops only pairs the builder
+    # drops anyway, so the refinement network and its start are unchanged
+    mu, nu, alloc, radius = case
+    fine_dims = mu.domain.dims
+    coarse_mu, coarse_nu = downsample(mu, 2), downsample(nu, 2)
+    coarse_dims = coarse_mu.domain.dims
+    sol = solve_unbalanced(coarse_mu, coarse_nu, COST, alloc, QUANT)
+    feeder = _feeder(sol, coarse_dims, fine_dims)
+    brute = np.array(brute_admitted_pairs(sol.plan_arcs[:, :2].tolist(), coarse_dims,
+                                          fine_dims, radius), dtype=np.int64)
+    problems = [
+        network.build_unbalanced_problem(mu, nu, COST, alloc, QUANT,
+                                         allowed_pairs=pairs, feeder=feeder)
+        for pairs in (_admitted_pairs(sol, coarse_dims, mu, nu, radius),
+                      brute.reshape(-1, 2).T)
+    ]
+    for field in ("tails", "heads", "costs", "arc_kind", "arc_voxel_a",
+                  "arc_voxel_b", "supplies", "basis"):
+        new, old = (getattr(p, field) for p in problems)
+        assert (new is None and old is None) or np.array_equal(new, old), field
+
+
+def test_radius_beyond_the_grid_is_clamped():
+    # the finest coarse grid of a 5^3 pyramid is 3^3, so radius 3 already
+    # admits every coarse pair; a huge radius must not build a huge window
+    rng = np.random.default_rng(5)
+    mu, nu = (grid_measure((5, 5, 5), rng.random(125) * (rng.random(125) < 0.7))
+              for _ in range(2))
+    alloc = AllocationSpec(lam=10.0)
+    wide, huge = (solve_multiscale(mu, nu, COST, alloc, QUANT, coarsen_threshold=20,
+                                   neighborhood_radius=r) for r in (3, 10**6))
+    assert same_solution(wide, huge)
