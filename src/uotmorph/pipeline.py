@@ -515,7 +515,9 @@ def stage_correlate(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog,
                     values: dict) -> None:
     """Voxel-wise correlation maps for every lambda and covariate.
 
-    ``values`` maps each covariate name to its values, one per subject.
+    ``values`` maps each covariate name to its values, one per subject.  A
+    lambda's feature stacks are loaded once, by its first covariate whose
+    maps are not up to date, and shared by the rest.
     """
     from .grid import load_field
 
@@ -529,13 +531,17 @@ def stage_correlate(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog,
             _require(f"correlate[{label}]", kind_paths, "features")
         digests = {kind: [_digest_file(p) for p in kind_paths]
                    for kind, kind_paths in paths.items()}
+        stacks = {}  # kind -> (domain, stacked fields), filled on first use
         for cov in values:
 
             def work(stage_dir):
                 for kind, kind_paths in paths.items():
-                    domains, arrays = zip(*(load_field(p) for p in kind_paths))
-                    cmap = correlate_stack(np.stack(arrays), values[cov],
-                                           alpha=cfg.alpha, domain=domains[-1])
+                    if kind not in stacks:
+                        domains, arrays = zip(*(load_field(p) for p in kind_paths))
+                        stacks[kind] = domains[-1], np.stack(arrays)
+                    domain, stack = stacks[kind]
+                    cmap = correlate_stack(stack, values[cov],
+                                           alpha=cfg.alpha, domain=domain)
                     export_map(
                         cmap,
                         r_path=os.path.join(stage_dir, f"{kind}.r.otfg"),

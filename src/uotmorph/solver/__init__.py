@@ -15,7 +15,9 @@ from .specs import (
 # starts finite-lambda solves from the bank basis, which can pick a different
 # optimum where several tie.  Version 3 prices arcs in larger blocks, which
 # changes the pivot sequence and so can pick a different optimum too.
-SOLVER_VERSION = 3
+# Version 4 drops restricted transport arcs from sources with mass but no
+# flow units, as the dense build does, which can change a tied optimum.
+SOLVER_VERSION = 4
 
 __all__ = [
     "SOLVER_VERSION",

@@ -8,6 +8,12 @@ coarse cells, and only from a voxel with mass in ``mu`` to one with mass
 in ``nu``.  Admission dilates one boolean mask over coarse cell pairs, which
 takes n_coarse^2 bytes (3 MB under a 24^3 level, 17 MB under 32^3); a
 radius beyond the coarse grid admits every pair and is clamped to it.
+Then it drops each coarse cell pair whose children are all farther apart
+than the 2 lambda prune bound of the network builder: per axis the nearest
+children of cells a and b are max(0, 2|a - b| - 1) fine steps apart, so
+the sum over axes of (spacing * that)^2 bounds every child pair's cost from
+below.  The builder would prune every such pair, so the restricted network
+is unchanged; at lambda = 0 only pairs within one coarse cell remain.
 Self arcs and virtual (allocation) arcs are always admitted,
 so at finite lambda every level stays feasible; at lambda = inf, which has
 no virtual arcs, a level the admitted arcs cannot route is solved exactly.
@@ -36,13 +42,14 @@ from .specs import AllocationSpec, CostSpec, QuantizationSpec, TransportSolution
 
 
 def _admitted_pairs(coarse_sol: TransportSolution, coarse_dims, fine_mu, fine_nu,
-                    radius):
+                    radius, prune_bound):
     """Support (source, target) voxel pairs of a fine level admitted by a coarse plan.
 
     A pair is admitted when its source has mass in ``fine_mu``, its target
-    has mass in ``fine_nu``, and their coarse cells lie within ``radius``
-    cells (Chebyshev) of the two ends of one coarse plan arc.  Pairs come
-    sorted by source, then target.
+    has mass in ``fine_nu``, their coarse cells lie within ``radius`` cells
+    (Chebyshev) of the two ends of one coarse plan arc, and some child pair
+    of those two cells costs at most ``prune_bound`` (see
+    ``_drop_far_cells``).  Pairs come sorted by source, then target.
     """
     n_coarse = int(np.prod(coarse_dims))
     admitted = np.zeros(n_coarse * n_coarse, dtype=bool)
@@ -54,6 +61,7 @@ def _admitted_pairs(coarse_sol: TransportSolution, coarse_dims, fine_mu, fine_nu
     admitted = admitted.reshape(tuple(coarse_dims) * 2)
     for axis in range(admitted.ndim):
         admitted = maximum_filter1d(admitted, size, axis=axis, mode="constant")
+    _drop_far_cells(admitted, fine_mu.domain, prune_bound)
     admitted = admitted.reshape(n_coarse, n_coarse)
 
     fine_dims = fine_mu.domain.dims
@@ -64,6 +72,39 @@ def _admitted_pairs(coarse_sol: TransportSolution, coarse_dims, fine_mu, fine_nu
     )
     i, j = np.nonzero(admitted[np.ix_(src_cell, tgt_cell)])
     return src[i], tgt[j]
+
+
+def _drop_far_cells(admitted, fine_domain, prune_bound):
+    """Clear the coarse cell pairs of ``admitted`` whose child pairs all cost
+    more than ``prune_bound``.
+
+    ``admitted`` has shape ``coarse_dims * 2``, source cell axes first.  Per
+    axis, the least squared gap between the children of cells a and b is
+    (spacing * max(0, 2|a - b| - 1))^2; it is taken from the coordinates the
+    network builder uses, so the sum over axes is the least cost of a child
+    pair up to the order of the sum's rounding.  A pair is cleared only when
+    that sum exceeds ``prune_bound`` by a relative 1e-9, so every cleared
+    pair is one the builder prunes.  Nothing is cleared when no sum can
+    exceed the bound (always at lambda = inf).
+    """
+    ndim = admitted.ndim // 2
+    gaps = []
+    for k, (m, n) in enumerate(zip(admitted.shape, fine_domain.dims)):
+        pos = fine_domain.origin[k] + fine_domain.spacing[k] * np.arange(n)
+        diff = pos[:, None] - pos[None, :]
+        sq = np.full((2 * m, 2 * m), np.inf)  # children off the grid (odd dims)
+        sq[:n, :n] = diff * diff
+        shape = [1] * admitted.ndim
+        shape[k] = shape[ndim + k] = m
+        gaps.append(sq.reshape(m, 2, m, 2).min(axis=(1, 3)).reshape(shape))
+    limit = prune_bound * (1 + 1e-9)
+    if sum(g.max() for g in gaps) <= limit:
+        return
+    # one source slice of the first axis at a time keeps the float sum to
+    # 1 / coarse_dims[0] of the mask's size
+    rest = sum(gaps[1:], np.zeros([1] * admitted.ndim))[0]
+    for a in range(admitted.shape[0]):
+        admitted[a] &= gaps[0][a] + rest <= limit
 
 
 def _feeder(coarse_sol: TransportSolution, coarse_dims, fine_dims):
@@ -122,7 +163,8 @@ def solve_multiscale(
         fine_mu, fine_nu = pyramid[level]
         coarse_dims = pyramid[level + 1][0].domain.dims
         pairs = _admitted_pairs(
-            sol, coarse_dims, fine_mu, fine_nu, neighborhood_radius
+            sol, coarse_dims, fine_mu, fine_nu, neighborhood_radius,
+            network.prune_bound(cost, alloc, fine_mu.domain),
         )
         feeder = _feeder(sol, coarse_dims, fine_mu.domain.dims)
         try:

@@ -98,8 +98,7 @@ def build_unbalanced_problem(
     imbalance = int(z_units_full.sum() - w_units_full.sum())
     delta_real = nu.total_mass - mu.total_mass
 
-    max_cost = cost.max_on_domain(domain)
-    lam = alloc.effective_lambda(max_cost)
+    lam = alloc.effective_lambda(cost.max_on_domain(domain))
     finite_lam = math.isfinite(lam)
     if not finite_lam and imbalance != 0:
         raise InfeasibleError(
@@ -141,22 +140,29 @@ def build_unbalanced_problem(
         cols = (tails, heads, costs, kind, vox_a, vox_b)
         blocks.append([np.full(len(vox_a), v) if np.isscalar(v) else v for v in cols])
 
-    # transport arcs
-    pos_tgt = voxel_positions(domain, tgt_voxels)
+    # transport arcs, from sources with units to targets with mass
     positive_src = src_voxels[w_units_full[src_voxels] > 0]
-    prune_bound = 2.0 * lam if finite_lam else math.inf
+    pos_src = voxel_positions(domain, positive_src)
+    pos_tgt = voxel_positions(domain, tgt_voxels)
+    bound = prune_bound(cost, alloc, domain)
     if allowed_pairs is None:
-        cmat = cost.pairwise(voxel_positions(domain, positive_src), pos_tgt)
-        ii, jj = np.nonzero(cmat <= prune_bound)
-        pair_i, pair_j, pair_c = positive_src[ii], tgt_voxels[jj], cmat[ii, jj]
+        cmat = cost.pairwise(pos_src, pos_tgt)
+        ii, jj = np.nonzero(cmat <= bound)
+        pair_c = cmat[ii, jj]
     else:
+        # voxel -> row of pos_src, -1 off positive_src; target rows follow
+        # the target nodes, negative off the target support
+        src_row = np.full(len(w_flat), -1, dtype=np.int64)
+        src_row[positive_src] = np.arange(len(positive_src))
         ai = np.asarray(allowed_pairs[0], dtype=np.int64)
         aj = np.asarray(allowed_pairs[1], dtype=np.int64)
-        mask = (w_flat[ai] > 0) & (z_flat[aj] > 0) & (ai != aj)
-        ai, aj = ai[mask], aj[mask]
-        pc = cost.rowwise(voxel_positions(domain, ai), voxel_positions(domain, aj))
-        keep = pc <= prune_bound
-        pair_i, pair_j, pair_c = ai[keep], aj[keep], pc[keep]
+        ii, jj = src_row[ai], tgt_node[aj] - n_src
+        mask = (ii >= 0) & (jj >= 0) & (ai != aj)
+        ii, jj = ii[mask], jj[mask]
+        pc = cost.rowwise(pos_src[ii], pos_tgt[jj])
+        keep = pc <= bound
+        ii, jj, pair_c = ii[keep], jj[keep], pc[keep]
+    pair_i, pair_j = positive_src[ii], tgt_voxels[jj]
     add(src_node[pair_i], tgt_node[pair_j], pair_c, ARC_TRANSPORT, pair_i, pair_j)
 
     # self arcs (cost 0) for targets that are also sites, unless the pairs
@@ -190,6 +196,13 @@ def build_unbalanced_problem(
     if finite_lam:
         problem.basis = _bank_basis(problem, feeder)
     return problem
+
+
+def prune_bound(cost: CostSpec, alloc: AllocationSpec, domain) -> float:
+    """Cost above which a transport arc on ``domain`` is dominated and pruned:
+    twice the priced lambda, or inf when allocation is disabled."""
+    lam = alloc.effective_lambda(cost.max_on_domain(domain))
+    return 2.0 * lam if math.isfinite(lam) else math.inf
 
 
 def _bank_basis(problem: FlowProblem, feeder=None) -> np.ndarray:

@@ -745,6 +745,26 @@ def test_cold_run_loads_each_subject_image_once(tmp_path, monkeypatch):
     assert subjects == [f"s{k:04d}.otfg" for k in range(5)]
 
 
+def test_correlate_loads_each_feature_file_once(tmp_path, monkeypatch):
+    from uotmorph import grid
+
+    loaded = []
+    load = grid.load_field
+
+    def counting_load(path):
+        loaded.append(os.path.relpath(path, tmp_path / "out"))
+        return load(path)
+
+    monkeypatch.setattr(grid, "load_field", counting_load)
+    path = write_config(tmp_path, lambdas=[0.0, 150.0],
+                        covariates=["outer_mass", "total_mass"])
+    assert main(["run", "--config", str(path)]) == 0
+    assert sorted(loaded) == sorted(
+        os.path.join("features", f"lambda={lam}", f"s{k:04d}.{suffix}.otfg")
+        for lam in (0.0, 150.0) for k in range(5)
+        for suffix in ("alloc", "tcost"))
+
+
 def test_template_cache_follows_barycenter_settings(tmp_path):
     template = tmp_path / "out" / "template" / "template.otfg"
     # a sparse template does not solve transport: quantization leaves it cached

@@ -12,7 +12,7 @@ from conftest import (
     same_solution,
 )
 from uotmorph.errors import InfeasibleError
-from uotmorph.grid import GridDomain, GridMeasure, downsample
+from uotmorph.grid import GridDomain, GridMeasure, downsample, voxel_positions
 from uotmorph.solver import (
     AllocationSpec,
     CostSpec,
@@ -219,15 +219,23 @@ def test_feeder_arcs_or_self_arcs_start_a_feasible_solve(case):
     _check_fed_solve(mu, nu, alloc, problem)
 
 
-def brute_admitted_pairs(arcs, coarse_dims, fine_dims, radius):
-    """Every fine pair whose coarse cells lie within radius of one arc's ends."""
+def brute_admitted_pairs(arcs, coarse_dims, fine_domain, radius, prune_bound=math.inf):
+    """Every fine pair whose coarse cells lie within radius of one arc's ends and
+    have some child pair costing at most prune_bound (relative margin 1e-9)."""
+    fine_dims = fine_domain.dims
     n = int(np.prod(fine_dims))
     cell = np.array(np.unravel_index(np.arange(n), fine_dims)).T // 2
+    # per coarse cell pair, the least cost over all pairs of their children
+    cell_id = np.ravel_multi_index(cell.T, coarse_dims)
+    pos = voxel_positions(fine_domain, np.arange(n))
+    least = np.full((int(np.prod(coarse_dims)),) * 2, np.inf)
+    np.minimum.at(least, (cell_id[:, None], cell_id[None, :]), COST.pairwise(pos, pos))
     pairs = set()
     for sc, tc in arcs:
         near = [np.flatnonzero(np.abs(cell - np.unravel_index(c, coarse_dims)).max(1)
                                <= radius) for c in (sc, tc)]
-        pairs.update((int(i), int(j)) for i in near[0] for j in near[1])
+        pairs.update((int(i), int(j)) for i in near[0] for j in near[1]
+                     if least[cell_id[i], cell_id[j]] <= prune_bound * (1 + 1e-9))
     return sorted(pairs)
 
 
@@ -243,9 +251,12 @@ def grid_measure(dims, values):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_admitted_pairs_match_brute_force(ndim, radius, data):
-    # odd fine dims leave boundary coarse cells with clipped children
+    # odd fine dims leave boundary coarse cells with clipped children; the
+    # bounds include 0 (one cell only), the unit grid's costs 1 and 5 exactly,
+    # values between them, and none
     odd = st.integers(1, 4 if ndim == 2 else 3).map(lambda k: 2 * k - 1)
     fine_dims = tuple(data.draw(st.lists(odd, min_size=ndim, max_size=ndim)))
+    bound = data.draw(st.sampled_from([0.0, 1.0, 2.5, 5.0, 10.5, math.inf]))
     coarse_dims = tuple((d + 1) // 2 for d in fine_dims)
     cells = st.integers(0, int(np.prod(coarse_dims)) - 1)
     arcs = data.draw(st.lists(st.tuples(cells, cells), max_size=6, unique=True))
@@ -255,17 +266,18 @@ def test_admitted_pairs_match_brute_force(ndim, radius, data):
                        st.lists(st.booleans(), min_size=n, max_size=n))
     in_src, in_tgt = data.draw(subset), data.draw(subset)
     sol = plan_solution([(s, t, 1) for s, t in arcs])
-    src, tgt = _admitted_pairs(sol, coarse_dims, grid_measure(fine_dims, in_src),
-                               grid_measure(fine_dims, in_tgt), radius)
+    mu, nu = grid_measure(fine_dims, in_src), grid_measure(fine_dims, in_tgt)
+    src, tgt = _admitted_pairs(sol, coarse_dims, mu, nu, radius, bound)
     assert src.dtype == tgt.dtype == np.int64
     assert list(zip(src.tolist(), tgt.tolist())) == [
-        (i, j) for i, j in brute_admitted_pairs(arcs, coarse_dims, fine_dims, radius)
+        (i, j) for i, j in brute_admitted_pairs(arcs, coarse_dims, mu.domain, radius,
+                                                bound)
         if in_src[i] and in_tgt[j]]
 
 
 def test_admitted_pairs_of_an_empty_plan():
     full = grid_measure((5, 5), [True] * 25)
-    src, tgt = _admitted_pairs(plan_solution([]), (3, 3), full, full, 1)
+    src, tgt = _admitted_pairs(plan_solution([]), (3, 3), full, full, 1, math.inf)
     assert src.dtype == tgt.dtype == np.int64
     assert len(src) == len(tgt) == 0
 
@@ -276,10 +288,22 @@ def refinement_cases(draw):
     odd = st.integers(1, 4 if ndim == 2 else 3).map(lambda k: 2 * k - 1)
     dims = tuple(draw(st.lists(odd, min_size=ndim, max_size=ndim)))
     size = int(np.prod(dims))
+    # anisotropic, non-unit spacing and non-integer origins, unit grids too
+    spacing = draw(st.lists(st.sampled_from([0.3, 0.7, 1.0, 1.9, 2.5]),
+                            min_size=ndim, max_size=ndim))
+    origin = draw(st.lists(st.sampled_from([-3.7, 0.0, 0.1, 12.35]),
+                           min_size=ndim, max_size=ndim))
+    dom = GridDomain(dims=dims, spacing=spacing, origin=origin)
     # integer masses with zeros leave holes in both supports
     w = np.array(draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)),
                  dtype=float)
-    lam = draw(st.sampled_from([0.0, 0.6, 50.0, math.inf]))
+    lam = draw(st.sampled_from([0.0, 0.6, "exact", 50.0, math.inf]))
+    if lam == "exact":
+        # 2 lambda is exactly the cost of one pair of distinct voxels
+        assume(size > 1)
+        pair = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2,
+                             unique=True))
+        lam = COST.rowwise(*(voxel_positions(dom, [v]) for v in pair))[0] / 2
     if math.isinf(lam):
         # balanced transport needs equal totals: move the same masses around
         z = np.array(draw(st.permutations(w.tolist())))
@@ -288,7 +312,8 @@ def refinement_cases(draw):
                      dtype=float)
     assume(w.sum() > 0 and z.sum() > 0)
     radius = draw(st.sampled_from([0, 1, 2]))
-    return grid_measure(dims, w), grid_measure(dims, z), AllocationSpec(lam=lam), radius
+    mu, nu = (GridMeasure(dom, v.reshape(dims)) for v in (w, z))
+    return mu, nu, AllocationSpec(lam=lam), radius
 
 
 @given(case=refinement_cases())
@@ -303,17 +328,72 @@ def test_support_pairs_build_the_full_grid_network(case):
     sol = solve_unbalanced(coarse_mu, coarse_nu, COST, alloc, QUANT)
     feeder = _feeder(sol, coarse_dims, fine_dims)
     brute = np.array(brute_admitted_pairs(sol.plan_arcs[:, :2].tolist(), coarse_dims,
-                                          fine_dims, radius), dtype=np.int64)
+                                          mu.domain, radius), dtype=np.int64)
     problems = [
         network.build_unbalanced_problem(mu, nu, COST, alloc, QUANT,
                                          allowed_pairs=pairs, feeder=feeder)
-        for pairs in (_admitted_pairs(sol, coarse_dims, mu, nu, radius),
+        for pairs in (_admitted_pairs(sol, coarse_dims, mu, nu, radius, math.inf),
                       brute.reshape(-1, 2).T)
     ]
+    assert_same_network(*problems)
+
+
+def assert_same_network(new, old):
     for field in ("tails", "heads", "costs", "arc_kind", "arc_voxel_a",
                   "arc_voxel_b", "supplies", "basis"):
-        new, old = (getattr(p, field) for p in problems)
-        assert (new is None and old is None) or np.array_equal(new, old), field
+        a, b = getattr(new, field), getattr(old, field)
+        assert (a is None and b is None) or np.array_equal(a, b), field
+
+
+@given(case=refinement_cases())
+@settings(max_examples=80, deadline=None)
+def test_bound_pruned_admission_builds_the_unpruned_network(case):
+    # the 2-lambda coarse bound drops only pairs the builder prunes anyway
+    mu, nu, alloc, radius = case
+    coarse_mu, coarse_nu = downsample(mu, 2), downsample(nu, 2)
+    coarse_dims = coarse_mu.domain.dims
+    sol = solve_unbalanced(coarse_mu, coarse_nu, COST, alloc, QUANT)
+    feeder = _feeder(sol, coarse_dims, mu.domain.dims)
+    bound = network.prune_bound(COST, alloc, mu.domain)
+    pruned, unpruned = (_admitted_pairs(sol, coarse_dims, mu, nu, radius, b)
+                        for b in (bound, math.inf))
+    assert len(pruned[0]) <= len(unpruned[0])
+    assert_same_network(*(
+        network.build_unbalanced_problem(mu, nu, COST, alloc, QUANT,
+                                         allowed_pairs=pairs, feeder=feeder)
+        for pairs in (pruned, unpruned)))
+
+
+def test_bound_keeps_only_same_cell_pairs_at_lambda_zero():
+    full = grid_measure((6, 6), [True] * 36)
+    alloc = AllocationSpec(lam=0.0)
+    every = plan_solution([(s, t, 1) for s in range(9) for t in range(9)])
+    src, tgt = _admitted_pairs(every, (3, 3), full, full, 0,
+                               network.prune_bound(COST, alloc, full.domain))
+    cell = [np.ravel_multi_index(np.array(np.unravel_index(v, (6, 6))) // 2, (3, 3))
+            for v in (src, tgt)]
+    assert len(src) == 9 * 16 and np.array_equal(*cell)
+
+
+def test_restricted_build_drops_zero_unit_sources_like_the_dense_build():
+    # a voxel with mass but no flow unit is no transport source in either build
+    w = np.ones(16)
+    w[5] = 1e-12
+    mu = grid_measure((4, 4), w)
+    nu = grid_measure((4, 4), np.random.default_rng(6).random(16))
+    alloc = AllocationSpec(lam=50.0)
+    every = tuple(np.divmod(np.arange(256), 16))
+    problems = [network.build_unbalanced_problem(mu, nu, COST, alloc, QUANT,
+                                                 allowed_pairs=pairs)
+                for pairs in (every, None)]
+
+    def rows(p):
+        return sorted(zip(p.arc_kind.tolist(), p.arc_voxel_a.tolist(),
+                          p.arc_voxel_b.tolist(), p.costs.tolist()))
+
+    transport = [int(np.count_nonzero(p.arc_kind == ARC_TRANSPORT)) for p in problems]
+    assert transport == [241, 241]
+    assert rows(problems[0]) == rows(problems[1])
 
 
 def test_radius_beyond_the_grid_is_clamped():
