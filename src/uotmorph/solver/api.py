@@ -19,7 +19,7 @@ _ENGINES = {
 
 
 def _run(problem, engine: str) -> TransportSolution:
-    flows, _ = _ENGINES[engine](problem)
+    flows = _ENGINES[engine](problem)[0]
     return network.extract_solution(problem, flows)
 
 

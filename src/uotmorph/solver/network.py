@@ -132,23 +132,18 @@ def build_unbalanced_problem(
     if finite_lam:
         supplies[bank] = imbalance
 
-    # arc blocks of (tail, head, cost, kind, voxel a, voxel b); a scalar
-    # stands for the same value on every arc of its block
-    blocks = []
-
-    def add(tails, heads, costs, kind, vox_a, vox_b=-1):
-        cols = (tails, heads, costs, kind, vox_a, vox_b)
-        blocks.append([np.full(len(vox_a), v) if np.isscalar(v) else v for v in cols])
-
     # transport arcs, from sources with units to targets with mass
     positive_src = src_voxels[w_units_full[src_voxels] > 0]
     pos_src = voxel_positions(domain, positive_src)
     pos_tgt = voxel_positions(domain, tgt_voxels)
     bound = prune_bound(cost, alloc, domain)
     if allowed_pairs is None:
-        cmat = cost.pairwise(pos_src, pos_tgt)
-        ii, jj = np.nonzero(cmat <= bound)
-        pair_c = cmat[ii, jj]
+        cmat = cost.pairwise(pos_src, pos_tgt).ravel()
+        flat = np.flatnonzero(cmat <= bound)
+        pair_c = cmat[flat]
+        del cmat
+        ii, jj = np.divmod(flat, n_tgt)
+        del flat
     else:
         # voxel -> row of pos_src, -1 off positive_src; target rows follow
         # the target nodes, negative off the target support
@@ -159,27 +154,40 @@ def build_unbalanced_problem(
         ii, jj = src_row[ai], tgt_node[aj] - n_src
         mask = (ii >= 0) & (jj >= 0) & (ai != aj)
         ii, jj = ii[mask], jj[mask]
-        pc = cost.rowwise(pos_src[ii], pos_tgt[jj])
-        keep = pc <= bound
-        ii, jj, pair_c = ii[keep], jj[keep], pc[keep]
+        pair_c = cost.rowwise(pos_src[ii], pos_tgt[jj])
+        keep = pair_c <= bound
+        ii, jj, pair_c = ii[keep], jj[keep], pair_c[keep]
     pair_i, pair_j = positive_src[ii], tgt_voxels[jj]
-    add(src_node[pair_i], tgt_node[pair_j], pair_c, ARC_TRANSPORT, pair_i, pair_j)
+    del ii, jj
 
     # self arcs (cost 0) for targets that are also sites, unless the pairs
     # above already hold one
     paired = np.zeros(len(w_flat), dtype=bool)
     paired[pair_i[pair_i == pair_j]] = True
     both = tgt_voxels[(src_node[tgt_voxels] >= 0) & ~paired[tgt_voxels]]
-    add(src_node[both], tgt_node[both], 0.0, ARC_TRANSPORT, both, both)
 
+    # arc blocks of (tail, head, cost, kind, voxel a, voxel b), each column
+    # at its final dtype; a scalar stands for the same value on every arc of
+    # its block
+    blocks = [
+        (src_node[pair_i], tgt_node[pair_j], pair_c, ARC_TRANSPORT, pair_i, pair_j),
+        (src_node[both], tgt_node[both], 0.0, ARC_TRANSPORT, both, both),
+    ]
+    del pair_c, pair_i, pair_j
     if finite_lam:
         # bank -> site (mass added at source side), site -> bank (removed)
-        add(bank, np.arange(n_src), lam, ARC_ADD_SRC, src_voxels)
-        add(src_node[positive_src], bank, lam, ARC_REM_SRC, positive_src)
-
-    dtypes = (np.int64, np.int64, np.float64, np.int8, np.int64, np.int64)
+        blocks += [
+            (bank, np.arange(n_src), lam, ARC_ADD_SRC, src_voxels, -1),
+            (src_node[positive_src], bank, lam, ARC_REM_SRC, positive_src, -1),
+        ]
+    lengths = [len(block[4]) for block in blocks]
+    columns = [list(col) for col in zip(*blocks)]
+    del blocks
+    # each column's blocks are released as soon as it is joined
     tails, heads, costs, kinds, vox_a, vox_b = (
-        np.concatenate(col, dtype=dtype) for col, dtype in zip(zip(*blocks), dtypes)
+        np.concatenate([np.full(k, v, dtype=dtype) if np.isscalar(v) else v
+                        for k, v in zip(lengths, columns.pop(0))], dtype=dtype)
+        for dtype in (np.int64, np.int64, np.float64, np.int8, np.int64, np.int64)
     )
     problem = FlowProblem(
         n_nodes=n_nodes,

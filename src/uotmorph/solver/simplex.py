@@ -1,15 +1,21 @@
 """Primal network simplex for uncapacitated min-cost flow on integer supplies.
 
 Flows are exact integers (int64); arc costs are float64.  The basis is a
-spanning tree over the nodes and an artificial root, stored with
-parent/thread/size arrays.  The solve starts from the problem's ``basis``,
-which names for each node the arc hanging it from its parent, or -1 for a
-big-M artificial arc to the root.  One DFS from the root builds the tree
-arrays from it; each tree arc carries its subtree's supply and each
-artificial arc is directed so that its flow is non-negative.  The start
-must be strongly feasible (every zero-flow tree arc points towards the
-root); a basis that is not is a ``SolverError``.  No basis is the all -1
-basis: the classic artificial star.
+spanning tree over the nodes and an artificial root, stored per node: its
+parent, its tree arc, whether that arc points up to the parent, the arc's
+flow, and the subtree's size and thread (preorder successor, predecessor
+and last node).  In an uncapacitated simplex every non-tree arc carries no
+flow, so there is no flow array over the arcs: the arc flows are scattered
+from the tree once, after the last pivot, and an artificial arc still
+carrying flow then means the supplies cannot be met.  The solve starts from
+the problem's ``basis``, which names for each node the arc hanging it from
+its parent, or -1 for a big-M artificial arc to the root.  One DFS from the
+root builds the tree from it; each tree arc carries its subtree's supply
+and each artificial arc is directed so that its flow is non-negative.  The
+start must be strongly feasible (every zero-flow tree arc points towards
+the root); a basis that is not is a ``SolverError``.  No basis is the all
+-1 basis: the classic artificial star.  The solve returns its final tree
+in the same form, a strongly feasible start for the same problem.
 
 Pivot rule.  The entering arc is chosen by the block-search rule of LEMON's
 network simplex: arcs are scanned cyclically in fixed index order in blocks
@@ -25,15 +31,21 @@ around the cycle, which preserves strong feasibility and prevents cycling.
 Potentials are computed exactly from the tree before the first pivot and
 every max(64, n) pivots; in between, each pivot shifts them in place.
 
-Each pivot is one straight-line pass over the tree arrays that builds no
-list of the cycle's nodes or arcs: the apex is found by subtree sizes, each
-side of the cycle is walked once to find the leaving arc (from the entering
-arc's tail upward with ``<``, then from its head upward with ``<=``, so the
-head side wins ties) and once more to augment, and the potentials of the
-re-rooted subtree are shifted in place along the thread.  Scalars are read
-and written through ``memoryview``s of the arc, flow and potential arrays,
-which share memory with the numpy arrays that pricing reads, so nothing
-per arc is copied into Python objects.
+Each pivot walks only the cycle, the re-rooted path and the thread of the
+moved subtree, and builds no list of the cycle.  One walk up from both
+ends of the entering arc, led by subtree sizes, finds the apex and the
+leaving arc together: the tail side keeps its first minimum flow (``<``),
+the head side its last (``<=``), and the head side wins ties.  Subtree
+sizes change only below the apex, so the two walks that move the subtree
+(from the leaving arc up to the apex, and from the new parent up to the
+apex) stop there and augment the flows on the way; the re-rooted path is
+augmented as its arcs are reversed.  A thread end changes only along the
+chain of ancestors whose subtrees end with the moved block, which can run
+above the apex and stops at the first ancestor that does not.  The
+potentials of the moved subtree are shifted in place along the thread.
+Pricing reads potentials and arcs through numpy; the walks read them
+through ``memoryview``s that share the same memory, so nothing per arc is
+copied into Python objects.
 """
 
 from __future__ import annotations
@@ -50,15 +62,17 @@ BLOCK_FACTOR = 4
 
 
 def solve_min_cost_flow(problem: FlowProblem):
-    """Return (flows, objective_units) for the given problem.
+    """Return (flows, objective_units, basis) for the given problem.
 
     ``flows`` is an int64 array over the problem's arcs; ``objective_units``
-    is the float cost of the flow in quantization units.
+    is the float cost of the flow in quantization units.  ``basis`` is the
+    final tree in the form of ``FlowProblem.basis``: per node, the arc
+    hanging it from its parent, or -1 for its artificial arc.
     """
     n = problem.n_nodes
     e = problem.n_arcs
     if n == 0:
-        return np.zeros(0, dtype=np.int64), 0.0
+        return np.zeros(0, dtype=np.int64), 0.0, np.zeros(0, dtype=np.int64)
     b = problem.supplies
     if int(b.sum()) != 0:
         raise InfeasibleError("node supplies do not balance")
@@ -66,12 +80,18 @@ def solve_min_cost_flow(problem: FlowProblem):
     root = n
     max_cost = float(np.max(problem.costs)) if e else 0.0
     faux = 1.0 + 3.0 * (n + 1) * max(max_cost, 1.0)
-    S, T, C, x, parent, edge, size, next_, prev, last = _start(problem, faux)
+    S, T, C, parent, tree_arc, up, tree_flow, size, next_, prev, last = _start(
+        problem, faux
+    )
+    edge, up, tf = tree_arc.tolist(), up.tolist(), tree_flow.tolist()
     pi = np.zeros(n + 1)
-    Sv, Tv, Cv, xv, piv = (memoryview(a) for a in (S, T, C, x, pi))
+    Sv, Tv, Cv, piv = (memoryview(a) for a in (S, T, C, pi))
+    # above every tree flow, which is an int64
+    no_arc = 1 << 63
 
-    tol = 1e-11 * (1.0 + max_cost)
+    neg_tol = -1e-11 * (1.0 + max_cost)
     block = min(e, math.ceil(BLOCK_FACTOR * math.sqrt(e)))
+    rc_block = np.empty(block)
     n_blocks = (e + block - 1) // block if block else 0
     refresh_every = max(64, n)
     f = 0
@@ -82,11 +102,10 @@ def solve_min_cost_flow(problem: FlowProblem):
             piv[root] = 0.0
             v = next_[root]
             while v != root:
-                a = edge[v]
-                if Tv[a] == v:
-                    piv[v] = piv[parent[v]] - Cv[a]
+                if up[v]:
+                    piv[v] = piv[parent[v]] + Cv[edge[v]]
                 else:
-                    piv[v] = piv[parent[v]] + Cv[a]
+                    piv[v] = piv[parent[v]] - Cv[edge[v]]
                 v = next_[v]
 
         # entering arc: first block, from where the last scan stopped, whose
@@ -95,7 +114,8 @@ def solve_min_cost_flow(problem: FlowProblem):
         for _ in range(n_blocks):
             l = f + block
             if l <= e:
-                rc = C[f:l] - pi[S[f:l]] + pi[T[f:l]]
+                rc = np.subtract(C[f:l], pi[S[f:l]], out=rc_block)
+                rc += pi[T[f:l]]
                 k = int(rc.argmin())
                 best = rc[k]
                 best_idx = f + k
@@ -114,71 +134,56 @@ def solve_min_cost_flow(problem: FlowProblem):
                     best = rc2[k2]
                     best_idx = k2
             f = l % e
-            if best < -tol:
+            if best < neg_tol:
                 i = best_idx
                 break
         if i < 0:
             break
 
-        # apex of the cycle closed by arc i (p -> q)
+        # one walk up from both ends of arc i (p -> q) finds the apex of the
+        # cycle and its leaving arc: the last blocking arc in cycle order
+        # (apex down to p, arc i, q up to apex).  Blocking arcs are traversed
+        # against their direction; ``out`` is the node whose tree arc leaves.
         p = Sv[i]
         q = Tv[i]
         u, v = p, q
+        size_u, size_v = size[u], size[v]
+        delta_p = delta_q = no_arc
         while u != v:
-            if size[u] < size[v]:
+            if size_u < size_v:
+                if up[u]:
+                    r = tf[u]
+                    if r < delta_p:
+                        delta_p, out_p = r, u
                 u = parent[u]
+                size_u = size[u]
             else:
+                if not up[v]:
+                    r = tf[v]
+                    if r <= delta_q:
+                        delta_q, out_q = r, v
                 v = parent[v]
+                size_v = size[v]
         apex = u
-
-        # leaving arc: the last blocking arc in cycle order (apex down to p,
-        # arc i, q up to apex); blocking arcs are traversed against their
-        # direction.  ``out`` is the node whose tree edge leaves.
-        delta = None
-        u = p
-        while u != apex:
-            a = edge[u]
-            if Sv[a] == u:
-                r = xv[a]
-                if delta is None or r < delta:
-                    delta, out, out_on_p_side = r, u, True
-            u = parent[u]
-        u = q
-        while u != apex:
-            a = edge[u]
-            if Sv[a] != u:
-                r = xv[a]
-                if delta is None or r <= delta:
-                    delta, out, out_on_p_side = r, u, False
-            u = parent[u]
-        if delta is None:
-            raise SolverError("unbounded flow (negative cycle of forward arcs)")
-
-        if delta > 0:
-            xv[i] += delta
-            u = p
-            while u != apex:
-                a = edge[u]
-                if Sv[a] == u:
-                    xv[a] -= delta
-                else:
-                    xv[a] += delta
-                u = parent[u]
-            u = q
-            while u != apex:
-                a = edge[u]
-                if Sv[a] == u:
-                    xv[a] += delta
-                else:
-                    xv[a] -= delta
-                u = parent[u]
-
-        # the subtree cut off by the leaving edge is re-rooted at q and hung
-        # from p by arc i
+        # the q side wins ties.  The subtree cut off by the leaving arc is
+        # re-rooted at q and hung from p by arc i, so on a p-side leave the
+        # ends swap.  ``push`` is the flow change of an upward arc on the
+        # leaving side; it is -push on the other side, and the reverse for
+        # a downward arc.
+        out_on_p_side = delta_p < delta_q
         if out_on_p_side:
+            delta, out, push = delta_p, out_p, -delta_p
             p, q = q, p
+        else:
+            if delta_q == no_arc:
+                raise SolverError("unbounded flow (negative cycle of forward arcs)")
+            delta, out, push = delta_q, out_q, delta_q
 
-        # remove the edge (s, t) from the tree, t the child
+        # remove the arc (s, t) from the tree, t the child.  The moved
+        # subtree changes sizes only below the apex, and the walk there
+        # augments the leaving side above t; the thread ends of t's
+        # ancestors change only along the chain whose subtrees end with t's
+        # block.
         t = out
         s = parent[t]
         size_t = size[t]
@@ -186,18 +191,24 @@ def solve_min_cost_flow(problem: FlowProblem):
         last_t = last[t]
         next_last_t = next_[last_t]
         parent[t] = None
-        edge[t] = None
         next_[prev_t] = next_last_t
         prev[next_last_t] = prev_t
         next_[last_t] = t
         prev[t] = last_t
-        while s is not None:
-            size[s] -= size_t
-            if last[s] == last_t:
-                last[s] = prev_t
+        u = s
+        while u != apex:
+            size[u] -= size_t
+            if up[u]:
+                tf[u] += push
+            else:
+                tf[u] -= push
+            u = parent[u]
+        while s is not None and last[s] == last_t:
+            last[s] = prev_t
             s = parent[s]
 
-        # re-root the cut subtree at q, reversing the path from t to q
+        # re-root the cut subtree at q, reversing and augmenting the path
+        # from t to q
         ancestors = []
         u = q
         while u is not None:
@@ -205,53 +216,64 @@ def solve_min_cost_flow(problem: FlowProblem):
             u = parent[u]
         ancestors.reverse()
         for u, v in zip(ancestors, ancestors[1:]):
-            size_u = size[u]
+            # u roots a circular thread holding v's block; v's block moves
+            # to the front, followed by what remains of u's
             last_u = last[u]
             prev_v = prev[v]
             last_v = last[v]
             next_last_v = next_[last_v]
             parent[u] = v
-            parent[v] = None
             edge[u] = edge[v]
-            edge[v] = None
-            size[u] = size_u - size[v]
-            size[v] = size_u
+            if up[v]:
+                up[u] = False
+                tf[u] = tf[v] + push
+            else:
+                up[u] = True
+                tf[u] = tf[v] - push
+            size_v = size[v]
+            size[v] = size[u]
+            size[u] -= size_v
             next_[prev_v] = next_last_v
             prev[next_last_v] = prev_v
-            next_[last_v] = v
-            prev[v] = last_v
             if last_u == last_v:
-                last[u] = prev_v
-                last_u = prev_v
-            prev[u] = last_v
+                last[u] = last_u = prev_v
             next_[last_v] = u
+            prev[u] = last_v
             next_[last_u] = v
             prev[v] = last_u
             last[v] = last_u
 
-        # hang the subtree rooted at q from p by arc i
+        # hang the subtree rooted at q from p by arc i, augmenting the other
+        # side of the cycle on the walk up to the apex
         last_p = last[p]
         next_last_p = next_[last_p]
-        size_q = size[q]
         last_q = last[q]
         parent[q] = p
         edge[q] = i
+        up[q] = out_on_p_side
+        tf[q] = delta
         next_[last_p] = q
         prev[q] = last_p
         prev[next_last_p] = last_q
         next_[last_q] = next_last_p
         u = p
-        while u is not None:
-            size[u] += size_q
-            if last[u] == last_p:
-                last[u] = last_q
+        while u != apex:
+            size[u] += size_t
+            if up[u]:
+                tf[u] -= push
+            else:
+                tf[u] += push
+            u = parent[u]
+        u = p
+        while u is not None and last[u] == last_p:
+            last[u] = last_q
             u = parent[u]
 
         # shift the potentials of the moved subtree along the thread
-        if q == Tv[i]:
-            d = piv[p] - Cv[i] - piv[q]
-        else:
+        if out_on_p_side:
             d = piv[p] + Cv[i] - piv[q]
+        else:
+            d = piv[p] - Cv[i] - piv[q]
         u = q
         piv[u] += d
         while u != last_q:
@@ -260,17 +282,21 @@ def solve_min_cost_flow(problem: FlowProblem):
 
         pivots += 1
 
+    # arc flows from the tree: a non-tree arc carries none
+    if pivots:
+        tree_arc, tree_flow = np.array(edge), np.array(tf)
+    x = np.zeros(e + n, dtype=np.int64)
+    x[tree_arc] = tree_flow
     if x[e:].any():
         raise InfeasibleError("no flow satisfies the node supplies")
-
-    flows = x[:e].copy()
+    flows = x[:e]
     nz = np.flatnonzero(flows > 0)
     objective_units = float(np.dot(C[nz], flows[nz].astype(np.float64)))
-    return flows, objective_units
+    return flows, objective_units, np.where(tree_arc < e, tree_arc, -1)
 
 
 def _start(problem: FlowProblem, faux: float):
-    """Arc arrays, flows and tree arrays of the starting basis.
+    """Arc arrays and per-node tree state of the starting basis.
 
     Node v hangs from its parent by arc ``problem.basis[v]``, or by its
     artificial arc (index e + v) to the root where the entry is -1; ``None``
@@ -278,9 +304,13 @@ def _start(problem: FlowProblem, faux: float):
     subtree is negative, else v -> root.  Raises ``SolverError`` naming the
     first node at fault when the basis is not a strongly feasible tree: a
     node that does not reach the root, a negative tree flow, or a zero-flow
-    tree arc directed away from the root.  The solve computes the
-    potentials from these arrays before the first pivot and every
-    max(64, n) pivots.
+    tree arc directed away from the root.
+
+    Returns the arc arrays S, T, C over the problem arcs then the
+    artificial ones; numpy arrays over the nodes of the tree arc, whether
+    it points up to the parent, and its flow; and lists over the nodes and
+    the root of the parent (``None`` at the root), subtree size and thread
+    (next, previous, last).
     """
     n = problem.n_nodes
     e = problem.n_arcs
@@ -352,8 +382,6 @@ def _start(problem: FlowProblem, faux: float):
         raise SolverError(
             f"basis: zero-flow arc of node {bad[0]} points away from the root"
         )
-    x = np.zeros(e + n, dtype=np.int64)
-    x[edge] = flow
 
     thread = np.array(thread, dtype=np.int64)
     pos = np.empty(n + 1, dtype=np.int64)
@@ -365,6 +393,5 @@ def _start(problem: FlowProblem, faux: float):
     last = thread[pos + np.array(size) - 1]
 
     par[root] = None
-    edge = edge.tolist() + [None]
-    return (S, T, C, x, par, edge, size, next_.tolist(),
-            prev.tolist(), last.tolist())
+    return (S, T, C, par, edge, up, flow, size, next_.tolist(), prev.tolist(),
+            last.tolist())

@@ -142,7 +142,7 @@ def _target_nodes(problem, mu, nu):
 def _check_fed_solve(mu, nu, alloc, problem):
     """The warm-started restricted solve is feasible, matches SSP on the same
     network and upper-bounds the exact optimum."""
-    flows, _ = simplex.solve_min_cost_flow(problem)
+    flows, _, _ = simplex.solve_min_cost_flow(problem)
     sol = network.extract_solution(problem, flows)
     assert feasibility_violation_units(sol, mu.flat, nu.flat, QUANT.units) == 0
     oracle = network.extract_solution(problem, ssp.solve_min_cost_flow(problem)[0])

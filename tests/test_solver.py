@@ -385,7 +385,7 @@ def net_outflow(problem, flows):
 
 
 def test_simplex_no_arcs_zero_supplies():
-    flows, objective = simplex.solve_min_cost_flow(flow_problem(3, [], [0, 0, 0]))
+    flows, objective, _ = simplex.solve_min_cost_flow(flow_problem(3, [], [0, 0, 0]))
     assert flows.dtype == np.int64 and len(flows) == 0
     assert objective == 0.0
 
@@ -407,6 +407,17 @@ def test_simplex_negative_forward_cycle_unbounded():
         simplex.solve_min_cost_flow(problem)
 
 
+def test_simplex_leaving_arc_tie_goes_to_the_head_side():
+    # tree: node 1 -> 0 and 0 -> 2, each carrying one unit, with node 0
+    # hanging from the root.  Entering arc 1 -> 2 closes a cycle whose
+    # tail-side (1 -> 0) and head-side (0 -> 2) arcs both block at one unit;
+    # the head-side arc leaves, so node 2 hangs from node 1 by arc 2.
+    problem = flow_problem(3, [(1, 0, 1.0), (0, 2, 1.0), (1, 2, 0.0)], [0, 1, -1])
+    flows, objective, basis = simplex.solve_min_cost_flow(with_basis(problem, [-1, 0, 1]))
+    assert flows.tolist() == [0, 0, 1] and objective == 0.0
+    assert basis.tolist() == [-1, 0, 2]
+
+
 def pricing_block(e):
     return min(e, math.ceil(simplex.BLOCK_FACTOR * math.sqrt(e)))
 
@@ -422,7 +433,7 @@ def assert_matches_ssp(n_src, n_tgt, extra, seed):
         supply = rng.integers(0, 6, size=n_src)
         demand = rng.multinomial(supply.sum(), [1 / n_tgt] * n_tgt)
         problem = flow_problem(n_src + n_tgt, arcs, [*supply, *(-demand)])
-        flows, objective = simplex.solve_min_cost_flow(problem)
+        flows, objective, _ = simplex.solve_min_cost_flow(problem)
         assert (net_outflow(problem, flows) == problem.supplies).all()
         assert objective == pytest.approx(
             ssp.solve_min_cost_flow(problem)[1], rel=1e-12, abs=1e-12
@@ -452,7 +463,7 @@ def test_simplex_flows_exact_at_max_units():
     mu, nu = random_measure_pair(rng, dims=(4, 4))
     alloc = AllocationSpec(lam=0.8)
     problem = network.build_unbalanced_problem(mu, nu, COST, alloc, quant)
-    flows, _ = simplex.solve_min_cost_flow(problem)
+    flows, _, _ = simplex.solve_min_cost_flow(problem)
     assert (net_outflow(problem, flows) == problem.supplies).all()
     sol = solve_unbalanced(mu, nu, COST, alloc, quant)
     assert feasibility_violation_units(sol, mu.flat, nu.flat, quant.units) == 0
@@ -481,7 +492,7 @@ def test_simplex_rejects_zero_flow_arc_away_from_root():
     with pytest.raises(SolverError, match="zero-flow arc of node 1 points away"):
         simplex.solve_min_cost_flow(with_basis(problem, [-1, 0, -1]))
     # a zero-flow arc pointing up (2 -> 0) is accepted
-    flows, objective = simplex.solve_min_cost_flow(with_basis(problem, [-1, -1, 1]))
+    flows, objective, _ = simplex.solve_min_cost_flow(with_basis(problem, [-1, -1, 1]))
     assert flows.tolist() == [0, 0] and objective == 0.0
 
 
@@ -502,8 +513,8 @@ def test_all_artificial_basis_equals_default_start():
         )
         star = np.full(problem.n_nodes, -1)
         default = dataclasses.replace(problem, basis=None)
-        flows, objective = simplex.solve_min_cost_flow(default)
-        flows_star, objective_star = simplex.solve_min_cost_flow(
+        flows, objective, _ = simplex.solve_min_cost_flow(default)
+        flows_star, objective_star, _ = simplex.solve_min_cost_flow(
             with_basis(problem, star)
         )
         assert np.array_equal(flows_star, flows)
@@ -519,7 +530,7 @@ def test_bank_basis_is_optimal_at_lambda_zero():
         problem = network.build_unbalanced_problem(
             mu, nu, COST, AllocationSpec(lam=0.0), QUANT
         )
-        flows, _ = simplex.solve_min_cost_flow(problem)
+        flows, _, _ = simplex.solve_min_cost_flow(problem)
         tree_arcs = problem.basis[problem.basis >= 0]
         assert np.isin(np.flatnonzero(flows), tree_arcs).all()
         kinds = problem.arc_kind[tree_arcs]
@@ -562,8 +573,8 @@ def test_bank_basis_does_not_depend_on_arc_order(restricted):
             permuted.arc_voxel_a[tree] != permuted.arc_voxel_b[tree]
         ))
 
-        _, objective = simplex.solve_min_cost_flow(problem)
-        flows, objective_permuted = simplex.solve_min_cost_flow(
+        _, objective, _ = simplex.solve_min_cost_flow(problem)
+        flows, objective_permuted, _ = simplex.solve_min_cost_flow(
             dataclasses.replace(permuted, basis=basis)
         )
         assert objective_permuted == pytest.approx(objective, rel=1e-9, abs=1e-12)

@@ -3,6 +3,8 @@
 hypothesis.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -19,7 +21,7 @@ from uotmorph.solver import (
     solve_multiscale,
     solve_unbalanced,
 )
-from uotmorph.solver import network
+from uotmorph.solver import network, simplex
 from uotmorph.solver.api import _run
 
 COST = CostSpec()
@@ -171,3 +173,19 @@ def test_simplex_matches_ssp_differential(case):
     scale = max(1.0, COST.max_on_domain(mu.domain)) * (mu.total_mass + nu.total_mass)
     assert s1.objective == pytest.approx(s2.objective, rel=1e-9, abs=1e-15 * scale)
     assert feasibility_violation_units(s1, mu.flat, nu.flat, quant.units) == 0
+
+
+@given(case=transport_cases())
+@settings(max_examples=100, deadline=None)
+def test_simplex_restarts_from_its_final_basis(case):
+    # the returned basis is a strongly feasible start for the same problem,
+    # and an optimal one: the solve from it ends where it began
+    mu, nu, alloc, quant = case
+    problem = network.build_unbalanced_problem(mu, nu, COST, alloc, quant)
+    flows, _, basis = simplex.solve_min_cost_flow(problem)
+    assert basis.dtype == np.int64 and basis.shape == (problem.n_nodes,)
+    again, _, basis_again = simplex.solve_min_cost_flow(
+        dataclasses.replace(problem, basis=basis)
+    )
+    assert np.array_equal(again, flows)
+    assert np.array_equal(basis_again, basis)

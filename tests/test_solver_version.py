@@ -1,0 +1,136 @@
+"""Plans pinned to SOLVER_VERSION.
+
+Cached transport results are keyed by ``SOLVER_VERSION``, so any change to
+the network build, the starting basis, the pivot rule or the multiscale
+refinement that can alter a plan must raise it.  This test holds, per
+version, a digest of the plans of a fixed seeded set of solves; a plan that
+changes while the version stays the same fails here.
+
+The inputs are generated here from fixed seeds.  Grid spacings and origins
+are exact binary fractions, so every arc cost is exact and does not depend
+on the order of summation.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+
+from uotmorph.grid import GridDomain, GridMeasure
+from uotmorph.solver import (
+    SOLVER_VERSION,
+    AllocationSpec,
+    CostSpec,
+    QuantizationSpec,
+    solve_multiscale,
+    solve_unbalanced,
+)
+
+COST = CostSpec()
+QUANT = QuantizationSpec(units=10**6)
+
+# SOLVER_VERSION -> case -> sha256 over the case's solutions, in order
+PLAN_DIGESTS = {
+    4: {
+        "blobs 12x12 lam=0.0":
+            "0e2c749badd8cf760c8f0b9b92b972ce7c01994a8d96d30b14a1be9560813814",
+        "blobs 12x12 lam=10.0":
+            "15cbe09ae47eb7be0a5d9336320295b268c0642abc3cd33a391a3c688622007a",
+        "blobs 12x12 lam=100.0":
+            "a2e50dec2f278521a127e37c952a74e7f061722ca4cda4900a51b5c1e68126b6",
+        "blobs 12x12 lam=2000.0":
+            "9204ffa31b3bf8155386c2f472f556176f23be71bf87c19c4c459bf9a6bd61fe",
+        "multiscale 5x5x5 lam=0.0":
+            "8e1bafd12ee6baeb0a34abbf28410802a91ff0e99fdaa866d0b0c9910ca234b4",
+        "multiscale 5x5x5 lam=10.0":
+            "1b1452ee0fbbffa3bedbd97a89e88bdc8d093cdc31916f644b840fe5fb3bc861",
+        "multiscale 5x5x5 lam=2000.0":
+            "13b9ad90a4dd5e50c55bce8f747dedd848895862cd7a6b1a93d090095f2d21f2",
+        "anisotropic 7x5x3 lam=0.0":
+            "0adf35151fdb302163f785666b71fc488820a4d11ec81c32a1f997c047f99206",
+        "anisotropic 7x5x3 lam=2.5":
+            "11e7b590615b325de3388bb35911926e5935fbcc36bdca15b2a7da969eddff91",
+        "anisotropic 7x5x3 lam=40.0":
+            "7ed6b6f240d49bc416e4fad945d7e0029762d210ae4fd209faceabeb54b5cf2b",
+        "anisotropic 7x5x3 permuted lam=inf":
+            "60a275dca4224b8549272d57abc7be09bcefa7faac0af4416bc0c61fb65c25e0",
+    },
+}
+
+
+def _blob_field(rng, dims):
+    field = np.full(dims, 0.05)
+    axes = np.meshgrid(*(np.arange(d, dtype=float) for d in dims), indexing="ij")
+    scale = min(dims) / 32
+    for _ in range(3):
+        centre = rng.random(len(dims)) * np.asarray(dims)
+        width = (2 + rng.random() * 6) * scale
+        field += np.exp(-sum((a - c) ** 2 for a, c in zip(axes, centre))
+                        / (2 * width * width))
+    return field
+
+
+def _blob_pairs(seed, count, dims):
+    nd = len(dims)
+    dom = GridDomain(dims=dims, spacing=(1.0,) * nd, origin=(0.0,) * nd)
+    rng = np.random.default_rng(seed)
+    return [(GridMeasure(dom, _blob_field(rng, dims)),
+             GridMeasure(dom, _blob_field(rng, dims))) for _ in range(count)]
+
+
+def _digest(solutions):
+    h = hashlib.sha256()
+    for sol in solutions:
+        h.update(np.ascontiguousarray(sol.plan_arcs, dtype="<i8").tobytes())
+        h.update(np.ascontiguousarray(sol.allocation, dtype="<i8").tobytes())
+        h.update(repr(sol.objective).encode())
+    return h.hexdigest()
+
+
+def _cases():
+    """case name -> list of solutions, in a fixed order."""
+    cases = {}
+    pairs = _blob_pairs(2024, 8, (12, 12))
+    for lam in (0.0, 10.0, 100.0, 2000.0):
+        cases[f"blobs 12x12 lam={lam!r}"] = [
+            solve_unbalanced(mu, nu, COST, AllocationSpec(lam=lam), QUANT)
+            for mu, nu in pairs
+        ]
+    pairs = _blob_pairs(2025, 4, (5, 5, 5))
+    for lam in (0.0, 10.0, 2000.0):
+        cases[f"multiscale 5x5x5 lam={lam!r}"] = [
+            solve_multiscale(mu, nu, COST, AllocationSpec(lam=lam), QUANT,
+                             coarsen_threshold=20)
+            for mu, nu in pairs
+        ]
+    dims = (7, 5, 3)
+    dom = GridDomain(dims=dims, spacing=(0.5, 2.0, 1.0), origin=(1.0, -3.0, 0.5))
+    rng = np.random.default_rng(2026)
+    w = rng.random(dims) * (rng.random(dims) < 0.7)
+    z = rng.random(dims) * (rng.random(dims) < 0.7)
+    mu, nu = GridMeasure(dom, w), GridMeasure(dom, z)
+    for lam in (0.0, 2.5, 40.0):
+        cases[f"anisotropic 7x5x3 lam={lam!r}"] = [
+            solve_unbalanced(mu, nu, COST, AllocationSpec(lam=lam), QUANT)
+        ]
+    perm = GridMeasure(dom, w.ravel()[rng.permutation(w.size)].reshape(dims))
+    cases["anisotropic 7x5x3 permuted lam=inf"] = [
+        solve_unbalanced(mu, perm, COST, AllocationSpec(lam=math.inf), QUANT)
+    ]
+    return cases
+
+
+def test_plans_pinned_to_solver_version():
+    digests = {name: _digest(sols) for name, sols in _cases().items()}
+    pinned = PLAN_DIGESTS.get(SOLVER_VERSION)
+    assert pinned is not None, (
+        f"no plan digests pinned for SOLVER_VERSION {SOLVER_VERSION}; "
+        f"add PLAN_DIGESTS[{SOLVER_VERSION}] = {digests!r}"
+    )
+    changed = sorted(name for name in digests if digests[name] != pinned.get(name))
+    assert not changed, (
+        f"plans changed without a SOLVER_VERSION bump: {changed}.  Any change "
+        "that can alter a solution must raise SOLVER_VERSION "
+        "(uotmorph/solver/__init__.py), so results cached by the old solver "
+        "are solved again; then pin the new version's digests here."
+    )
