@@ -21,12 +21,15 @@ with a ``.stage.json`` marker holding a content hash of its inputs, and
   the covariate's name and its values.
 
 A failed stage removes its partial outputs and aborts, naming the stage,
-lambda, covariate and cause.  Every solve of the cohort goes through
-``_Cohort.solve_each``: on one process pool per invocation of
-``min(workers, subjects)`` workers, in-process when that is 1.  With a
-fixed config, seed, and worker count, the artifact tree (everything except
-the run_log.jsonl diagnostics) is byte-reproducible; results do not depend
-on the worker count.
+lambda, covariate and cause.  The per-subject work of the template,
+transport and features stages goes through ``_Cohort.each``: on one
+process pool per invocation of ``min(workers, subjects)`` workers, one
+contiguous batch of subjects per worker and stage, in-process when that is
+1.  Transport tasks write their plan CSVs and features tasks their feature
+images; the main process keeps the hashing, stage directories, markers,
+run log and correlation.  With a fixed config, seed, and worker count, the
+artifact tree (everything except the run_log.jsonl diagnostics) is
+byte-reproducible; results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -303,7 +306,7 @@ class _RunLog:
 def _run_stage(log: _RunLog, stage, label, stage_dir, input_hash, work, **record):
     """Run ``work(stage_dir)`` unless the directory's marker holds ``input_hash``.
 
-    The directory is cleared before the work and marked complete after it;
+    The directory is emptied before the work and marked complete after it;
     a failure removes it and is raised as a StageFailure naming the stage
     and ``label`` (lambda, covariate).  ``work`` may return extra run-log
     fields.  The logged wall time spans everything after the skip check.
@@ -315,9 +318,14 @@ def _run_stage(log: _RunLog, stage, label, stage_dir, input_hash, work, **record
     logger.info("%s: start", name)
     t0 = time.perf_counter()
     try:
-        if os.path.isdir(stage_dir):
-            shutil.rmtree(stage_dir)
-        os.makedirs(stage_dir)
+        # emptied in place: deleting and recreating the directory costs more
+        os.makedirs(stage_dir, exist_ok=True)
+        with os.scandir(stage_dir) as entries:
+            for entry in entries:
+                if entry.is_dir(follow_symlinks=False):
+                    shutil.rmtree(entry.path)
+                else:
+                    os.unlink(entry.path)
         record.update(work(stage_dir) or {})
         with open(_marker_path(stage_dir), "w", encoding="utf-8") as fh:
             json.dump({"stage": stage, "input_hash": input_hash}, fh, sort_keys=True)
@@ -341,13 +349,24 @@ def _lambda_dirname(lam: float) -> str:
     return f"lambda={lam!r}"
 
 
-def _solve_named(solve, sid, item):
-    """``solve(item)``; a failure carries the subject id as ``subject``."""
-    try:
-        return solve(item)
-    except Exception as exc:
-        exc.subject = sid  # pickled with the exception out of a worker
-        raise
+def _run_batch(task, batch) -> list:
+    """``task(sid, item)`` for each ``(sid, item)`` of ``batch``, in order.
+
+    Every task runs: a failure is returned in its place, not raised, and
+    carries the subject id as ``subject``.
+    """
+    results = []
+    for sid, item in batch:
+        try:
+            results.append(task(sid, item))
+        except Exception as exc:
+            exc.subject = sid  # pickled with the exception out of a worker
+            results.append(exc)
+    return results
+
+
+def _drop_sid(fn, _sid, item):
+    return fn(item)
 
 
 class _Cohort:
@@ -359,11 +378,27 @@ class _Cohort:
         self.ids = [e.subject_id for e in self.manifest.entries]
         self.paths = [os.path.join(base, e.image_path) for e in self.manifest.entries]
         self.downsample_factor = cfg.downsample_factor
+        # a worker takes at least one subject, so more workers would only idle
+        self.workers = min(cfg.workers, len(self.ids))
         self.pool_map = map  # run_pipeline points it at its worker pool
 
-    def solve_each(self, solve, items) -> list:
-        """``solve(item)`` per subject on ``pool_map``; a failure names its subject."""
-        return list(self.pool_map(partial(_solve_named, solve), self.ids, items))
+    def each(self, task, items) -> list:
+        """``task(sid, item)`` per subject on ``pool_map``, in subject order.
+
+        Each worker gets one contiguous batch of ceil(subjects / workers)
+        subjects.  Every task runs to completion before the first failure in
+        subject order is raised, so no worker still writes into a stage
+        directory that a failed stage removes; the failure names its subject.
+        """
+        pairs = list(zip(self.ids, items))
+        size = math.ceil(len(pairs) / self.workers)
+        batches = [pairs[k:k + size] for k in range(0, len(pairs), size)]
+        results = [result for batch in self.pool_map(partial(_run_batch, task), batches)
+                   for result in batch]
+        for result in results:
+            if isinstance(result, Exception):
+                raise result
+        return results
 
     @cached_property
     def digests(self) -> list[str]:
@@ -426,7 +461,8 @@ def stage_template(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
     def work(template_dir):
         template, meta = build_template(
             cohort.images, cfg.template, cost=_COST, alloc=alloc, quant=quant,
-            pool_map=cohort.solve_each,
+            pool_map=lambda solve, images: cohort.each(partial(_drop_sid, solve),
+                                                       images),
         )
         save_measure(template, os.path.join(template_dir, "template.otfg"))
         with open(os.path.join(template_dir, "template.txt"), "w",
@@ -437,6 +473,13 @@ def stage_template(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
 
     _run_stage(log, "template", None, os.path.join(cfg.output_dir, "template"),
                _stage_hash(inputs), work)
+
+
+def _transport_task(solve, stage_dir, sid, image) -> float:
+    """Solve one subject, write its plan CSV and return the objective."""
+    sol = solve(image)
+    export_solution(sol, os.path.join(stage_dir, f"{sid}.plan.csv"))
+    return sol.objective
 
 
 def stage_transport(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
@@ -463,11 +506,9 @@ def stage_transport(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
                 solve_multiscale, template, cost=_COST, alloc=alloc, quant=quant,
                 coarsen_threshold=ms.coarsen_threshold if ms.enabled else math.inf,
                 neighborhood_radius=ms.neighborhood_radius)
-            sols = cohort.solve_each(solve, cohort.images)
-            for sid, sol in zip(cohort.ids, sols):
-                export_solution(sol, os.path.join(stage_dir, f"{sid}.plan.csv"))
-            return {"objectives": {sid: sol.objective
-                                   for sid, sol in zip(cohort.ids, sols)}}
+            objectives = cohort.each(partial(_transport_task, solve, stage_dir),
+                                     cohort.images)
+            return {"objectives": dict(zip(cohort.ids, objectives))}
 
         label = _lambda_dirname(lam)
         _run_stage(log, "transport", label,
@@ -475,12 +516,25 @@ def stage_transport(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
                    _stage_hash({**base_hash, **solve_inputs}), work, lam=lam)
 
 
-def stage_features(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
-    """Turn solutions into smoothed allocation / transport-cost images."""
-    # not imported at module top: the benchmark wraps grid.save_field and
-    # grid.load_field to time feature and map I/O, after this module loads
+def _features_task(domain, smoothing: SmoothingConfig, stage_dir, sid, sol_path):
+    """Load one subject's plan, check its voxels and write its feature images."""
+    # not imported at module top: the benchmark wraps grid.save_field after
+    # this module loads; it times only in-process writes, so with a worker
+    # pool the benchmark's save_field wrappers see only the map writes
     from .grid import save_field
 
+    sol = load_solution(sol_path)
+    voxels = (sol.plan_arcs[:, :2], sol.allocation[:, 1])
+    if max(v.max(initial=0) for v in voxels) >= domain.size:
+        raise DataError(f"{sol_path}: voxel index outside the {domain.dims} domain")
+    images = extract_features(sol, _COST, domain, sigma=smoothing.sigma,
+                              truncation_radius=smoothing.truncation_radius)
+    for (_, suffix), image in zip(_FEATURES, images):
+        save_field(domain, image, os.path.join(stage_dir, f"{sid}.{suffix}.otfg"))
+
+
+def stage_features(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
+    """Turn solutions into smoothed allocation / transport-cost images."""
     for lam in cfg.lambdas:
         label = _lambda_dirname(lam)
         sol_dir = os.path.join(cfg.output_dir, "solutions", label)
@@ -488,19 +542,8 @@ def stage_features(cfg: PipelineConfig, cohort: _Cohort, log: _RunLog) -> None:
         _require(f"features[{label}]", sol_paths, "transport")
 
         def work(stage_dir):
-            domain = cohort.domain
-            for sid, sol_path in zip(cohort.ids, sol_paths):
-                sol = load_solution(sol_path)
-                voxels = (sol.plan_arcs[:, :2], sol.allocation[:, 1])
-                if max(v.max(initial=0) for v in voxels) >= domain.size:
-                    raise DataError(f"{sol_path}: voxel index outside the "
-                                    f"{domain.dims} domain")
-                images = extract_features(
-                    sol, _COST, domain, sigma=cfg.smoothing.sigma,
-                    truncation_radius=cfg.smoothing.truncation_radius)
-                for (_, suffix), image in zip(_FEATURES, images):
-                    save_field(domain, image,
-                               os.path.join(stage_dir, f"{sid}.{suffix}.otfg"))
+            cohort.each(partial(_features_task, cohort.domain, cfg.smoothing,
+                                stage_dir), sol_paths)
 
         input_hash = _stage_hash({
             "solutions": [_digest_file(p) for p in sol_paths],
@@ -595,10 +638,9 @@ def run_pipeline(cfg: PipelineConfig, upto: str = "correlate",
             raise StageFailure("correlate", DataError(
                 f"correlation needs at least 3 subjects, got {len(cohort.ids)}"))
     os.makedirs(cfg.output_dir, exist_ok=True)
-    # each map has one item per subject, so more workers would only idle;
-    # workers start at the first solve, so a run that solves nothing forks none
-    workers = min(cfg.workers, len(cohort.ids))
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+    # workers start at the first task, so a run whose stages are all up to
+    # date forks none
+    with (ProcessPoolExecutor(max_workers=cohort.workers) if cohort.workers > 1
           else nullcontext()) as pool:
         if pool:
             cohort.pool_map = pool.map

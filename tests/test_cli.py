@@ -287,11 +287,11 @@ def test_stage_only_requires_upstream(tmp_path, capsys):
     assert "stage 'template' failed: missing " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("template", [
-    {"method": "sparse"},
-    {"method": "ot_barycenter", "barycenter_max_iters": 2},
+@pytest.mark.parametrize("template, failed_dir", [
+    ({"method": "sparse"}, "solutions/lambda=inf"),
+    ({"method": "ot_barycenter", "barycenter_max_iters": 2}, "template"),
 ], ids=["sparse", "ot_barycenter"])
-def test_solver_failure_exit_4(tmp_path, capsys, template):
+def test_solver_failure_exit_4(tmp_path, capsys, template, failed_dir):
     # JSON 1e999 parses to infinity: allocation disabled, unbalanced cohort;
     # the sparse template fails in transport, the barycenter in template
     path = write_config(tmp_path, lambdas=[1e999], template=template)
@@ -300,10 +300,49 @@ def test_solver_failure_exit_4(tmp_path, capsys, template):
     manifest = load_manifest(tmp_path / "out" / "dataset" / "manifest.csv")
     ids = [e.subject_id for e in manifest.entries]
     assert any(f"(subject {sid})" in message for sid in ids), message
-    # the same subject is named whether the solves run in workers or not
+    # the same subject is named whether the solves run in workers or not, and
+    # the failed stage leaves no directory behind
     for workers in ("1", "2"):
         assert main(["run", "--config", str(path), "--workers", workers]) == 4
         assert capsys.readouterr().err == message
+        assert not (tmp_path / "out" / failed_dir).exists()
+
+
+def test_features_failure_runs_every_task_first(tmp_path, capsys, monkeypatch):
+    from uotmorph import grid
+
+    # feature writes leave a side record outside the stage directory, also
+    # from forked workers, which inherit the wrapped grid.save_field
+    written = tmp_path / "written"
+    written.mkdir()
+    save = grid.save_field
+
+    def recording_save(domain, field, path):
+        save(domain, field, path)
+        (written / os.path.basename(path)).touch()
+
+    monkeypatch.setattr(grid, "save_field", recording_save)
+    path = write_config(tmp_path)
+    assert main(["transport", "--config", str(path)]) == 0
+    plan = tmp_path / "out" / "solutions" / "lambda=150.0" / "s0000.plan.csv"
+    rows = plan.read_text().splitlines()
+    rows[-1] = "arc,0,400," + rows[-1].split(",")[3]  # off the 20x20 grid
+    plan.write_text("\n".join(rows) + "\n")
+    messages = []
+    for workers in ("1", "2"):
+        for record in written.iterdir():
+            record.unlink()
+        assert main(["features", "--config", str(path), "--stage-only",
+                     "--workers", workers]) == 3
+        messages.append(capsys.readouterr().err)
+        assert not (tmp_path / "out" / "features" / "lambda=150.0").exists()
+        # the first subject failed; every later subject still ran to the end
+        assert sorted(r.name for r in written.iterdir()) == [
+            f"s{k:04d}.{suffix}.otfg" for k in range(1, 5)
+            for suffix in ("alloc", "tcost")]
+    assert messages[0] == messages[1]
+    assert "stage 'features[lambda=150.0]' (subject s0000) failed: " in messages[0]
+    assert str(plan) in messages[0]
 
 
 def test_failure_names_the_failing_subject(tmp_path, capsys):
@@ -336,11 +375,16 @@ def test_failure_names_the_failing_subject(tmp_path, capsys):
 @pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1)])
 def test_one_pool_per_invocation(tmp_path, monkeypatch, workers, pools):
     started = []
+    spawned = []
 
     class CountingPool(pipeline.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             started.append(self)
             super().__init__(*args, **kwargs)
+
+        def _spawn_process(self):
+            spawned.append(self)
+            super()._spawn_process()
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
     path = write_config(tmp_path, lambdas=[10.0, 150.0], workers=workers,
@@ -348,6 +392,10 @@ def test_one_pool_per_invocation(tmp_path, monkeypatch, workers, pools):
                                   "barycenter_max_iters": 2})
     assert main(["run", "--config", str(path)]) == 0
     assert len(started) == pools
+    assert len(spawned) == workers * pools
+    # workers start at the first task: an up-to-date rerun forks none
+    assert main(["run", "--config", str(path)]) == 0
+    assert len(spawned) == workers * pools
 
 
 def test_pool_has_at_most_one_worker_per_subject(tmp_path, monkeypatch):
@@ -446,6 +494,17 @@ def test_worker_count_does_not_change_results(tmp_path, template):
     assert main(["run", "--config", str(p1)]) == 0
     assert main(["run", "--config", str(p2)]) == 0
     assert tree_checksums(tmp_path / "o1") == tree_checksums(tmp_path / "o2")
+    # a features-only rerun: a new smoothing recomputes features and maps
+    before = tree_checksums(tmp_path / "o1")
+    for out, workers in (("o1", 1), ("o2", 2)):
+        path = write_config(tmp_path, f"{out}.json", output_dir=str(tmp_path / out),
+                            workers=workers, template=template,
+                            smoothing={"sigma": 1.0})
+        assert main(["run", "--config", str(path)]) == 0
+    after = tree_checksums(tmp_path / "o1")
+    assert after == tree_checksums(tmp_path / "o2")
+    changed = {rel for rel in after if after[rel] != before[rel]}
+    assert changed and all(rel.startswith(("features", "maps")) for rel in changed)
 
 
 def test_run_pipeline_identity_dataset(tmp_path):
