@@ -37,6 +37,10 @@ from .stats import render_pgm_slice
 
 log = logging.getLogger("uotmorph")
 
+# exit code and stderr label per error class, first match
+_EXITS = ((ConfigError, 2, "config error: "), (DataError, 3, "data error: "),
+          (SolverError, 4, "solver failure: "), (BaseException, 4, ""))
+
 
 def _setup_logging():
     level = os.environ.get("UOTMORPH_LOG", "warning").upper()
@@ -143,27 +147,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StageFailure as exc:
-        log.error("%s", exc)
-        print(f"uotmorph: {exc}", file=sys.stderr)
-        cause = exc.cause
-        if isinstance(cause, ConfigError):
-            return 2
-        if isinstance(cause, DataError):
-            return 3
-        return 4
-    except ConfigError as exc:
-        print(f"uotmorph: config error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"uotmorph: data error: {exc}", file=sys.stderr)
-        return 3
-    except SolverError as exc:
-        print(f"uotmorph: solver failure: {exc}", file=sys.stderr)
-        return 4
     except UotmorphError as exc:
-        print(f"uotmorph: {exc}", file=sys.stderr)
-        return 4
+        # a stage failure exits by its cause, with the stage's own message
+        stage = isinstance(exc, StageFailure)
+        if stage:
+            log.error("%s", exc)
+        code, label = next((code, label) for cls, code, label in _EXITS
+                           if isinstance(exc.cause if stage else exc, cls))
+        print(f"uotmorph: {'' if stage else label}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

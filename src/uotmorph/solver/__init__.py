@@ -17,7 +17,9 @@ from .specs import (
 # changes the pivot sequence and so can pick a different optimum too.
 # Version 4 drops restricted transport arcs from sources with mass but no
 # flow units, as the dense build does, which can change a tied optimum.
-SOLVER_VERSION = 4
+# Version 5 solves lambda = inf on the bank network from the bank basis,
+# which can pick a different balanced optimum where several tie.
+SOLVER_VERSION = 5
 
 __all__ = [
     "SOLVER_VERSION",

@@ -32,8 +32,9 @@ def solve_unbalanced(
 ) -> TransportSolution:
     """Unbalanced transport with priced mass allocation between two measures.
 
-    ``AllocationSpec(lam=math.inf)`` gives balanced transport; quantized
-    totals that differ then raise InfeasibleError.
+    ``AllocationSpec(lam=math.inf)`` gives balanced transport on the same
+    network, allocation priced at max cost + 1; quantized totals that differ
+    then raise InfeasibleError.
     """
     problem = network.build_unbalanced_problem(mu, nu, cost, alloc, quant)
     return _run(problem, "simplex")

@@ -14,11 +14,12 @@ children of cells a and b are max(0, 2|a - b| - 1) fine steps apart, so
 the sum over axes of (spacing * that)^2 bounds every child pair's cost from
 below.  The builder would prune every such pair, so the restricted network
 is unchanged; at lambda = 0 only pairs within one coarse cell remain.
-Self arcs and virtual (allocation) arcs are always admitted,
-so at finite lambda every level stays feasible; at lambda = inf, which has
-no virtual arcs, a level the admitted arcs cannot route is solved exactly.
-The final solution is feasible for the full problem and its objective
-upper-bounds the exact optimum.
+Self arcs and virtual (allocation) arcs are always admitted, so every
+level stays feasible.  At lambda = inf, where the exact solution allocates
+nothing, a level whose solution allocates is one the admitted arcs cannot
+route: ``network.extract_solution`` raises InfeasibleError and the level is
+solved exactly.  The final solution is feasible for the full problem and
+its objective upper-bounds the exact optimum.
 
 Each refinement level is warm-started from the coarse plan: a target voxel
 starts fed from the voxel at the same offset in the coarse source cell that

@@ -1,28 +1,32 @@
 """Build the min-cost-flow network of unbalanced transport, the one builder.
 
-Balanced transport is this program at lambda = inf.  Nodes are the support
-voxels of the two measures plus, for finite lambda, a bank node whose net
-supply is the quantized mass imbalance.  Every voxel of either support is
-a source site that adds or removes mass through the bank, and every target
-has a cost-0 self arc from its own site, so target-side allocation would
-never be cheaper and has no arcs.  This realizes the three constraint
+Nodes are the support voxels of the two measures plus a bank node whose
+net supply is the quantized mass imbalance.  Every voxel of either support
+is a source site that adds or removes mass through the bank, and every
+target has a cost-0 self arc from its own site, so target-side allocation
+would never be cheaper and has no arcs.  This realizes the three constraint
 families: source and target marginals, and net allocation equal to the
 imbalance.
+
+Balanced transport (lambda = inf) is the same network with allocation
+priced at the domain's max cost + 1, past every transport arc.  Quantized
+totals that differ raise InfeasibleError here, and so does a solution that
+allocates, in ``extract_solution``: only a restricted network can make the
+bank the cheapest route.
 
 Two exact reductions keep networks small without changing the optimum:
 
 * a transport arc with cost greater than twice the allocation cost is
   dominated by removing at its tail and adding at its head, so it is
-  pruned (never when allocation is disabled);
+  pruned (none at lambda = inf, where that bound exceeds every cost);
 * a zero-mass source site can only ever forward freshly added mass, which
   is never cheaper than adding at the destination itself, so such sites
   keep only their self arc.
 
-For finite lambda the problem also carries a starting tree for the simplex,
-the bank basis: each voxel's target mass is fed in place by its self arc
-(or by the arc from a given feeder voxel) and each site settles the rest
-with the bank.  The tree is strongly feasible, and at lambda = 0 it is
-already optimal.
+The problem also carries a starting tree for the simplex, the bank basis:
+each voxel's target mass is fed in place by its self arc (or by the arc
+from a given feeder voxel) and each site settles the rest with the bank.
+The tree is strongly feasible, and at lambda = 0 it is already optimal.
 """
 
 from __future__ import annotations
@@ -61,8 +65,10 @@ class FlowProblem:
     mass_per_unit: float
     delta_real: float
     # per node, the arc hanging it from its parent in the simplex's starting
-    # tree, or -1 for its artificial arc to the root; None means all -1
-    basis: np.ndarray | None = None
+    # tree, or -1 for its artificial arc to the root
+    basis: np.ndarray
+    # lambda = inf: a solution that allocates mass is infeasible
+    balanced: bool = False
 
     @property
     def n_arcs(self) -> int:
@@ -82,8 +88,8 @@ def build_unbalanced_problem(
 
     ``allowed_pairs`` optionally restricts transport arcs to the given
     (source_voxel, target_voxel) index arrays (multiscale refinement);
-    self arcs and virtual arcs are always admitted.  For finite lambda the
-    problem carries a bank basis (see ``_bank_basis``); ``feeder`` (one
+    self arcs and virtual arcs are always admitted.  The problem carries a
+    bank basis (see ``_bank_basis``); ``feeder`` (one
     source voxel per voxel of the domain) picks the transport arc that
     hangs each target from the tree, where that arc was built.
     """
@@ -99,20 +105,16 @@ def build_unbalanced_problem(
     delta_real = nu.total_mass - mu.total_mass
 
     lam = alloc.effective_lambda(cost.max_on_domain(domain))
-    finite_lam = math.isfinite(lam)
-    if not finite_lam and imbalance != 0:
+    balanced = math.isinf(alloc.lam)
+    if balanced and imbalance != 0:
         raise InfeasibleError(
             "infinite allocation cost with unbalanced quantized totals"
         )
 
     tgt_voxels = np.flatnonzero(z_flat > 0)
-    src_support = np.flatnonzero(w_flat > 0)
-    if finite_lam:
-        # allocation sites: union of supports, so every needed voxel can be
-        # served by a self arc fed from the bank
-        src_voxels = np.union1d(src_support, tgt_voxels)
-    else:
-        src_voxels = src_support
+    # allocation sites: union of supports, so every needed voxel can be
+    # served by a self arc fed from the bank
+    src_voxels = np.union1d(np.flatnonzero(w_flat > 0), tgt_voxels)
 
     n_src = len(src_voxels)
     n_tgt = len(tgt_voxels)
@@ -122,15 +124,14 @@ def build_unbalanced_problem(
     tgt_node = np.full(len(z_flat), -1, dtype=np.int64)
     tgt_node[tgt_voxels] = np.arange(n_src, n_src + n_tgt)
 
-    # the bank node, for finite lambda, follows the voxel nodes
+    # the bank node follows the voxel nodes
     bank = n_src + n_tgt
-    n_nodes = bank + 1 if finite_lam else bank
+    n_nodes = bank + 1
 
     supplies = np.zeros(n_nodes, dtype=np.int64)
     supplies[:n_src] = w_units_full[src_voxels]
-    supplies[n_src : n_src + n_tgt] -= z_units_full[tgt_voxels]
-    if finite_lam:
-        supplies[bank] = imbalance
+    supplies[n_src:bank] -= z_units_full[tgt_voxels]
+    supplies[bank] = imbalance
 
     # transport arcs, from sources with units to targets with mass
     positive_src = src_voxels[w_units_full[src_voxels] > 0]
@@ -168,18 +169,15 @@ def build_unbalanced_problem(
 
     # arc blocks of (tail, head, cost, kind, voxel a, voxel b), each column
     # at its final dtype; a scalar stands for the same value on every arc of
-    # its block
+    # its block; bank -> site adds mass at the source side, site -> bank
+    # removes it
     blocks = [
         (src_node[pair_i], tgt_node[pair_j], pair_c, ARC_TRANSPORT, pair_i, pair_j),
         (src_node[both], tgt_node[both], 0.0, ARC_TRANSPORT, both, both),
+        (bank, np.arange(n_src), lam, ARC_ADD_SRC, src_voxels, -1),
+        (src_node[positive_src], bank, lam, ARC_REM_SRC, positive_src, -1),
     ]
     del pair_c, pair_i, pair_j
-    if finite_lam:
-        # bank -> site (mass added at source side), site -> bank (removed)
-        blocks += [
-            (bank, np.arange(n_src), lam, ARC_ADD_SRC, src_voxels, -1),
-            (src_node[positive_src], bank, lam, ARC_REM_SRC, positive_src, -1),
-        ]
     lengths = [len(block[4]) for block in blocks]
     columns = [list(col) for col in zip(*blocks)]
     del blocks
@@ -200,21 +198,21 @@ def build_unbalanced_problem(
         arc_voxel_b=vox_b,
         mass_per_unit=mass_per_unit,
         delta_real=delta_real,
+        basis=np.full(n_nodes, -1, dtype=np.int64),  # read from the arcs below
+        balanced=balanced,
     )
-    if finite_lam:
-        problem.basis = _bank_basis(problem, feeder)
+    problem.basis = _bank_basis(problem, feeder)
     return problem
 
 
 def prune_bound(cost: CostSpec, alloc: AllocationSpec, domain) -> float:
     """Cost above which a transport arc on ``domain`` is dominated and pruned:
-    twice the priced lambda, or inf when allocation is disabled."""
-    lam = alloc.effective_lambda(cost.max_on_domain(domain))
-    return 2.0 * lam if math.isfinite(lam) else math.inf
+    twice the priced lambda."""
+    return 2.0 * alloc.effective_lambda(cost.max_on_domain(domain))
 
 
 def _bank_basis(problem: FlowProblem, feeder=None) -> np.ndarray:
-    """Strongly feasible starting tree of a finite-lambda network.
+    """Strongly feasible starting tree of a network.
 
     Read from the arcs alone.  Each target with demand hangs from a site by
     a transport arc: the arc from ``feeder[voxel]`` where one was built,
@@ -257,11 +255,14 @@ def extract_solution(problem: FlowProblem, flows) -> TransportSolution:
     Arcs with positive flow become int64 rows: transport arcs as ``(source
     voxel, target voxel, units)`` in ``plan_arcs``, virtual arcs as ``(ARC_*
     kind, site voxel, units)`` in ``allocation``.  The objective is the real
-    cost, ``sum(cost * units) * mass_per_unit``.
+    cost, ``sum(cost * units) * mass_per_unit``.  Balanced flows that
+    allocate raise InfeasibleError.
     """
     flows = np.asarray(flows, dtype=np.int64)
     mpu = problem.mass_per_unit
     nz = np.flatnonzero(flows > 0)
+    if problem.balanced and (problem.arc_kind[nz] != ARC_TRANSPORT).any():
+        raise InfeasibleError("balanced transport needs allocation on these arcs")
     objective = float(np.dot(problem.costs[nz], flows[nz].astype(np.float64)) * mpu)
     rows = np.column_stack((
         problem.arc_kind[nz], problem.arc_voxel_a[nz], problem.arc_voxel_b[nz],

@@ -13,8 +13,8 @@ its parent, or -1 for a big-M artificial arc to the root.  One DFS from the
 root builds the tree from it; each tree arc carries its subtree's supply
 and each artificial arc is directed so that its flow is non-negative.  The
 start must be strongly feasible (every zero-flow tree arc points towards
-the root); a basis that is not is a ``SolverError``.  No basis is the all
--1 basis: the classic artificial star.  The solve returns its final tree
+the root); a basis that is not is a ``SolverError``.  The all -1 basis is
+the classic artificial star.  The solve returns its final tree
 in the same form, a strongly feasible start for the same problem.
 
 Pivot rule.  The entering arc is chosen by the block-search rule of LEMON's
@@ -299,10 +299,10 @@ def _start(problem: FlowProblem, faux: float):
     """Arc arrays and per-node tree state of the starting basis.
 
     Node v hangs from its parent by arc ``problem.basis[v]``, or by its
-    artificial arc (index e + v) to the root where the entry is -1; ``None``
-    means all -1.  The artificial arc runs root -> v when the supply of v's
-    subtree is negative, else v -> root.  Raises ``SolverError`` naming the
-    first node at fault when the basis is not a strongly feasible tree: a
+    artificial arc (index e + v) to the root where the entry is -1.  The
+    artificial arc runs root -> v when the supply of v's subtree is
+    negative, else v -> root.  Raises ``SolverError`` naming the first
+    node at fault when the basis is not a strongly feasible tree: a
     node that does not reach the root, a negative tree flow, or a zero-flow
     tree arc directed away from the root.
 
@@ -316,12 +316,9 @@ def _start(problem: FlowProblem, faux: float):
     e = problem.n_arcs
     root = n
     nodes = np.arange(n, dtype=np.int64)
-    if problem.basis is None:
-        basis = np.full(n, -1, dtype=np.int64)
-    else:
-        basis = np.asarray(problem.basis, dtype=np.int64)
-        if basis.shape != (n,):
-            raise SolverError(f"basis has shape {basis.shape}, expected ({n},)")
+    basis = np.asarray(problem.basis, dtype=np.int64)
+    if basis.shape != (n,):
+        raise SolverError(f"basis has shape {basis.shape}, expected ({n},)")
     bad = np.flatnonzero((basis < -1) | (basis >= e))
     if len(bad):
         raise SolverError(f"basis: node {bad[0]} names no arc ({basis[bad[0]]})")

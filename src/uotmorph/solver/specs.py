@@ -48,9 +48,10 @@ class AllocationSpec:
     """Mass allocation pricing: constant cost per unit added or removed.
 
     Mass is added or removed at source-side sites, one per voxel of either
-    support.  ``lam`` may be ``math.inf`` to forbid allocation entirely.
-    ``lam == 0`` is replaced internally by a tiny positive cost to keep the
-    solution deterministic.
+    support.  ``lam`` may be ``math.inf`` for balanced transport, priced
+    past every transport arc so that nothing is allocated.  ``lam == 0`` is
+    replaced internally by a tiny positive cost to keep the solution
+    deterministic.
     """
 
     lam: float = 1.0
@@ -60,9 +61,12 @@ class AllocationSpec:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
 
     def effective_lambda(self, max_cost: float) -> float:
-        """The lambda actually priced; 0 becomes 1e-12 * max cost."""
+        """The lambda actually priced; 0 becomes 1e-12 * max cost and inf
+        becomes max cost + 1."""
         if self.lam == 0:
             return 1e-12 * max_cost if max_cost > 0 else 0.0
+        if self.lam == math.inf:
+            return max_cost + 1.0
         return self.lam
 
 

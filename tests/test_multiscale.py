@@ -23,7 +23,7 @@ from uotmorph.solver import (
 )
 from uotmorph.solver import multiscale, network, simplex, ssp
 from uotmorph.solver.multiscale import _admitted_pairs, _feeder
-from uotmorph.solver.specs import ARC_TRANSPORT
+from uotmorph.solver.specs import ARC_ADD_SRC, ARC_REM_SRC, ARC_TRANSPORT
 
 COST = CostSpec()
 QUANT = QuantizationSpec(units=10**6)
@@ -86,30 +86,34 @@ def test_multiscale_radius_widens_admission():
 
 
 def test_infeasible_restricted_level_falls_back_to_exact(monkeypatch):
-    # at lambda = inf no allocation arcs keep the fine level feasible, and
-    # the pairs the 2x2 coarse plan admits at radius 0 cannot route 7 units
+    # at lambda = inf the pairs the 2x2 coarse plan admits at radius 0
+    # cannot route 7 units: the restricted solve removes 2 of them and adds
+    # them elsewhere through the bank, which extract_solution rejects, and
+    # the level is solved exactly
     dom = GridDomain(dims=(4, 4), spacing=(1.0, 1.0), origin=(0.0, 0.0))
     mu = GridMeasure(dom, np.array(
         [[0, 2, 1, 2], [1, 0, 2, 0], [0, 2, 2, 3], [1, 0, 0, 0]], dtype=float))
     nu = GridMeasure(dom, np.array(
         [[0, 2, 3, 1], [2, 1, 2, 1], [1, 0, 0, 1], [0, 1, 0, 1]], dtype=float))
     alloc, quant = AllocationSpec(lam=math.inf), QuantizationSpec(7)
-    infeasible = []
+    banked = []
+    extract = network.extract_solution
 
-    def restricted_solve(problem):
+    def restricted_extract(problem, flows):
         try:
-            return simplex.solve_min_cost_flow(problem)
+            return extract(problem, flows)
         except InfeasibleError:
-            infeasible.append(problem)
+            banked.append([int(flows[problem.arc_kind == kind].sum())
+                           for kind in (ARC_ADD_SRC, ARC_REM_SRC)])
             raise
 
-    monkeypatch.setattr(multiscale, "solve_min_cost_flow", restricted_solve)
+    monkeypatch.setattr(network, "extract_solution", restricted_extract)
     ms = solve_multiscale(mu, nu, COST, alloc, quant,
                           coarsen_threshold=4, neighborhood_radius=0)
     exact = solve_unbalanced(mu, nu, COST, alloc, quant)
-    assert len(infeasible) == 1
+    assert banked == [[2, 2]]
     assert np.array_equal(ms.plan_arcs, exact.plan_arcs)
-    assert np.array_equal(ms.allocation, exact.allocation)
+    assert len(ms.allocation) == 0 and np.array_equal(ms.allocation, exact.allocation)
     assert ms.objective == 11.428571428571427
 
 

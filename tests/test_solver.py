@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from conftest import (
     allocated,
@@ -14,7 +15,7 @@ from conftest import (
     same_solution,
 )
 from uotmorph.errors import DataError, InfeasibleError, SolverError
-from uotmorph.grid import GridDomain, GridMeasure
+from uotmorph.grid import GridDomain, GridMeasure, voxel_positions
 from uotmorph.solver import (
     AllocationSpec,
     CostSpec,
@@ -28,7 +29,12 @@ from uotmorph.solver import (
 )
 from uotmorph.solver import network, simplex, ssp
 from uotmorph.solver.api import _run
-from uotmorph.solver.specs import ARC_ADD_SRC, ARC_REM_SRC, ARC_TRANSPORT
+from uotmorph.solver.specs import (
+    ARC_ADD_SRC,
+    ARC_REM_SRC,
+    ARC_TRANSPORT,
+    quantized_masses,
+)
 
 COST = CostSpec()
 QUANT = QuantizationSpec(units=10**7)
@@ -90,6 +96,42 @@ def test_balanced_matches_ssp_oracle():
         s1 = _run(prob, "simplex")
         s2 = _run(prob, "ssp")
         assert s1.objective == pytest.approx(s2.objective, rel=1e-9)
+
+
+def highs_balanced_objective(mu, nu, units):
+    """Balanced transport LP over the quantized unit masses, solved by HiGHS.
+
+    Its variables are the source-target pairs of the two supports, with no
+    bank, so it checks how the network's bank encodes balanced transport.
+    """
+    w, z, mass_per_unit = quantized_masses(mu.flat, nu.flat, units)
+    src, tgt = np.flatnonzero(w), np.flatnonzero(z)
+    cost = COST.pairwise(voxel_positions(mu.domain, src), voxel_positions(mu.domain, tgt))
+    # row sums are the source masses, column sums the target masses
+    marginals = np.vstack((np.kron(np.eye(len(src)), np.ones(len(tgt))),
+                           np.kron(np.ones(len(src)), np.eye(len(tgt)))))
+    result = linprog(cost.ravel(), A_eq=marginals, b_eq=np.concatenate((w[src], z[tgt])),
+                     bounds=(0, None), method="highs")
+    assert result.status == 0, result.message
+    return result.fun * mass_per_unit
+
+
+@pytest.mark.parametrize("units", [1, 7, 10**6])
+def test_balanced_matches_highs_oracle(units):
+    rng = np.random.default_rng(units)
+    for dims in [(3, 3), (2, 2, 2), (2, 5)] * 8:
+        ndim = len(dims)
+        dom = GridDomain(dims=dims, spacing=tuple(rng.uniform(0.3, 2.0, ndim)),
+                         origin=tuple(rng.uniform(-3.0, 3.0, ndim)))
+        w, z = (rng.random(dims) * (rng.random(dims) < 0.8) for _ in range(2))
+        w.flat[rng.integers(w.size)] += 0.1
+        z.flat[rng.integers(z.size)] += 0.1
+        mu, nu = GridMeasure(dom, w), GridMeasure(dom, z * (w.sum() / z.sum()))
+        sol = solve_unbalanced(mu, nu, COST, BALANCED, QuantizationSpec(units))
+        assert len(sol.allocation) == 0
+        assert sol.objective == pytest.approx(
+            highs_balanced_objective(mu, nu, units), rel=1e-9, abs=1e-12
+        )
 
 
 def test_unbalanced_prefers_transport_when_lambda_high():
@@ -374,6 +416,7 @@ def flow_problem(n_nodes, arcs, supplies):
         arc_voxel_b=np.arange(e, dtype=np.int64),
         mass_per_unit=1.0,
         delta_real=0.0,
+        basis=np.full(n_nodes, -1, dtype=np.int64),
     )
 
 
@@ -505,6 +548,7 @@ def test_simplex_rejects_basis_arc_not_at_node():
 
 
 def test_all_artificial_basis_equals_default_start():
+    # the artificial star and the builder's bank basis reach one optimum
     rng = np.random.default_rng(8)
     for lam in (0.5, 3.0, 30.0):
         mu, nu = random_measure_pair(rng, dims=(4, 4))
@@ -512,13 +556,12 @@ def test_all_artificial_basis_equals_default_start():
             mu, nu, COST, AllocationSpec(lam=lam), QUANT
         )
         star = np.full(problem.n_nodes, -1)
-        default = dataclasses.replace(problem, basis=None)
-        flows, objective, _ = simplex.solve_min_cost_flow(default)
+        flows, objective, _ = simplex.solve_min_cost_flow(problem)
         flows_star, objective_star, _ = simplex.solve_min_cost_flow(
             with_basis(problem, star)
         )
-        assert np.array_equal(flows_star, flows)
-        assert objective_star == objective
+        assert (net_outflow(problem, flows_star) == problem.supplies).all()
+        assert objective_star == pytest.approx(objective, rel=1e-9, abs=1e-12)
 
 
 def test_bank_basis_is_optimal_at_lambda_zero():
@@ -559,7 +602,7 @@ def test_bank_basis_does_not_depend_on_arc_order(restricted):
             allowed_pairs=pairs, feeder=feeder,
         )
         order = rng.permutation(problem.n_arcs)
-        permuted = dataclasses.replace(problem, basis=None, **{
+        permuted = dataclasses.replace(problem, **{
             name: getattr(problem, name)[order] for name in
             ("tails", "heads", "costs", "arc_kind", "arc_voxel_a", "arc_voxel_b")
         })
@@ -583,17 +626,27 @@ def test_bank_basis_does_not_depend_on_arc_order(restricted):
     assert (fed_by_other > 0) == restricted
 
 
-def test_bank_basis_only_for_finite_lambda():
+@pytest.mark.parametrize("lam", [0.0, 1.0, math.inf])
+def test_every_network_has_a_bank_and_a_bank_basis(lam):
+    # balanced transport is the same network: the bank follows the voxel
+    # nodes of both supports, and the simplex accepts the bank basis
     mu = line_measure([1.0, 0.0, 2.0])
     nu = line_measure([0.0, 1.0, 2.0])
-    finite = network.build_unbalanced_problem(
-        mu, nu, COST, AllocationSpec(lam=1.0), QUANT
+    problem = network.build_unbalanced_problem(
+        mu, nu, COST, AllocationSpec(lam=lam), QUANT
     )
-    assert finite.basis is not None and len(finite.basis) == finite.n_nodes
-    infinite = network.build_unbalanced_problem(
-        mu, line_measure([0.0, 1.0, 2.0]), COST, AllocationSpec(lam=math.inf), QUANT
-    )
-    assert infinite.basis is None
+    bank = 3 + 2  # sites 0, 1, 2, then targets 1, 2
+    assert problem.n_nodes == bank + 1 and problem.supplies[bank] == 0
+    assert set(problem.tails[problem.arc_kind == ARC_ADD_SRC].tolist()) == {bank}
+    assert problem.balanced == (lam == math.inf)
+    assert problem.basis.shape == (problem.n_nodes,) and (problem.basis >= 0).any()
+    simplex._start(problem, faux=1e6)
+    if lam == math.inf:
+        # unequal quantized totals still have no balanced solution
+        with pytest.raises(InfeasibleError, match="unbalanced quantized totals"):
+            network.build_unbalanced_problem(
+                mu, line_measure([0.0, 1.0, 2.5]), COST, BALANCED, QUANT
+            )
 
 
 def test_network_allocation_is_source_side_only():

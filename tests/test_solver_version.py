@@ -55,6 +55,32 @@ PLAN_DIGESTS = {
         "anisotropic 7x5x3 permuted lam=inf":
             "60a275dca4224b8549272d57abc7be09bcefa7faac0af4416bc0c61fb65c25e0",
     },
+    5: {
+        "blobs 12x12 lam=0.0":
+            "0e2c749badd8cf760c8f0b9b92b972ce7c01994a8d96d30b14a1be9560813814",
+        "blobs 12x12 lam=10.0":
+            "15cbe09ae47eb7be0a5d9336320295b268c0642abc3cd33a391a3c688622007a",
+        "blobs 12x12 lam=100.0":
+            "a2e50dec2f278521a127e37c952a74e7f061722ca4cda4900a51b5c1e68126b6",
+        "blobs 12x12 lam=2000.0":
+            "9204ffa31b3bf8155386c2f472f556176f23be71bf87c19c4c459bf9a6bd61fe",
+        "multiscale 5x5x5 lam=0.0":
+            "8e1bafd12ee6baeb0a34abbf28410802a91ff0e99fdaa866d0b0c9910ca234b4",
+        "multiscale 5x5x5 lam=10.0":
+            "1b1452ee0fbbffa3bedbd97a89e88bdc8d093cdc31916f644b840fe5fb3bc861",
+        "multiscale 5x5x5 lam=2000.0":
+            "13b9ad90a4dd5e50c55bce8f747dedd848895862cd7a6b1a93d090095f2d21f2",
+        "multiscale 5x5x5 balanced lam=inf":
+            "b56685a73101fb44bd964c0345d2a2ff308cf436873f3a594ee9eea4d357dcc7",
+        "anisotropic 7x5x3 lam=0.0":
+            "0adf35151fdb302163f785666b71fc488820a4d11ec81c32a1f997c047f99206",
+        "anisotropic 7x5x3 lam=2.5":
+            "11e7b590615b325de3388bb35911926e5935fbcc36bdca15b2a7da969eddff91",
+        "anisotropic 7x5x3 lam=40.0":
+            "7ed6b6f240d49bc416e4fad945d7e0029762d210ae4fd209faceabeb54b5cf2b",
+        "anisotropic 7x5x3 permuted lam=inf":
+            "0f156623f2c51b4cf11763cce51f01fbc5610befd615768162732bcdf06613e7",
+    },
 }
 
 
@@ -103,6 +129,13 @@ def _cases():
                              coarsen_threshold=20)
             for mu, nu in pairs
         ]
+    balanced = [(mu, GridMeasure(nu.domain, nu.values * (mu.total_mass / nu.total_mass)))
+                for mu, nu in pairs]
+    cases["multiscale 5x5x5 balanced lam=inf"] = [
+        solve_multiscale(mu, nu, COST, AllocationSpec(lam=math.inf), QUANT,
+                         coarsen_threshold=20)
+        for mu, nu in balanced
+    ]
     dims = (7, 5, 3)
     dom = GridDomain(dims=dims, spacing=(0.5, 2.0, 1.0), origin=(1.0, -3.0, 0.5))
     rng = np.random.default_rng(2026)
