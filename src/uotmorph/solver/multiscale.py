@@ -39,7 +39,13 @@ from ..grid import GridMeasure, downsample
 from . import network
 from .api import solve_unbalanced
 from .simplex import solve_min_cost_flow
-from .specs import AllocationSpec, CostSpec, QuantizationSpec, TransportSolution
+from .specs import (
+    AllocationSpec,
+    CostSpec,
+    QuantizationSpec,
+    TransportSolution,
+    axis_gap_tables,
+)
 
 
 def _admitted_pairs(coarse_sol: TransportSolution, coarse_dims, fine_mu, fine_nu,
@@ -81,20 +87,19 @@ def _drop_far_cells(admitted, fine_domain, prune_bound):
 
     ``admitted`` has shape ``coarse_dims * 2``, source cell axes first.  Per
     axis, the least squared gap between the children of cells a and b is
-    (spacing * max(0, 2|a - b| - 1))^2; it is taken from the coordinates the
-    network builder uses, so the sum over axes is the least cost of a child
-    pair up to the order of the sum's rounding.  A pair is cleared only when
-    that sum exceeds ``prune_bound`` by a relative 1e-9, so every cleared
-    pair is one the builder prunes.  Nothing is cleared when no sum can
-    exceed the bound (always at lambda = inf).
+    (spacing * max(0, 2|a - b| - 1))^2; it is read from the gap tables the
+    network builder uses (``axis_gap_tables``), so the sum over axes is the
+    least cost of a child pair up to the order of the sum's rounding.  A
+    pair is cleared only when that sum exceeds ``prune_bound`` by a relative
+    1e-9, so every cleared pair is one the builder prunes.  Nothing is
+    cleared when no sum can exceed the bound (always at lambda = inf).
     """
     ndim = admitted.ndim // 2
     gaps = []
-    for k, (m, n) in enumerate(zip(admitted.shape, fine_domain.dims)):
-        pos = fine_domain.origin[k] + fine_domain.spacing[k] * np.arange(n)
-        diff = pos[:, None] - pos[None, :]
+    for k, (m, table) in enumerate(zip(admitted.shape, axis_gap_tables(fine_domain))):
+        n = len(table)
         sq = np.full((2 * m, 2 * m), np.inf)  # children off the grid (odd dims)
-        sq[:n, :n] = diff * diff
+        sq[:n, :n] = table
         shape = [1] * admitted.ndim
         shape[k] = shape[ndim + k] = m
         gaps.append(sq.reshape(m, 2, m, 2).min(axis=(1, 3)).reshape(shape))

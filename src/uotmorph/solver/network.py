@@ -23,6 +23,23 @@ Two exact reductions keep networks small without changing the optimum:
   is never cheaper than adding at the destination itself, so such sites
   keep only their self arc.
 
+Every transport cost is a sum of per-axis squared gaps read from
+``specs.axis_gap_tables``, so no (n, m, d) coordinate difference is ever
+formed.  Dense pairs take one of two paths, both in row-major (source,
+target) order:
+
+* the stencil lists the integer voxel offsets whose least cost is within
+  the prune bound and makes one numpy pass over the sources per offset;
+* the matrix path, for bounds that cover most of the grid, builds the cost
+  matrix in blocks of whole source rows, MATRIX_BLOCK entries each.
+
+The stencil runs when offsets * (STENCIL_OFFSET_COST + sources) is below
+sources * targets.  A dense build then peaks at about 50 bytes per arc
+kept (41 of them are the problem's own arrays), plus 10 bytes per
+(offset, source) slot of the stencil or one block's temporaries, so its
+memory is linear in the arcs kept: 56 MB for the 1.15M arcs of a 16^3
+blob pair at lambda = 10.
+
 The problem also carries a starting tree for the simplex, the bank basis:
 each voxel's target mass is fed in place by its self arc (or by the arc
 from a given feeder voxel) and each site settles the rest with the bank.
@@ -31,13 +48,14 @@ The tree is strongly feasible, and at lambda = 0 it is already optimal.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import DataError, InfeasibleError
-from ..grid import GridMeasure, voxel_positions
+from ..grid import GridMeasure
 from .specs import (
     ARC_ADD_SRC,
     ARC_REM_SRC,
@@ -46,8 +64,17 @@ from .specs import (
     CostSpec,
     QuantizationSpec,
     TransportSolution,
+    axis_gap_tables,
     quantized_masses,
+    sum_axis_gaps,
 )
+
+# Work of one stencil offset's pass beyond its sources, in cost-matrix
+# entries: the stencil runs when offsets * (STENCIL_OFFSET_COST + sources)
+# is below sources * targets (see _dense_pairs)
+STENCIL_OFFSET_COST = 3000.0
+# cost-matrix entries per block of source rows on the matrix path
+MATRIX_BLOCK = 1 << 18
 
 
 @dataclass
@@ -135,31 +162,19 @@ def build_unbalanced_problem(
 
     # transport arcs, from sources with units to targets with mass
     positive_src = src_voxels[w_units_full[src_voxels] > 0]
-    pos_src = voxel_positions(domain, positive_src)
-    pos_tgt = voxel_positions(domain, tgt_voxels)
-    bound = prune_bound(cost, alloc, domain)
+    bound = 2.0 * lam  # prune_bound, without recomputing the max cost
     if allowed_pairs is None:
-        cmat = cost.pairwise(pos_src, pos_tgt).ravel()
-        flat = np.flatnonzero(cmat <= bound)
-        pair_c = cmat[flat]
-        del cmat
-        ii, jj = np.divmod(flat, n_tgt)
-        del flat
+        pair_i, pair_j, pair_c = _dense_pairs(domain, positive_src, tgt_voxels, bound)
     else:
-        # voxel -> row of pos_src, -1 off positive_src; target rows follow
-        # the target nodes, negative off the target support
-        src_row = np.full(len(w_flat), -1, dtype=np.int64)
-        src_row[positive_src] = np.arange(len(positive_src))
-        ai = np.asarray(allowed_pairs[0], dtype=np.int64)
-        aj = np.asarray(allowed_pairs[1], dtype=np.int64)
-        ii, jj = src_row[ai], tgt_node[aj] - n_src
-        mask = (ii >= 0) & (jj >= 0) & (ai != aj)
-        ii, jj = ii[mask], jj[mask]
-        pair_c = cost.rowwise(pos_src[ii], pos_tgt[jj])
+        pair_i = np.asarray(allowed_pairs[0], dtype=np.int64)
+        pair_j = np.asarray(allowed_pairs[1], dtype=np.int64)
+        has_units = np.zeros(len(w_flat), dtype=bool)
+        has_units[positive_src] = True
+        mask = has_units[pair_i] & (tgt_node[pair_j] >= 0) & (pair_i != pair_j)
+        pair_i, pair_j = pair_i[mask], pair_j[mask]
+        pair_c = _voxel_costs(domain, pair_i, pair_j)
         keep = pair_c <= bound
-        ii, jj, pair_c = ii[keep], jj[keep], pair_c[keep]
-    pair_i, pair_j = positive_src[ii], tgt_voxels[jj]
-    del ii, jj
+        pair_i, pair_j, pair_c = pair_i[keep], pair_j[keep], pair_c[keep]
 
     # self arcs (cost 0) for targets that are also sites, unless the pairs
     # above already hold one
@@ -203,6 +218,144 @@ def build_unbalanced_problem(
     )
     problem.basis = _bank_basis(problem, feeder)
     return problem
+
+
+def _dense_pairs(domain, sources, targets, bound):
+    """(source voxel, target voxel, cost) of every pair of ``sources`` and
+    ``targets`` (sorted voxel arrays) that costs at most ``bound``, in
+    row-major (source, target) order.
+
+    Picks the stencil or the matrix path by their estimated work: the
+    stencil costs ``STENCIL_OFFSET_COST + sources`` per offset, the matrix
+    one per pair.  The offsets lie in the box of axis gaps that are each
+    within ``bound``; a box past four times the break-even is not listed.
+    """
+    pairs = len(sources) * len(targets)
+    per_offset = STENCIL_OFFSET_COST + len(sources)
+    if math.prod(map(len, _axis_candidates(domain, bound))) * per_offset < 4 * pairs:
+        offsets = _stencil(domain, bound)
+        if len(offsets[0]) * per_offset < pairs:
+            return _stencil_pairs(domain, sources, targets, bound, offsets)
+    return _matrix_pairs(domain, sources, targets, bound)
+
+
+def _stencil_pairs(domain, sources, targets, bound, offsets):
+    """``_dense_pairs`` by one pass over the sources per stencil offset."""
+    lin, axis_rows = offsets
+    diagonals = _axis_diagonals(domain)[0]
+    coords = np.unravel_index(sources, domain.dims)
+    size = domain.size
+    # 0 on the target support, nan elsewhere and on both sides of the grid,
+    # so that a pass can read it shifted by any offset; an off-grid target
+    # already costs nan
+    off_support = np.full(3 * size, np.nan)
+    off_support[size + targets] = 0.0
+    # one row of costs per offset; a pair with no target costs nan, which no
+    # bound keeps
+    costs = np.empty((len(lin), len(sources)))
+    for row, start in enumerate((size + lin).tolist()):
+        out = sum_axis_gaps([np.take(diag[rows[row]], coord) for diag, rows, coord
+                             in zip(diagonals, axis_rows, coords)], out=costs[row])
+        out += np.take(off_support[start:], sources)
+    # pairs in row-major (source, offset) order, which is (source, target)
+    # order because the offsets are sorted
+    flat = np.flatnonzero((costs <= bound).T)
+    rows, which = np.divmod(flat, len(lin))
+    del flat
+    pair_c = costs[which, rows]
+    del costs
+    pair_i = sources[rows]
+    return pair_i, pair_i + lin[which], pair_c
+
+
+def _matrix_pairs(domain, sources, targets, bound):
+    """``_dense_pairs`` from cost-matrix blocks of whole source rows."""
+    tables = axis_gap_tables(domain)
+    src_coords = np.unravel_index(sources, domain.dims)
+    tgt_coords = np.unravel_index(targets, domain.dims)
+    step = max(1, MATRIX_BLOCK // max(len(targets), 1))
+    parts = []
+    for start in range(0, max(len(sources), 1), step):
+        block = sum_axis_gaps([
+            np.take(table[a[start:start + step]], b, axis=1)
+            for table, a, b in zip(tables, src_coords, tgt_coords)
+        ])
+        flat = np.flatnonzero(block <= bound)
+        rows, cols = np.divmod(flat, max(len(targets), 1))
+        parts.append((sources[start + rows], targets[cols], block.ravel()[flat]))
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _voxel_costs(domain, a, b):
+    """Costs between matching voxel index arrays, from the gap tables."""
+    gaps = []
+    for table, stride, n in zip(axis_gap_tables(domain), _strides(domain.dims), domain.dims):
+        index = a // stride % n * n
+        index += b // stride % n
+        gaps.append(table.ravel()[index])
+    return sum_axis_gaps(gaps)
+
+
+def _strides(dims):
+    """Linear-index stride of each axis of a C-order grid."""
+    return [int(np.prod(dims[k + 1:])) for k in range(len(dims))]
+
+
+@functools.lru_cache(maxsize=32)
+def _axis_diagonals(domain):
+    """Per axis k, the diagonals of its gap table, D_k[g + n_k - 1, i] =
+    T_k[i, i + g] (nan where i + g is off the axis), and the least of each,
+    for the axis gaps g = -(n_k - 1) .. n_k - 1."""
+    diagonals, least = [], []
+    for table in axis_gap_tables(domain):
+        n = len(table)
+        diag = np.full((2 * n - 1, n), np.nan)
+        for g in range(1 - n, n):
+            lo = max(0, -g)
+            diag[g + n - 1, lo:lo + n - abs(g)] = np.diagonal(table, g)
+        diagonals.append(_read_only(diag))
+        least.append(_read_only(np.nanmin(diag, axis=1)))
+    return tuple(diagonals), tuple(least)
+
+
+@functools.lru_cache(maxsize=64)
+def _axis_candidates(domain, bound):
+    """Per axis, the rows in the ``_axis_diagonals`` tables of the axis
+    gaps whose least squared gap is at most ``bound``."""
+    return tuple(_read_only(np.flatnonzero(values <= bound))
+                 for values in _axis_diagonals(domain)[1])
+
+
+@functools.lru_cache(maxsize=64)
+def _stencil(domain, bound):
+    """Integer offsets between voxels whose least cost on ``domain`` is at
+    most ``bound``: their linear offsets, and per axis the row of each
+    offset's gap in the ``_axis_diagonals`` tables, in lexicographic order
+    of the offsets.
+
+    The least cost of an offset sums the least squared gap of each of its
+    axis gaps; rounding is monotone, so no pair of a dropped offset costs
+    at most ``bound``.
+    """
+    least = _axis_diagonals(domain)[1]
+    candidates = _axis_candidates(domain, bound)
+    ndim = len(candidates)
+    grids = [values[c].reshape([-1 if k == j else 1 for j in range(ndim)])
+             for k, (values, c) in enumerate(zip(least, candidates))]
+    within = np.flatnonzero(sum_axis_gaps(grids) <= bound)
+    axis_rows = tuple(_read_only(c[i]) for c, i in zip(candidates, np.unravel_index(
+        within, [len(c) for c in candidates])))
+    lin = sum((rows - (n - 1)) * stride for rows, n, stride
+              in zip(axis_rows, domain.dims, _strides(domain.dims)))
+    return _read_only(lin), axis_rows
+
+
+def _read_only(array):
+    """``array``, made read-only: the caches above hand it to every caller."""
+    array.flags.writeable = False
+    return array
 
 
 def prune_bound(cost: CostSpec, alloc: AllocationSpec, domain) -> float:

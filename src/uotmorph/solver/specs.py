@@ -8,6 +8,7 @@ the real mass ``units * mass_per_unit``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,22 +26,50 @@ NET_SIGN = np.array([0, 1, -1], dtype=np.int64)
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Squared Euclidean ground cost c(x, y) = |x - y|^2 on physical coordinates."""
+    """Squared Euclidean ground cost c(x, y) = |x - y|^2 on physical coordinates.
 
-    def pairwise(self, pos_a: np.ndarray, pos_b: np.ndarray) -> np.ndarray:
-        """Cost matrix between coordinate arrays of shape (n, d) and (m, d)."""
-        diff = pos_a[:, None, :] - pos_b[None, :, :]
-        return np.einsum("ijk,ijk->ij", diff, diff)
+    Every cost is ``sum_axis_gaps`` of its per-axis squared gaps; on a grid
+    those gaps are the entries of ``axis_gap_tables``.
+    """
 
     def rowwise(self, pos_a: np.ndarray, pos_b: np.ndarray) -> np.ndarray:
         """Costs between matching rows of two coordinate arrays of shape (n, d)."""
         diff = pos_a - pos_b
-        return np.einsum("ij,ij->i", diff, diff)
+        diff *= diff
+        return sum_axis_gaps(diff.T)
 
     def max_on_domain(self, domain) -> float:
         """Upper bound of the cost over a grid domain (corner to corner)."""
         span = [(d - 1) * s for d, s in zip(domain.dims, domain.spacing)]
         return float(sum(v * v for v in span))
+
+
+def sum_axis_gaps(gaps, out=None):
+    """Sum of per-axis squared gaps, in the order numpy's einsum sums a row.
+
+    In 3D that is (x + z) + y; in 2D the order cannot change the sum.  Every
+    transport cost is summed here, so a cost is the same float whichever
+    way its network is built, and no library upgrade can move it by an ulp.
+    """
+    if len(gaps) == 3:
+        return np.add(np.add(gaps[0], gaps[2], out=out), gaps[1], out=out)
+    return np.add(gaps[0], gaps[1], out=out)
+
+
+@functools.lru_cache(maxsize=32)
+def axis_gap_tables(domain) -> tuple[np.ndarray, ...]:
+    """Per axis k of a grid domain, the read-only table of squared gaps
+    T_k[i, j] = (pos_k[i] - pos_k[j])^2 between its coordinates
+    pos_k = origin_k + spacing_k * arange(dims_k), the floats of
+    ``grid.voxel_positions``; cached per domain."""
+    tables = []
+    for n, step, origin in zip(domain.dims, domain.spacing, domain.origin):
+        pos = origin + step * np.arange(n)
+        gap = pos[:, None] - pos[None, :]
+        gap *= gap
+        gap.flags.writeable = False
+        tables.append(gap)
+    return tuple(tables)
 
 
 @dataclass(frozen=True)

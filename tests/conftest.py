@@ -20,6 +20,14 @@ def line_measure(values):
     return GridMeasure(line_domain(len(values)), values.reshape(1, -1))
 
 
+def pairwise_costs(pos_a, pos_b):
+    """Squared Euclidean cost matrix between coordinate arrays of shape (n, d)
+    and (m, d), by einsum over their (n, m, d) difference: an oracle built
+    independently of the solver's gap tables."""
+    diff = pos_a[:, None, :] - pos_b[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
 def plan_masses(sol):
     """Plan arcs as (source voxel, target voxel, mass) tuples."""
     return [(i, j, u * sol.mass_per_unit) for i, j, u in sol.plan_arcs.tolist()]

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import plan_masses, random_measure_pair
+from conftest import pairwise_costs, plan_masses, random_measure_pair
 from test_analytic import PANEL_GRID, simulate_otf_r, simulate_vbm_r
 from uotmorph.analytic import PopulationModel, otf_correlation, vbm_correlation
 from uotmorph.cli import main
@@ -107,7 +107,7 @@ def test_criterion_2_lambda_continuum_endpoints():
         worst_units = max(worst_units, dev_units)
         assert dev_units <= 1.0
         transport_cost = sum(
-            m * COST.pairwise(
+            m * pairwise_costs(
                 np.array([np.unravel_index(i, dims)], dtype=float),
                 np.array([np.unravel_index(j, dims)], dtype=float),
             )[0, 0]

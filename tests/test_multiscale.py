@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     line_measure,
+    pairwise_costs,
     plan_solution,
     random_measure_pair,
     same_solution,
@@ -233,7 +234,7 @@ def brute_admitted_pairs(arcs, coarse_dims, fine_domain, radius, prune_bound=mat
     cell_id = np.ravel_multi_index(cell.T, coarse_dims)
     pos = voxel_positions(fine_domain, np.arange(n))
     least = np.full((int(np.prod(coarse_dims)),) * 2, np.inf)
-    np.minimum.at(least, (cell_id[:, None], cell_id[None, :]), COST.pairwise(pos, pos))
+    np.minimum.at(least, (cell_id[:, None], cell_id[None, :]), pairwise_costs(pos, pos))
     pairs = set()
     for sc, tc in arcs:
         near = [np.flatnonzero(np.abs(cell - np.unravel_index(c, coarse_dims)).max(1)

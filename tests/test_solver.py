@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from scipy.optimize import linprog
 from conftest import (
     allocated,
     line_measure,
+    pairwise_costs,
     plan_masses,
     random_measure_pair,
     same_solution,
 )
+from test_solver_version import _blob_pairs
 from uotmorph.errors import DataError, InfeasibleError, SolverError
 from uotmorph.grid import GridDomain, GridMeasure, voxel_positions
 from uotmorph.solver import (
@@ -106,7 +109,7 @@ def highs_balanced_objective(mu, nu, units):
     """
     w, z, mass_per_unit = quantized_masses(mu.flat, nu.flat, units)
     src, tgt = np.flatnonzero(w), np.flatnonzero(z)
-    cost = COST.pairwise(voxel_positions(mu.domain, src), voxel_positions(mu.domain, tgt))
+    cost = pairwise_costs(voxel_positions(mu.domain, src), voxel_positions(mu.domain, tgt))
     # row sums are the source masses, column sums the target masses
     marginals = np.vstack((np.kron(np.eye(len(src)), np.ones(len(tgt))),
                            np.kron(np.ones(len(src)), np.eye(len(tgt)))))
@@ -678,3 +681,108 @@ def test_network_allocation_is_source_side_only():
         transport = kind == ARC_TRANSPORT
         assert (problem.tails[transport] < len(sites)).all()
         assert (problem.heads[transport] >= len(sites)).all()
+
+
+FLOW_FIELDS = ("n_nodes", "tails", "heads", "costs", "supplies", "arc_kind",
+               "arc_voxel_a", "arc_voxel_b", "mass_per_unit", "delta_real",
+               "basis", "balanced")
+
+
+def einsum_dense_pairs(domain, sources, targets, bound):
+    """Dense pairs from the full einsum cost matrix, the pre-stencil build."""
+    cmat = pairwise_costs(voxel_positions(domain, sources),
+                          voxel_positions(domain, targets))
+    ii, jj = np.nonzero(cmat <= bound)
+    return sources[ii], targets[jj], cmat[ii, jj]
+
+
+def fuzz_networks(rng, count):
+    """Measure pairs on fuzzed 2D and 3D grids, with lambdas and units."""
+    for case in range(count):
+        ndim = 2 + case % 2
+        dims = [int(d) for d in rng.integers(2, 9 - 3 * (ndim - 2), size=ndim)]
+        dims[int(rng.integers(ndim))] |= 1  # an odd axis
+        if case % 5 == 0:
+            dims[int(rng.integers(ndim))] = 1
+        spacing = rng.uniform(0.2, 2.5, ndim)
+        dom = GridDomain(dims=dims, spacing=spacing, origin=rng.uniform(-5, 5, ndim))
+
+        def draw():
+            v = rng.random(dims) * (rng.random(dims) < rng.uniform(0.3, 1.0))
+            # some tiny masses quantize to zero units: sites without supply
+            v[rng.random(dims) < 0.15] = 1e-13
+            v.flat[int(rng.integers(v.size))] = 1.0
+            return v
+
+        mu, nu = GridMeasure(dom, draw()), GridMeasure(dom, draw())
+        max_cost = COST.max_on_domain(dom)
+        units = int(rng.choice([7, 1000, 10**6]))
+        for lam in (0.0, float(rng.uniform(0.05, 1.5)), max_cost / 6):
+            yield mu, nu, AllocationSpec(lam=lam), QuantizationSpec(units)
+        balanced = GridMeasure(dom, nu.values * (mu.total_mass / nu.total_mass))
+        yield mu, balanced, BALANCED, QuantizationSpec(units)
+
+
+@pytest.mark.parametrize("offset_cost", [-math.inf, math.inf],
+                         ids=["stencil", "matrix"])
+def test_dense_network_matches_einsum_oracle(monkeypatch, offset_cost):
+    # each dense path gives every FlowProblem field of the einsum-matrix build
+    rng = np.random.default_rng(2027)
+    paths = set()
+    for mu, nu, alloc, quant in fuzz_networks(rng, 60):
+        with monkeypatch.context() as patch:
+            patch.setattr(network, "_dense_pairs", einsum_dense_pairs)
+            expected = network.build_unbalanced_problem(mu, nu, COST, alloc, quant)
+        with monkeypatch.context() as patch:
+            patch.setattr(network, "STENCIL_OFFSET_COST", offset_cost)
+            for name in ("_stencil_pairs", "_matrix_pairs"):
+                def traced(*args, _run=getattr(network, name), _name=name):
+                    paths.add(_name)
+                    return _run(*args)
+                patch.setattr(network, name, traced)
+            problem = network.build_unbalanced_problem(mu, nu, COST, alloc, quant)
+        for field in FLOW_FIELDS:
+            got, want = getattr(problem, field), getattr(expected, field)
+            assert np.asarray(got).dtype == np.asarray(want).dtype, field
+            assert np.array_equal(got, want), field
+    assert paths == {"_stencil_pairs" if offset_cost < 0 else "_matrix_pairs"}
+
+
+def test_costs_sum_axis_gaps_in_einsum_order():
+    # on non-binary 3D coordinates the order of the sum moves costs by an
+    # ulp; every cost must equal numpy's einsum, which sums (x + z) + y
+    rng = np.random.default_rng(5)
+    dom = GridDomain(dims=(9, 7, 8), spacing=(0.3, 1.7, 0.9), origin=(0.1, -2.3, 1.45))
+    a, b = rng.integers(dom.size, size=(2, 20_000))
+    pos_a, pos_b = voxel_positions(dom, a), voxel_positions(dom, b)
+    diff = pos_a - pos_b
+    oracle = np.einsum("ij,ij->i", diff, diff)
+    squares = diff * diff
+    assert (oracle != (squares[:, 0] + squares[:, 1]) + squares[:, 2]).sum() > 1000
+    assert np.array_equal(COST.rowwise(pos_a, pos_b), oracle)
+    assert np.array_equal(network._voxel_costs(dom, a, b), oracle)
+    src, tgt = np.arange(dom.size), np.unique(b)
+    matrix = pairwise_costs(voxel_positions(dom, src), voxel_positions(dom, tgt))
+    for pairs in (network._matrix_pairs, network._stencil_pairs):
+        args = (dom, src, tgt, np.inf)
+        if pairs is network._stencil_pairs:
+            args += (network._stencil(dom, np.inf),)
+        i, j, cost = pairs(*args)
+        assert np.array_equal(cost, matrix.ravel())
+        assert np.array_equal(i * dom.size + j,
+                              (src[:, None] * dom.size + tgt[None, :]).ravel())
+
+
+def test_dense_build_memory_is_linear_in_arcs_kept():
+    # a 16^3 blob pair at lambda = 10 keeps 1.15M of its 16.8M pairs; the
+    # full cost matrix alone would take 134 MB
+    (mu, nu), = _blob_pairs(1, 1, (16, 16, 16))
+    tracemalloc.start()
+    try:
+        problem = network.build_unbalanced_problem(
+            mu, nu, COST, AllocationSpec(lam=10.0), QuantizationSpec(10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert problem.n_arcs > 10**6
+    assert peak < 100 * 2**20

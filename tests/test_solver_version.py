@@ -6,9 +6,11 @@ refinement that can alter a plan must raise it.  This test holds, per
 version, a digest of the plans of a fixed seeded set of solves; a plan that
 changes while the version stays the same fails here.
 
-The inputs are generated here from fixed seeds.  Grid spacings and origins
-are exact binary fractions, so every arc cost is exact and does not depend
-on the order of summation.
+The inputs are generated here from fixed seeds.  Most grid spacings and
+origins are exact binary fractions, so their arc costs are exact and do not
+depend on the order of summation.  The non-binary cases have costs that
+round; the order of their sum is pinned in ``test_solver.py``, since an ulp
+in one arc cost seldom moves a plan or its objective.
 """
 
 import hashlib
@@ -80,6 +82,14 @@ PLAN_DIGESTS = {
             "7ed6b6f240d49bc416e4fad945d7e0029762d210ae4fd209faceabeb54b5cf2b",
         "anisotropic 7x5x3 permuted lam=inf":
             "0f156623f2c51b4cf11763cce51f01fbc5610befd615768162732bcdf06613e7",
+        "non-binary 6x5x4 lam=0.0":
+            "f607e01a188bce551f62a6cbf9f88f709eb88567c01ef830d500d5d65ad95302",
+        "non-binary 6x5x4 lam=0.7":
+            "e22ef81e7f00986ce283516ef1c71dab1659e5a3e92797a2f6ba3973b6882078",
+        "non-binary 6x5x4 lam=3.1":
+            "3328f0118f67bd67278a9819f0dc948f813036215b3b475cc4d58d43c4acc63b",
+        "non-binary 6x5x4 lam=40.0":
+            "3403bf13e7afa4141852136d010c13ddae26dd630d4171014ce0646378a12a8f",
     },
 }
 
@@ -150,6 +160,18 @@ def _cases():
     cases["anisotropic 7x5x3 permuted lam=inf"] = [
         solve_unbalanced(mu, perm, COST, AllocationSpec(lam=math.inf), QUANT)
     ]
+    # non-binary spacing and origin: arc costs round
+    dims = (6, 5, 4)
+    dom = GridDomain(dims=dims, spacing=(0.3, 1.7, 0.9), origin=(0.1, -2.3, 1.45))
+    rng = np.random.default_rng(2027)
+    mu, nu = (GridMeasure(dom, rng.random(dims) * (rng.random(dims) < 0.8))
+              for _ in range(2))
+    for lam in (0.0, 0.7, 3.1, 40.0):
+        cases[f"non-binary 6x5x4 lam={lam!r}"] = [
+            solve_unbalanced(mu, nu, COST, AllocationSpec(lam=lam), QUANT),
+            solve_multiscale(mu, nu, COST, AllocationSpec(lam=lam), QUANT,
+                             coarsen_threshold=20),
+        ]
     return cases
 
 
