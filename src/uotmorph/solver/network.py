@@ -35,10 +35,10 @@ target) order:
 
 The stencil runs when offsets * (STENCIL_OFFSET_COST + sources) is below
 sources * targets.  A dense build then peaks at about 50 bytes per arc
-kept (41 of them are the problem's own arrays), plus 10 bytes per
-(offset, source) slot of the stencil or one block's temporaries, so its
-memory is linear in the arcs kept: 56 MB for the 1.15M arcs of a 16^3
-blob pair at lambda = 10.
+kept, plus 10 bytes per (offset, source) slot of the stencil or one
+block's temporaries, so its memory is linear in the arcs kept: 56 MB for
+the 1.15M arcs of a 16^3 blob pair at lambda = 10.  The problem keeps 24
+bytes per arc and the simplex adds about 11, so a solve peaks there too.
 
 The problem also carries a starting tree for the simplex, the bank basis:
 each voxel's target mass is fed in place by its self arc (or by the arc
@@ -86,9 +86,7 @@ class FlowProblem:
     heads: np.ndarray
     costs: np.ndarray
     supplies: np.ndarray  # int64, positive = sends flow
-    arc_kind: np.ndarray  # int8, ARC_* constants
-    arc_voxel_a: np.ndarray  # transport: source voxel; virtual: site voxel
-    arc_voxel_b: np.ndarray  # transport: target voxel; virtual: -1
+    node_voxel: np.ndarray  # int64 per node, -1 for the bank (the last node)
     mass_per_unit: float
     delta_real: float
     # per node, the arc hanging it from its parent in the simplex's starting
@@ -100,6 +98,21 @@ class FlowProblem:
     @property
     def n_arcs(self) -> int:
         return len(self.tails)
+
+    @property
+    def arc_kind(self) -> np.ndarray:  # int8 ARC_* kind of every arc
+        return self.arc_voxels()[0]
+
+    def arc_voxels(self, arcs=slice(None)):
+        """(kind, voxel a, voxel b) of the given arcs, read from their end
+        nodes: an arc out of the bank is ``(ARC_ADD_SRC, head voxel, -1)``,
+        one into it ``(ARC_REM_SRC, tail voxel, -1)``, any other arc
+        ``(ARC_TRANSPORT, tail voxel, head voxel)``."""
+        a = self.node_voxel[self.tails[arcs]]
+        b = self.node_voxel[self.heads[arcs]]
+        adds = a < 0
+        kind = np.where(adds, ARC_ADD_SRC, np.where(b < 0, ARC_REM_SRC, ARC_TRANSPORT))
+        return kind.astype(np.int8), np.where(adds, b, a), np.where(adds, -1, b)
 
 
 def build_unbalanced_problem(
@@ -182,35 +195,25 @@ def build_unbalanced_problem(
     paired[pair_i[pair_i == pair_j]] = True
     both = tgt_voxels[(src_node[tgt_voxels] >= 0) & ~paired[tgt_voxels]]
 
-    # arc blocks of (tail, head, cost, kind, voxel a, voxel b), each column
-    # at its final dtype; a scalar stands for the same value on every arc of
-    # its block; bank -> site adds mass at the source side, site -> bank
-    # removes it
-    blocks = [
-        (src_node[pair_i], tgt_node[pair_j], pair_c, ARC_TRANSPORT, pair_i, pair_j),
-        (src_node[both], tgt_node[both], 0.0, ARC_TRANSPORT, both, both),
-        (bank, np.arange(n_src), lam, ARC_ADD_SRC, src_voxels, -1),
-        (src_node[positive_src], bank, lam, ARC_REM_SRC, positive_src, -1),
-    ]
-    del pair_c, pair_i, pair_j
-    lengths = [len(block[4]) for block in blocks]
-    columns = [list(col) for col in zip(*blocks)]
-    del blocks
-    # each column's blocks are released as soon as it is joined
-    tails, heads, costs, kinds, vox_a, vox_b = (
-        np.concatenate([np.full(k, v, dtype=dtype) if np.isscalar(v) else v
-                        for k, v in zip(lengths, columns.pop(0))], dtype=dtype)
-        for dtype in (np.int64, np.int64, np.float64, np.int8, np.int64, np.int64)
-    )
+    # arc blocks: transport pairs, self arcs, bank -> site arcs that add mass
+    # and site -> bank arcs that remove it
+    n_rem = len(positive_src)
+    tails = np.concatenate((src_node[pair_i], src_node[both], np.full(n_src, bank),
+                            src_node[positive_src]), dtype=np.int64)
+    del pair_i
+    heads = np.concatenate((tgt_node[pair_j], tgt_node[both], np.arange(n_src),
+                            np.full(n_rem, bank)), dtype=np.int64)
+    del pair_j
+    costs = np.concatenate((pair_c, np.zeros(len(both)), np.full(n_src + n_rem, lam)),
+                           dtype=np.float64)
+    del pair_c
     problem = FlowProblem(
         n_nodes=n_nodes,
         tails=tails,
         heads=heads,
         costs=costs,
         supplies=supplies,
-        arc_kind=kinds,
-        arc_voxel_a=vox_a,
-        arc_voxel_b=vox_b,
+        node_voxel=np.concatenate((src_voxels, tgt_voxels, [-1]), dtype=np.int64),
         mass_per_unit=mass_per_unit,
         delta_real=delta_real,
         basis=np.full(n_nodes, -1, dtype=np.int64),  # read from the arcs below
@@ -367,35 +370,40 @@ def prune_bound(cost: CostSpec, alloc: AllocationSpec, domain) -> float:
 def _bank_basis(problem: FlowProblem, feeder=None) -> np.ndarray:
     """Strongly feasible starting tree of a network.
 
-    Read from the arcs alone.  Each target with demand hangs from a site by
-    a transport arc: the arc from ``feeder[voxel]`` where one was built,
-    else its self arc (voxel a == voxel b).  Each site hangs from the bank
-    by its remove arc (``ARC_REM_SRC``) when its supply covers the demand
-    hung on it, else by its add arc (``ARC_ADD_SRC``); the bank node,
-    targets without demand and sites with neither supply nor demand hang
-    from the simplex's root.  Every tree flow is then >= 0 and every
-    zero-flow tree arc points towards the root.  At lambda = 0 this tree is
-    optimal: keeping mass in place beats every other arc.  The simplex
-    computes the potentials from the tree before the first pivot and every
-    max(64, n) pivots.
+    Read from the arcs and node voxels alone, in any arc order.  Each
+    target with demand hangs from a site by a transport arc: the arc from
+    ``feeder[voxel]`` where one was built, else its self arc (both ends on
+    one voxel).  Each site hangs from the bank by its remove arc (into the
+    bank) when its supply covers the demand hung on it, else by its add arc
+    (out of the bank); the bank node, targets without demand and sites with
+    neither supply nor demand hang from the simplex's root.  Every tree
+    flow is then >= 0 and every zero-flow tree arc points towards the root.
+    At lambda = 0 this tree is optimal: keeping mass in place beats every
+    other arc.  The simplex computes the potentials from the tree before the
+    first pivot and every max(64, n) pivots.
     """
-    kind, vox_a, vox_b = problem.arc_kind, problem.arc_voxel_a, problem.arc_voxel_b
     tails, heads, supply = problem.tails, problem.heads, problem.supplies
+    bank = problem.n_nodes - 1
+    add = np.flatnonzero(tails == bank)
+    remove = np.flatnonzero(heads == bank)
+    sites = heads[add]
+    # per node, the voxels whose site may hang it: its own, then its
+    # feeder's; the bank's -1 stays -1
+    voxel = problem.node_voxel
+    sources = [voxel] if feeder is None else [voxel, np.append(feeder, -1)[voxel]]
+    # voxel -> its site node, or -1; index -1 reads the extra last entry
+    site = np.full(max(source.max() for source in sources) + 2, -1)
+    site[voxel[sites]] = sites
     basis = np.full(problem.n_nodes, -1, dtype=np.int64)
-    transport = kind == ARC_TRANSPORT
-    own = np.flatnonzero(transport & (vox_a == vox_b))
-    basis[heads[own]] = own
-    if feeder is not None:
-        fed = np.flatnonzero(transport & (vox_a == np.asarray(feeder)[vox_b]))
-        basis[heads[fed]] = fed
+    for source in sources:
+        # the arcs from the site on each head's source voxel
+        arcs = np.flatnonzero(tails == site[source][heads])
+        basis[heads[arcs]] = arcs
     basis[supply >= 0] = -1
     hanging = np.flatnonzero(basis >= 0)
     hung = np.zeros(problem.n_nodes, dtype=np.int64)
     np.add.at(hung, tails[basis[hanging]], -supply[hanging])
 
-    add = np.flatnonzero(kind == ARC_ADD_SRC)
-    remove = np.flatnonzero(kind == ARC_REM_SRC)
-    sites = heads[add]
     basis[sites] = np.where((supply[sites] > 0) | (hung[sites] > 0), add, -1)
     covered = supply[tails[remove]] >= hung[tails[remove]]
     basis[tails[remove[covered]]] = remove[covered]
@@ -414,13 +422,11 @@ def extract_solution(problem: FlowProblem, flows) -> TransportSolution:
     flows = np.asarray(flows, dtype=np.int64)
     mpu = problem.mass_per_unit
     nz = np.flatnonzero(flows > 0)
-    if problem.balanced and (problem.arc_kind[nz] != ARC_TRANSPORT).any():
+    kind, vox_a, vox_b = problem.arc_voxels(nz)
+    if problem.balanced and (kind != ARC_TRANSPORT).any():
         raise InfeasibleError("balanced transport needs allocation on these arcs")
     objective = float(np.dot(problem.costs[nz], flows[nz].astype(np.float64)) * mpu)
-    rows = np.column_stack((
-        problem.arc_kind[nz], problem.arc_voxel_a[nz], problem.arc_voxel_b[nz],
-        flows[nz],
-    )).astype(np.int64)
+    rows = np.column_stack((kind, vox_a, vox_b, flows[nz])).astype(np.int64)
     return TransportSolution.from_rows(
         rows, objective=objective, delta=problem.delta_real, mass_per_unit=mpu
     )

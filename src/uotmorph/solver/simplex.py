@@ -11,11 +11,13 @@ carrying flow then means the supplies cannot be met.  The solve starts from
 the problem's ``basis``, which names for each node the arc hanging it from
 its parent, or -1 for a big-M artificial arc to the root.  One DFS from the
 root builds the tree from it; each tree arc carries its subtree's supply
-and each artificial arc is directed so that its flow is non-negative.  The
-start must be strongly feasible (every zero-flow tree arc points towards
-the root); a basis that is not is a ``SolverError``.  The all -1 basis is
-the classic artificial star.  The solve returns its final tree
-in the same form, a strongly feasible start for the same problem.
+and each artificial arc is directed so that its flow is non-negative.
+Artificial arcs are never priced, so they exist only as tree arcs (node v's
+is arc e + v) and no arc array is copied.  The start must be strongly
+feasible (every zero-flow tree arc points towards the root); a basis that
+is not is a ``SolverError``.  The all -1 basis is the classic artificial
+star.  The solve returns its final tree in the same form, a strongly
+feasible start for the same problem.
 
 Pivot rule.  The entering arc is chosen by the block-search rule of LEMON's
 network simplex: arcs are scanned cyclically in fixed index order in blocks
@@ -80,9 +82,8 @@ def solve_min_cost_flow(problem: FlowProblem):
     root = n
     max_cost = float(np.max(problem.costs)) if e else 0.0
     faux = 1.0 + 3.0 * (n + 1) * max(max_cost, 1.0)
-    S, T, C, parent, tree_arc, up, tree_flow, size, next_, prev, last = _start(
-        problem, faux
-    )
+    S, T, C = problem.tails, problem.heads, problem.costs
+    parent, tree_arc, up, tree_flow, size, next_, prev, last = _start(problem)
     edge, up, tf = tree_arc.tolist(), up.tolist(), tree_flow.tolist()
     pi = np.zeros(n + 1)
     Sv, Tv, Cv, piv = (memoryview(a) for a in (S, T, C, pi))
@@ -98,14 +99,13 @@ def solve_min_cost_flow(problem: FlowProblem):
     pivots = 0
     while True:
         if pivots % refresh_every == 0:
-            # exact potentials from the tree: thread order visits parents first
+            # exact potentials from the tree (thread order visits parents
+            # first); an artificial arc costs faux
             piv[root] = 0.0
             v = next_[root]
             while v != root:
-                if up[v]:
-                    piv[v] = piv[parent[v]] + Cv[edge[v]]
-                else:
-                    piv[v] = piv[parent[v]] - Cv[edge[v]]
+                c = Cv[edge[v]] if edge[v] < e else faux
+                piv[v] = piv[parent[v]] + (c if up[v] else -c)
                 v = next_[v]
 
         # entering arc: first block, from where the last scan stopped, whose
@@ -295,8 +295,8 @@ def solve_min_cost_flow(problem: FlowProblem):
     return flows, objective_units, np.where(tree_arc < e, tree_arc, -1)
 
 
-def _start(problem: FlowProblem, faux: float):
-    """Arc arrays and per-node tree state of the starting basis.
+def _start(problem: FlowProblem):
+    """Per-node tree state of the starting basis.
 
     Node v hangs from its parent by arc ``problem.basis[v]``, or by its
     artificial arc (index e + v) to the root where the entry is -1.  The
@@ -306,11 +306,10 @@ def _start(problem: FlowProblem, faux: float):
     node that does not reach the root, a negative tree flow, or a zero-flow
     tree arc directed away from the root.
 
-    Returns the arc arrays S, T, C over the problem arcs then the
-    artificial ones; numpy arrays over the nodes of the tree arc, whether
-    it points up to the parent, and its flow; and lists over the nodes and
-    the root of the parent (``None`` at the root), subtree size and thread
-    (next, previous, last).
+    Returns numpy arrays over the nodes of the tree arc, whether it points
+    up to the parent, and its flow; and lists over the nodes and the root
+    of the parent (``None`` at the root), subtree size and thread (next,
+    previous, last).
     """
     n = problem.n_nodes
     e = problem.n_arcs
@@ -360,15 +359,11 @@ def _start(problem: FlowProblem, faux: float):
         size[p] += size[u]
 
     subtree = np.array(sub[:n], dtype=np.int64)
-    below = subtree < 0
-    S = np.concatenate([problem.tails, np.where(below, root, nodes)],
-                       dtype=np.int64)
-    T = np.concatenate([problem.heads, np.where(below, nodes, root)],
-                       dtype=np.int64)
-    C = np.concatenate([problem.costs, np.full(n, faux)], dtype=np.float64)
 
-    # each tree arc carries its subtree's supply towards the root
-    up = S[edge] == nodes
+    # each tree arc carries its subtree's supply towards the root; an
+    # artificial arc points up unless its subtree's supply is negative
+    up = subtree >= 0
+    up[real] = tails == nodes[real]
     flow = np.where(up, subtree, -subtree)
     bad = np.flatnonzero(flow < 0)
     if len(bad):
@@ -390,5 +385,4 @@ def _start(problem: FlowProblem, faux: float):
     last = thread[pos + np.array(size) - 1]
 
     par[root] = None
-    return (S, T, C, par, edge, up, flow, size, next_.tolist(), prev.tolist(),
-            last.tolist())
+    return par, edge, up, flow, size, next_.tolist(), prev.tolist(), last.tolist()

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import ConfigError, InfeasibleError
 
-# arc kinds in a FlowProblem
+# arc kinds, read from an arc's end nodes by FlowProblem.arc_voxels
 ARC_TRANSPORT = 0
 ARC_ADD_SRC = 1
 ARC_REM_SRC = 2

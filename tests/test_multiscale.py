@@ -172,10 +172,8 @@ def test_feeder_falls_back_to_self_arc():
         mu, nu, COST, alloc, QUANT, allowed_pairs=allowed, feeder=feeder
     )
     node = _target_nodes(problem, mu, nu)
-    hung = {
-        v: (int(problem.arc_voxel_a[a]), int(problem.arc_voxel_b[a]))
-        for v, a in ((v, problem.basis[node[v]]) for v in node)
-    }
+    _, vox_a, vox_b = problem.arc_voxels(problem.basis[list(node.values())])
+    hung = {v: (int(a), int(b)) for v, a, b in zip(node, vox_a, vox_b)}
     assert hung == {1: (0, 1), 3: (3, 3), 4: (4, 4), 5: (5, 5)}
     _check_fed_solve(mu, nu, alloc, problem)
 
@@ -210,17 +208,18 @@ def test_feeder_arcs_or_self_arcs_start_a_feasible_solve(case):
     problem = network.build_unbalanced_problem(
         mu, nu, COST, alloc, QUANT, allowed_pairs=allowed, feeder=feeder
     )
-    transport = problem.arc_kind == ARC_TRANSPORT
+    kind, vox_a, vox_b = problem.arc_voxels()
+    transport = kind == ARC_TRANSPORT
     demand = {v: int(-problem.supplies[n]) for v, n in _target_nodes(problem, mu, nu).items()}
     for v, n in _target_nodes(problem, mu, nu).items():
         a = problem.basis[n]
         if demand[v] == 0:
             assert a == -1
             continue
-        built = transport & (problem.arc_voxel_b == v)
-        want = feeder[v] if (built & (problem.arc_voxel_a == feeder[v])).any() else v
-        assert transport[a] and problem.arc_voxel_b[a] == v
-        assert problem.arc_voxel_a[a] == want
+        built = transport & (vox_b == v)
+        want = feeder[v] if (built & (vox_a == feeder[v])).any() else v
+        assert transport[a] and vox_b[a] == v
+        assert vox_a[a] == want
     _check_fed_solve(mu, nu, alloc, problem)
 
 
@@ -344,8 +343,7 @@ def test_support_pairs_build_the_full_grid_network(case):
 
 
 def assert_same_network(new, old):
-    for field in ("tails", "heads", "costs", "arc_kind", "arc_voxel_a",
-                  "arc_voxel_b", "supplies", "basis"):
+    for field in ("tails", "heads", "costs", "node_voxel", "supplies", "basis"):
         a, b = getattr(new, field), getattr(old, field)
         assert (a is None and b is None) or np.array_equal(a, b), field
 
@@ -393,8 +391,8 @@ def test_restricted_build_drops_zero_unit_sources_like_the_dense_build():
                 for pairs in (every, None)]
 
     def rows(p):
-        return sorted(zip(p.arc_kind.tolist(), p.arc_voxel_a.tolist(),
-                          p.arc_voxel_b.tolist(), p.costs.tolist()))
+        return sorted(zip(*(column.tolist() for column in p.arc_voxels()),
+                          p.costs.tolist()))
 
     transport = [int(np.count_nonzero(p.arc_kind == ARC_TRANSPORT)) for p in problems]
     assert transport == [241, 241]

@@ -407,16 +407,13 @@ def test_feasibility_violation_counts_units():
 def flow_problem(n_nodes, arcs, supplies):
     """Hand-built FlowProblem from (tail, head, cost) triples."""
     tails, heads, costs = zip(*arcs) if arcs else ((), (), ())
-    e = len(arcs)
     return network.FlowProblem(
         n_nodes=n_nodes,
         tails=np.asarray(tails, dtype=np.int64),
         heads=np.asarray(heads, dtype=np.int64),
         costs=np.asarray(costs, dtype=np.float64),
         supplies=np.asarray(supplies, dtype=np.int64),
-        arc_kind=np.zeros(e, dtype=np.int8),
-        arc_voxel_a=np.arange(e, dtype=np.int64),
-        arc_voxel_b=np.arange(e, dtype=np.int64),
+        node_voxel=np.arange(n_nodes, dtype=np.int64),
         mass_per_unit=1.0,
         delta_real=0.0,
         basis=np.full(n_nodes, -1, dtype=np.int64),
@@ -579,18 +576,17 @@ def test_bank_basis_is_optimal_at_lambda_zero():
         flows, _, _ = simplex.solve_min_cost_flow(problem)
         tree_arcs = problem.basis[problem.basis >= 0]
         assert np.isin(np.flatnonzero(flows), tree_arcs).all()
-        kinds = problem.arc_kind[tree_arcs]
-        transport = tree_arcs[kinds == ARC_TRANSPORT]
-        assert (
-            problem.arc_voxel_a[transport] == problem.arc_voxel_b[transport]
-        ).all()
+        kinds, vox_a, vox_b = problem.arc_voxels(tree_arcs)
+        transport = kinds == ARC_TRANSPORT
+        assert (vox_a[transport] == vox_b[transport]).all()
         assert set(kinds.tolist()) <= {ARC_TRANSPORT, ARC_ADD_SRC, ARC_REM_SRC}
         assert (net_outflow(problem, flows) == problem.supplies).all()
 
 
 @pytest.mark.parametrize("restricted", [False, True])
 def test_bank_basis_does_not_depend_on_arc_order(restricted):
-    # the starting tree is read from the arcs, so permuting them permutes it
+    # the starting tree and the solution are read from the arcs and node
+    # voxels, so permuting the arcs permutes the tree and keeps the solution
     rng = np.random.default_rng(31)
     fed_by_other = 0
     for lam in (0.0, 3.0, 30.0):
@@ -606,20 +602,23 @@ def test_bank_basis_does_not_depend_on_arc_order(restricted):
         )
         order = rng.permutation(problem.n_arcs)
         permuted = dataclasses.replace(problem, **{
-            name: getattr(problem, name)[order] for name in
-            ("tails", "heads", "costs", "arc_kind", "arc_voxel_a", "arc_voxel_b")
+            name: getattr(problem, name)[order] for name in ("tails", "heads", "costs")
         })
         basis = network._bank_basis(permuted, feeder)
         position = np.argsort(order)  # arc index -> its index after permuting
         expected = np.where(problem.basis >= 0, position[problem.basis], -1)
         assert np.array_equal(basis, expected)
-        tree = basis[basis >= 0]
-        tree = tree[permuted.arc_kind[tree] == ARC_TRANSPORT]
+        kinds, vox_a, vox_b = permuted.arc_voxels(basis[basis >= 0])
         fed_by_other += int(np.count_nonzero(
-            permuted.arc_voxel_a[tree] != permuted.arc_voxel_b[tree]
-        ))
+            (kinds == ARC_TRANSPORT) & (vox_a != vox_b)))
 
-        _, objective, _ = simplex.solve_min_cost_flow(problem)
+        flows, objective, _ = simplex.solve_min_cost_flow(problem)
+        sol = network.extract_solution(problem, flows)
+        sol_permuted = network.extract_solution(permuted, flows[order])
+        # the objective sums in arc order, so only it may move by an ulp
+        assert sol_permuted.objective == pytest.approx(sol.objective, rel=1e-12)
+        assert same_solution(dataclasses.replace(sol_permuted, objective=sol.objective),
+                             sol)
         flows, objective_permuted, _ = simplex.solve_min_cost_flow(
             dataclasses.replace(permuted, basis=basis)
         )
@@ -640,10 +639,11 @@ def test_every_network_has_a_bank_and_a_bank_basis(lam):
     )
     bank = 3 + 2  # sites 0, 1, 2, then targets 1, 2
     assert problem.n_nodes == bank + 1 and problem.supplies[bank] == 0
+    assert problem.node_voxel.tolist() == [0, 1, 2, 1, 2, -1]
     assert set(problem.tails[problem.arc_kind == ARC_ADD_SRC].tolist()) == {bank}
     assert problem.balanced == (lam == math.inf)
     assert problem.basis.shape == (problem.n_nodes,) and (problem.basis >= 0).any()
-    simplex._start(problem, faux=1e6)
+    simplex._start(problem)
     if lam == math.inf:
         # unequal quantized totals still have no balanced solution
         with pytest.raises(InfeasibleError, match="unbalanced quantized totals"):
@@ -664,18 +664,20 @@ def test_network_allocation_is_source_side_only():
         n_tgt = np.count_nonzero(nu.flat > 0)
         bank = len(sites) + n_tgt
         assert problem.n_nodes == bank + 1
-        kind = problem.arc_kind
+        assert np.array_equal(problem.node_voxel, np.concatenate(
+            (sites, np.flatnonzero(nu.flat > 0), [-1])))
+        kind, vox_a, vox_b = problem.arc_voxels()
+        assert np.array_equal(kind, problem.arc_kind)
         assert set(kind.tolist()) <= {ARC_TRANSPORT, ARC_ADD_SRC, ARC_REM_SRC}
         add = kind == ARC_ADD_SRC
         remove = kind == ARC_REM_SRC
         assert (problem.tails[add] == bank).all()
-        assert (problem.arc_voxel_a[add] == sites).all()
+        assert (vox_a[add] == sites).all()
         assert (problem.heads[remove] == bank).all()
-        assert (problem.arc_voxel_a[remove]
-                == sites[problem.supplies[:len(sites)] > 0]).all()
+        assert (vox_a[remove] == sites[problem.supplies[:len(sites)] > 0]).all()
         arc_cost = alloc.effective_lambda(COST.max_on_domain(mu.domain))
         assert (problem.costs[add | remove] == arc_cost).all()
-        assert (problem.arc_voxel_b[add | remove] == -1).all()
+        assert (vox_b[add | remove] == -1).all()
         assert (problem.heads[~remove] < bank).all()
         # transport arcs run from site nodes to target nodes
         transport = kind == ARC_TRANSPORT
@@ -683,9 +685,8 @@ def test_network_allocation_is_source_side_only():
         assert (problem.heads[transport] >= len(sites)).all()
 
 
-FLOW_FIELDS = ("n_nodes", "tails", "heads", "costs", "supplies", "arc_kind",
-               "arc_voxel_a", "arc_voxel_b", "mass_per_unit", "delta_real",
-               "basis", "balanced")
+FLOW_FIELDS = ("n_nodes", "tails", "heads", "costs", "supplies", "node_voxel",
+               "mass_per_unit", "delta_real", "basis", "balanced")
 
 
 def einsum_dense_pairs(domain, sources, targets, bound):
@@ -775,14 +776,21 @@ def test_costs_sum_axis_gaps_in_einsum_order():
 
 def test_dense_build_memory_is_linear_in_arcs_kept():
     # a 16^3 blob pair at lambda = 10 keeps 1.15M of its 16.8M pairs; the
-    # full cost matrix alone would take 134 MB
+    # full cost matrix alone would take 134 MB.  The solve copies no arc
+    # array: beyond the problem it holds the flows (8 bytes per arc) and
+    # per-node state
     (mu, nu), = _blob_pairs(1, 1, (16, 16, 16))
     tracemalloc.start()
     try:
         problem = network.build_unbalanced_problem(
             mu, nu, COST, AllocationSpec(lam=10.0), QuantizationSpec(10**6))
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        simplex.solve_min_cost_flow(problem)
+        solve_added = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
     assert problem.n_arcs > 10**6
     assert peak < 100 * 2**20
+    assert solve_added < 16 * problem.n_arcs

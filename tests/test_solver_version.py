@@ -3,14 +3,15 @@
 Cached transport results are keyed by ``SOLVER_VERSION``, so any change to
 the network build, the starting basis, the pivot rule or the multiscale
 refinement that can alter a plan must raise it.  This test holds, per
-version, a digest of the plans of a fixed seeded set of solves; a plan that
-changes while the version stays the same fails here.
+version, a digest of the plans of a fixed seeded set of solves, and one of
+the networks its exact solves build; a plan or network that changes while
+the version stays the same fails here.
 
 The inputs are generated here from fixed seeds.  Most grid spacings and
 origins are exact binary fractions, so their arc costs are exact and do not
 depend on the order of summation.  The non-binary cases have costs that
-round; the order of their sum is pinned in ``test_solver.py``, since an ulp
-in one arc cost seldom moves a plan or its objective.
+round.  An ulp in one arc cost seldom moves a plan or its objective, so the
+network digests, which hash every arc cost, are what pin that rounding.
 """
 
 import hashlib
@@ -27,6 +28,7 @@ from uotmorph.solver import (
     solve_multiscale,
     solve_unbalanced,
 )
+from uotmorph.solver import network
 
 COST = CostSpec()
 QUANT = QuantizationSpec(units=10**6)
@@ -93,6 +95,38 @@ PLAN_DIGESTS = {
     },
 }
 
+# SOLVER_VERSION -> case -> sha256 over NETWORK_FIELDS of the networks of
+# the case's exact solves, in order
+NETWORK_FIELDS = ("tails", "heads", "costs", "supplies", "basis")
+NETWORK_DIGESTS = {
+    5: {
+        "blobs 12x12 lam=0.0":
+            "ee68e46a59687ed3a449f90ed09097c8c2e049a003aa00dbf23bbe0adecb5c48",
+        "blobs 12x12 lam=10.0":
+            "8b501b2d2c2ac44be90bd042f1f30563b4ab39c838560f8bc0406952e48d4898",
+        "blobs 12x12 lam=100.0":
+            "4f9055df9cae4e5fca6b9aa75b106e3eb529f2bd0584778482aaf29a94346227",
+        "blobs 12x12 lam=2000.0":
+            "40528d6c23d905ff467a5abe4344ff743ff94d32a57d9d6af218a399d0d97204",
+        "anisotropic 7x5x3 lam=0.0":
+            "85a618a6260917ad1dfa2cd7840ef5c29b547ff0108c81f86809becf45246899",
+        "anisotropic 7x5x3 lam=2.5":
+            "57084198798aec8fb839d68901d6461cacf31042e00616acf3363b135c973837",
+        "anisotropic 7x5x3 lam=40.0":
+            "b8a2397debdd6eacab95ad4f9c49690e39889af2db834236d292bc4ec8ab1108",
+        "anisotropic 7x5x3 permuted lam=inf":
+            "9f0f00cf7ec066026a17aa17c5c664021ba903c4545476b978b03cfa3e35c0bd",
+        "non-binary 6x5x4 lam=0.0":
+            "29d9fc6e772eb46b7adb080338a1c610cff43facbc3d8c5528b5f7f9aa97705f",
+        "non-binary 6x5x4 lam=0.7":
+            "cecd8f58380c5ea17fc9d64602edfd98b33d1d3cdb71f85d5a446b007e887a3b",
+        "non-binary 6x5x4 lam=3.1":
+            "75e5fba110e37603479167da45a16431e1e0387ad70cdd65e127dd037d59c2e4",
+        "non-binary 6x5x4 lam=40.0":
+            "7a2b151416a744278a570d34dad225b481c5cba4efdf9de2cf3b2eeb305f8eff",
+    },
+}
+
 
 def _blob_field(rng, dims):
     field = np.full(dims, 0.05)
@@ -123,28 +157,40 @@ def _digest(solutions):
     return h.hexdigest()
 
 
+def _network_digest(problems):
+    h = hashlib.sha256()
+    for problem in problems:
+        for field in NETWORK_FIELDS:
+            dtype = "<f8" if field == "costs" else "<i8"
+            array = np.ascontiguousarray(getattr(problem, field), dtype=dtype)
+            h.update(array.tobytes())
+    return h.hexdigest()
+
+
+def _multiscale(mu, nu, alloc, quant):
+    return solve_multiscale(mu, nu, COST, alloc, quant, coarsen_threshold=20)
+
+
+def _exact(mu, nu, alloc, quant):
+    return solve_unbalanced(mu, nu, COST, alloc, quant)
+
+
 def _cases():
-    """case name -> list of solutions, in a fixed order."""
+    """case name -> list of (solver, mu, nu, lam), in a fixed order; the
+    solver is ``_exact`` or ``_multiscale``."""
     cases = {}
     pairs = _blob_pairs(2024, 8, (12, 12))
     for lam in (0.0, 10.0, 100.0, 2000.0):
-        cases[f"blobs 12x12 lam={lam!r}"] = [
-            solve_unbalanced(mu, nu, COST, AllocationSpec(lam=lam), QUANT)
-            for mu, nu in pairs
-        ]
+        cases[f"blobs 12x12 lam={lam!r}"] = [(_exact, mu, nu, lam) for mu, nu in pairs]
     pairs = _blob_pairs(2025, 4, (5, 5, 5))
     for lam in (0.0, 10.0, 2000.0):
         cases[f"multiscale 5x5x5 lam={lam!r}"] = [
-            solve_multiscale(mu, nu, COST, AllocationSpec(lam=lam), QUANT,
-                             coarsen_threshold=20)
-            for mu, nu in pairs
+            (_multiscale, mu, nu, lam) for mu, nu in pairs
         ]
     balanced = [(mu, GridMeasure(nu.domain, nu.values * (mu.total_mass / nu.total_mass)))
                 for mu, nu in pairs]
     cases["multiscale 5x5x5 balanced lam=inf"] = [
-        solve_multiscale(mu, nu, COST, AllocationSpec(lam=math.inf), QUANT,
-                         coarsen_threshold=20)
-        for mu, nu in balanced
+        (_multiscale, mu, nu, math.inf) for mu, nu in balanced
     ]
     dims = (7, 5, 3)
     dom = GridDomain(dims=dims, spacing=(0.5, 2.0, 1.0), origin=(1.0, -3.0, 0.5))
@@ -153,13 +199,9 @@ def _cases():
     z = rng.random(dims) * (rng.random(dims) < 0.7)
     mu, nu = GridMeasure(dom, w), GridMeasure(dom, z)
     for lam in (0.0, 2.5, 40.0):
-        cases[f"anisotropic 7x5x3 lam={lam!r}"] = [
-            solve_unbalanced(mu, nu, COST, AllocationSpec(lam=lam), QUANT)
-        ]
+        cases[f"anisotropic 7x5x3 lam={lam!r}"] = [(_exact, mu, nu, lam)]
     perm = GridMeasure(dom, w.ravel()[rng.permutation(w.size)].reshape(dims))
-    cases["anisotropic 7x5x3 permuted lam=inf"] = [
-        solve_unbalanced(mu, perm, COST, AllocationSpec(lam=math.inf), QUANT)
-    ]
+    cases["anisotropic 7x5x3 permuted lam=inf"] = [(_exact, mu, perm, math.inf)]
     # non-binary spacing and origin: arc costs round
     dims = (6, 5, 4)
     dom = GridDomain(dims=dims, spacing=(0.3, 1.7, 0.9), origin=(0.1, -2.3, 1.45))
@@ -168,24 +210,45 @@ def _cases():
               for _ in range(2))
     for lam in (0.0, 0.7, 3.1, 40.0):
         cases[f"non-binary 6x5x4 lam={lam!r}"] = [
-            solve_unbalanced(mu, nu, COST, AllocationSpec(lam=lam), QUANT),
-            solve_multiscale(mu, nu, COST, AllocationSpec(lam=lam), QUANT,
-                             coarsen_threshold=20),
+            (_exact, mu, nu, lam), (_multiscale, mu, nu, lam),
         ]
     return cases
 
 
-def test_plans_pinned_to_solver_version():
-    digests = {name: _digest(sols) for name, sols in _cases().items()}
-    pinned = PLAN_DIGESTS.get(SOLVER_VERSION)
+def _assert_pinned(digests, table, what):
+    pinned = table.get(SOLVER_VERSION)
     assert pinned is not None, (
-        f"no plan digests pinned for SOLVER_VERSION {SOLVER_VERSION}; "
-        f"add PLAN_DIGESTS[{SOLVER_VERSION}] = {digests!r}"
+        f"no {what} digests pinned for SOLVER_VERSION {SOLVER_VERSION}; "
+        f"add {{{SOLVER_VERSION}: {digests!r}}}"
     )
     changed = sorted(name for name in digests if digests[name] != pinned.get(name))
     assert not changed, (
-        f"plans changed without a SOLVER_VERSION bump: {changed}.  Any change "
+        f"{what} changed without a SOLVER_VERSION bump: {changed}.  Any change "
         "that can alter a solution must raise SOLVER_VERSION "
         "(uotmorph/solver/__init__.py), so results cached by the old solver "
         "are solved again; then pin the new version's digests here."
     )
+
+
+def test_plans_pinned_to_solver_version():
+    digests = {
+        name: _digest([solve(mu, nu, AllocationSpec(lam=lam), QUANT)
+                       for solve, mu, nu, lam in solves])
+        for name, solves in _cases().items()
+    }
+    _assert_pinned(digests, PLAN_DIGESTS, "plans")
+
+
+def test_networks_pinned_to_solver_version():
+    # the exact solves' networks, bytes and all: an ulp in one arc cost
+    # changes these digests even where no plan moves
+    digests = {}
+    for name, solves in _cases().items():
+        problems = [
+            network.build_unbalanced_problem(mu, nu, COST, AllocationSpec(lam=lam),
+                                             QUANT)
+            for solve, mu, nu, lam in solves if solve is _exact
+        ]
+        if problems:
+            digests[name] = _network_digest(problems)
+    _assert_pinned(digests, NETWORK_DIGESTS, "networks")
