@@ -23,13 +23,14 @@ with a ``.stage.json`` marker holding a content hash of its inputs, and
 A failed stage removes its partial outputs and aborts, naming the stage,
 lambda, covariate and cause.  The per-subject work of the template,
 transport and features stages goes through ``_Cohort.each``: on one
-process pool per invocation of ``min(workers, subjects)`` workers, one
-contiguous batch of subjects per worker and stage, in-process when that is
-1.  Transport tasks write their plan CSVs and features tasks their feature
-images; the main process keeps the hashing, stage directories, markers,
-run log and correlation.  With a fixed config, seed, and worker count, the
-artifact tree (everything except the run_log.jsonl diagnostics) is
-byte-reproducible; results do not depend on the worker count.
+process pool per invocation of min(workers, subjects, CPUs in the
+process's affinity set) workers, one contiguous batch of subjects per
+worker and stage, in-process when that is 1.  Transport tasks write their
+plan CSVs and features tasks their feature images; the main process keeps
+the hashing, stage directories, markers, run log and correlation.  With a
+fixed config, seed, and worker count, the artifact tree (everything except
+the run_log.jsonl diagnostics) is byte-reproducible; results do not depend
+on the worker count.
 """
 
 from __future__ import annotations
@@ -369,6 +370,14 @@ def _drop_sid(fn, _sid, item):
     return fn(item)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has
+    one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class _Cohort:
     """The manifest of one invocation; images and digests load on first use."""
 
@@ -378,8 +387,9 @@ class _Cohort:
         self.ids = [e.subject_id for e in self.manifest.entries]
         self.paths = [os.path.join(base, e.image_path) for e in self.manifest.entries]
         self.downsample_factor = cfg.downsample_factor
-        # a worker takes at least one subject, so more workers would only idle
-        self.workers = min(cfg.workers, len(self.ids))
+        # a worker takes at least one subject and needs a CPU of its own, so
+        # more workers would only idle or share a CPU
+        self.workers = min(cfg.workers, len(self.ids), _usable_cpus())
         self.pool_map = map  # run_pipeline points it at its worker pool
 
     def each(self, task, items) -> list:

@@ -13,13 +13,18 @@ than the 2 lambda prune bound of the network builder: per axis the nearest
 children of cells a and b are max(0, 2|a - b| - 1) fine steps apart, so
 the sum over axes of (spacing * that)^2 bounds every child pair's cost from
 below.  The builder would prune every such pair, so the restricted network
-is unchanged; at lambda = 0 only pairs within one coarse cell remain.
+is unchanged; at a local lambda only pairs of nearby coarse cells remain.
 Self arcs and virtual (allocation) arcs are always admitted, so every
 level stays feasible.  At lambda = inf, where the exact solution allocates
 nothing, a level whose solution allocates is one the admitted arcs cannot
 route: ``network.extract_solution`` raises InfeasibleError and the level is
 solved exactly.  The final solution is feasible for the full problem and
 its objective upper-bounds the exact optimum.
+
+A lambda whose 2 lambda prune bound reaches no neighbouring voxel
+(``network.keeps_only_self_arcs``, as at lambda = 0) leaves only self and
+bank arcs, which no coarse plan can restrict: such an instance is one
+level, solved exactly, and no pyramid is built.
 
 Each refinement level is warm-started from the coarse plan: a target voxel
 starts fed from the voxel at the same offset in the coarse source cell that
@@ -152,9 +157,13 @@ def solve_multiscale(
 ) -> TransportSolution:
     """Approximate unbalanced solve via coarse-to-fine refinement.
 
-    An instance whose support does not exceed ``coarsen_threshold`` has one
-    level, so it gets the exact solver's solution unchanged.
+    An instance whose support does not exceed ``coarsen_threshold``, or
+    whose 2 lambda prune bound reaches no neighbouring voxel, has one level,
+    so it gets the exact solver's solution unchanged.
     """
+    if network.keeps_only_self_arcs(cost, alloc, mu.domain):
+        # self and bank arcs only: no admission can restrict that network
+        return solve_unbalanced(mu, nu, cost, alloc, quant)
     pyramid = [(mu, nu)]
     while max(np.count_nonzero(m.flat) for m in pyramid[-1]) > coarsen_threshold:
         cm, cn = pyramid[-1]

@@ -367,6 +367,20 @@ def prune_bound(cost: CostSpec, alloc: AllocationSpec, domain) -> float:
     return 2.0 * alloc.effective_lambda(cost.max_on_domain(domain))
 
 
+def keeps_only_self_arcs(cost: CostSpec, alloc: AllocationSpec, domain) -> bool:
+    """Whether the prune bound on ``domain`` keeps no transport arc between
+    two distinct voxels, so that every network on it has self and bank arcs
+    only.
+
+    True when no axis keeps an axis gap but 0 (see ``_axis_candidates``):
+    a pair of distinct voxels has some axis gap of at least one step, and
+    its cost is a sum of non-negative axis gaps, so it costs at least that
+    axis's least squared gap.  The stencil is never listed.
+    """
+    candidates = _axis_candidates(domain, prune_bound(cost, alloc, domain))
+    return all(len(rows) <= 1 for rows in candidates)
+
+
 def _bank_basis(problem: FlowProblem, feeder=None) -> np.ndarray:
     """Strongly feasible starting tree of a network.
 

@@ -75,7 +75,9 @@ def correlate_stack(fields, covariate, alpha: float = 0.05, domain: GridDomain |
 
     dx = flat - flat.mean(axis=0)
     sxx = np.einsum("ij,ij->j", dx, dx)
-    tested = sxx > 0.0
+    # a constant voxel can keep an ulp of variance around its float mean;
+    # sxx > 0 still guards against a variance that underflows
+    tested = (sxx > 0.0) & (flat != flat[0]).any(axis=0)
     m = int(tested.sum())
 
     r = np.full(flat.shape[1], np.nan)

@@ -27,6 +27,13 @@ TINY_ANNULUS = {
 }
 
 
+def allow_cpus(monkeypatch, n):
+    """Give the process an affinity set of ``n`` CPUs as the pipeline sees it,
+    so that a test of the pool forks it on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
     cfg = {**TINY_ANNULUS, "output_dir": str(tmp_path / "out"), **overrides}
     path = tmp_path / name
@@ -291,7 +298,7 @@ def test_stage_only_requires_upstream(tmp_path, capsys):
     ({"method": "sparse"}, "solutions/lambda=inf"),
     ({"method": "ot_barycenter", "barycenter_max_iters": 2}, "template"),
 ], ids=["sparse", "ot_barycenter"])
-def test_solver_failure_exit_4(tmp_path, capsys, template, failed_dir):
+def test_solver_failure_exit_4(tmp_path, capsys, monkeypatch, template, failed_dir):
     # JSON 1e999 parses to infinity: allocation disabled, unbalanced cohort;
     # the sparse template fails in transport, the barycenter in template
     path = write_config(tmp_path, lambdas=[1e999], template=template)
@@ -302,6 +309,7 @@ def test_solver_failure_exit_4(tmp_path, capsys, template, failed_dir):
     assert any(f"(subject {sid})" in message for sid in ids), message
     # the same subject is named whether the solves run in workers or not, and
     # the failed stage leaves no directory behind
+    allow_cpus(monkeypatch, 2)
     for workers in ("1", "2"):
         assert main(["run", "--config", str(path), "--workers", workers]) == 4
         assert capsys.readouterr().err == message
@@ -322,6 +330,7 @@ def test_features_failure_runs_every_task_first(tmp_path, capsys, monkeypatch):
         (written / os.path.basename(path)).touch()
 
     monkeypatch.setattr(grid, "save_field", recording_save)
+    allow_cpus(monkeypatch, 2)
     path = write_config(tmp_path)
     assert main(["transport", "--config", str(path)]) == 0
     plan = tmp_path / "out" / "solutions" / "lambda=150.0" / "s0000.plan.csv"
@@ -345,7 +354,7 @@ def test_features_failure_runs_every_task_first(tmp_path, capsys, monkeypatch):
     assert str(plan) in messages[0]
 
 
-def test_failure_names_the_failing_subject(tmp_path, capsys):
+def test_failure_names_the_failing_subject(tmp_path, capsys, monkeypatch):
     # at lambda = inf only s0002's quantized total differs from the template's
     from uotmorph.grid import (GridMeasure, ManifestEntry, SubjectManifest,
                                save_manifest, save_measure)
@@ -367,6 +376,7 @@ def test_failure_names_the_failing_subject(tmp_path, capsys):
            "template": {"method": "euclidean"}}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
+    allow_cpus(monkeypatch, 2)
     for workers in ("1", "2"):
         assert main(["run", "--config", str(path), "--workers", workers]) == 4
         assert "(subject s0002)" in capsys.readouterr().err
@@ -387,6 +397,7 @@ def test_one_pool_per_invocation(tmp_path, monkeypatch, workers, pools):
             super()._spawn_process()
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
+    allow_cpus(monkeypatch, 2)
     path = write_config(tmp_path, lambdas=[10.0, 150.0], workers=workers,
                         template={"method": "ot_barycenter",
                                   "barycenter_max_iters": 2})
@@ -398,7 +409,10 @@ def test_one_pool_per_invocation(tmp_path, monkeypatch, workers, pools):
     assert len(spawned) == workers * pools
 
 
-def test_pool_has_at_most_one_worker_per_subject(tmp_path, monkeypatch):
+@pytest.mark.parametrize("cpus, pool", [(64, TINY_ANNULUS["synth"]["n_subjects"]),
+                                        (3, 3)], ids=["64-cpus", "3-cpus"])
+def test_pool_has_at_most_one_worker_per_subject(tmp_path, monkeypatch, cpus, pool):
+    # and at most one per CPU of the affinity set
     asked = []
 
     class InProcessPool:
@@ -417,12 +431,13 @@ def test_pool_has_at_most_one_worker_per_subject(tmp_path, monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
+    allow_cpus(monkeypatch, cpus)
     p64 = write_config(tmp_path, "c64.json", output_dir=str(tmp_path / "o64"),
                        workers=64)
     p1 = write_config(tmp_path, "c1.json", output_dir=str(tmp_path / "o1"), workers=1)
     assert main(["run", "--config", str(p64)]) == 0
     assert main(["run", "--config", str(p1)]) == 0
-    assert asked == [TINY_ANNULUS["synth"]["n_subjects"]]
+    assert asked == [pool]
     assert tree_checksums(tmp_path / "o64") == tree_checksums(tmp_path / "o1")
 
 
@@ -486,7 +501,8 @@ def test_stage_commands_chain(tmp_path):
     {"method": "sparse"},
     {"method": "ot_barycenter", "barycenter_max_iters": 3},
 ], ids=["sparse", "ot_barycenter"])
-def test_worker_count_does_not_change_results(tmp_path, template):
+def test_worker_count_does_not_change_results(tmp_path, monkeypatch, template):
+    allow_cpus(monkeypatch, 2)
     p1 = write_config(tmp_path, "c1.json", output_dir=str(tmp_path / "o1"), workers=1,
                       template=template)
     p2 = write_config(tmp_path, "c2.json", output_dir=str(tmp_path / "o2"), workers=2,

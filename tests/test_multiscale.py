@@ -9,7 +9,6 @@ from conftest import (
     line_measure,
     pairwise_costs,
     plan_solution,
-    random_measure_pair,
     same_solution,
 )
 from uotmorph.errors import InfeasibleError
@@ -24,19 +23,87 @@ from uotmorph.solver import (
 )
 from uotmorph.solver import multiscale, network, simplex, ssp
 from uotmorph.solver.multiscale import _admitted_pairs, _feeder
-from uotmorph.solver.specs import ARC_ADD_SRC, ARC_REM_SRC, ARC_TRANSPORT
+from uotmorph.solver.specs import (
+    ARC_ADD_SRC,
+    ARC_REM_SRC,
+    ARC_TRANSPORT,
+    axis_gap_tables,
+)
 
 COST = CostSpec()
 QUANT = QuantizationSpec(units=10**6)
 
 
-def test_passthrough_below_threshold_is_bit_identical():
-    rng = np.random.default_rng(1)
-    mu, nu = random_measure_pair(rng, dims=(4, 4))
-    alloc = AllocationSpec(lam=2.0)
+def random_pair_on(rng, dims, spacing):
+    """Random measure pair, each with about 70 % support, on a grid of the
+    given spacing and a non-integer origin."""
+    dom = GridDomain(dims=dims, spacing=spacing, origin=(0.1,) * len(dims))
+    return tuple(GridMeasure(dom, rng.random(dims) * (rng.random(dims) < 0.7))
+                 for _ in range(2))
+
+
+def _pyramid_ran(*args, **kwargs):
+    raise AssertionError("the multiscale pyramid ran")
+
+
+# one level: a support within the threshold, or a lambda whose 2 lambda bound
+# stays below the least squared step s_min^2 (lambda = 0 and 0.49 s_min^2)
+@pytest.mark.parametrize("dims, spacing, lam, threshold", [
+    ((4, 4), (1.0, 1.0), 2.0, 1000),
+    ((6, 6, 6), (1.0, 1.0, 1.0), 0.0, 10),
+    ((6, 5, 4), (1.3, 0.7, 1.9), 0.49 * 0.7**2, 10),
+], ids=["below-threshold", "lambda-0-3d", "local-anisotropic"])
+def test_passthrough_below_threshold_is_bit_identical(monkeypatch, dims, spacing, lam,
+                                                      threshold):
+    mu, nu = random_pair_on(np.random.default_rng(1), dims, spacing)
+    alloc = AllocationSpec(lam=lam)
     exact = solve_unbalanced(mu, nu, COST, alloc, QUANT)
-    ms = solve_multiscale(mu, nu, COST, alloc, QUANT, coarsen_threshold=1000)
+    monkeypatch.setattr(multiscale, "downsample", _pyramid_ran)
+    monkeypatch.setattr(multiscale, "_admitted_pairs", _pyramid_ran)
+    ms = solve_multiscale(mu, nu, COST, alloc, QUANT, coarsen_threshold=threshold)
     assert same_solution(ms, exact)
+
+
+def test_pyramid_runs_once_the_bound_reaches_a_neighbour(monkeypatch):
+    # 2 lambda = 1.02 s_min^2 reaches the nearest voxel along the 0.7 axis
+    mu, nu = random_pair_on(np.random.default_rng(1), (6, 5, 4), (1.3, 0.7, 1.9))
+    alloc = AllocationSpec(lam=0.51 * 0.7**2)
+    assert not network.keeps_only_self_arcs(COST, alloc, mu.domain)
+    levels = []
+
+    def counted(measure, factor):
+        levels.append(measure.domain.dims)
+        return downsample(measure, factor)
+
+    monkeypatch.setattr(multiscale, "downsample", counted)
+    ms = solve_multiscale(mu, nu, COST, alloc, QUANT, coarsen_threshold=10)
+    exact = solve_unbalanced(mu, nu, COST, alloc, QUANT)
+    assert levels
+    assert feasibility_violation_units(ms, mu.flat, nu.flat, QUANT.units) == 0
+    assert ms.objective >= exact.objective - 1e-9 * max(1.0, exact.objective)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_keeps_only_self_arcs_matches_the_builder(data):
+    # the predicate holds exactly when the builder, on full supports, keeps
+    # no pair of distinct voxels
+    ndim = data.draw(st.sampled_from([2, 3]))
+    dims = tuple(data.draw(st.lists(st.integers(1, 5), min_size=ndim, max_size=ndim)))
+    spacing = data.draw(st.lists(st.floats(0.3, 3.0), min_size=ndim, max_size=ndim))
+    origin = data.draw(st.lists(st.floats(-20.0, 20.0), min_size=ndim, max_size=ndim))
+    dom = GridDomain(dims=dims, spacing=spacing, origin=origin)
+    steps = [t[i, i + 1] for t in axis_gap_tables(dom) for i in range(len(t) - 1)]
+    least = min(steps, default=1.0)
+    # around half the least squared step, and that half exactly, where
+    # 2 lambda equals one pair's cost
+    lam = data.draw(st.sampled_from([0.0, 0.2, 0.49, 0.5, 0.51, 3.0, math.inf])
+                    .map(lambda f: f * least) | st.just(least / 2))
+    alloc = AllocationSpec(lam=lam)
+    every = np.arange(dom.size)
+    src, tgt, _ = network._matrix_pairs(dom, every, every,
+                                        network.prune_bound(COST, alloc, dom))
+    assert network.keeps_only_self_arcs(COST, alloc, dom) == bool(np.all(src == tgt))
 
 
 def test_identity_zero_at_every_scale():

@@ -103,6 +103,16 @@ def test_correlate_stack_identical_fields_all_untested():
     assert np.isnan(cmap.r).all()
 
 
+def test_correlate_stack_constant_voxel_off_its_float_mean_is_untested():
+    # 0.1 * 3 / 3 is an ulp above 0.1, so the constant voxel 0 keeps a tiny
+    # sum of squares; only voxel 1 varies and counts for Bonferroni
+    stack = np.array([[0.1, 1.0], [0.1, 3.0], [0.1, 2.0]])
+    cmap = correlate_stack(stack, np.array([1.0, 2.0, 4.0]))
+    assert cmap.tested.tolist() == [False, True]
+    assert math.isnan(cmap.r[0])
+    assert cmap.tested_voxel_count == 1
+
+
 def test_correlate_stack_perfect_voxel():
     rng = np.random.default_rng(1)
     n = 8
