@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.ndimage import convolve1d
 
-from .grid import GridDomain, voxel_positions
+from .grid import GridDomain
 from .solver import CostSpec, TransportSolution
-from .solver.specs import NET_SIGN
+from .solver.specs import NET_SIGN, voxel_costs
 
 
 def allocation_image(sol: TransportSolution, domain: GridDomain) -> np.ndarray:
@@ -33,8 +33,7 @@ def transport_cost_image(
     """Outgoing minus incoming transported cost per voxel."""
     field = np.zeros(domain.size)
     src, tgt, units = sol.plan_arcs.T
-    pair_cost = cost.rowwise(voxel_positions(domain, src), voxel_positions(domain, tgt))
-    moved = (units * sol.mass_per_unit) * pair_cost
+    moved = (units * sol.mass_per_unit) * voxel_costs(domain, src, tgt)
     np.add.at(field, src, moved)
     np.subtract.at(field, tgt, moved)
     return field.reshape(domain.dims)

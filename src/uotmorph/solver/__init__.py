@@ -19,7 +19,10 @@ from .specs import (
 # flow units, as the dense build does, which can change a tied optimum.
 # Version 5 solves lambda = inf on the bank network from the bank basis,
 # which can pick a different balanced optimum where several tie.
-SOLVER_VERSION = 5
+# Version 6 roots the simplex at the bank and drops voxels without flow units
+# from the network, which changes potentials and arc order, so ties can fall
+# to another optimum.
+SOLVER_VERSION = 6
 
 __all__ = [
     "SOLVER_VERSION",

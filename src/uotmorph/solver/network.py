@@ -1,12 +1,13 @@
 """Build the min-cost-flow network of unbalanced transport, the one builder.
 
-Nodes are the support voxels of the two measures plus a bank node whose
-net supply is the quantized mass imbalance.  Every voxel of either support
-is a source site that adds or removes mass through the bank, and every
-target has a cost-0 self arc from its own site, so target-side allocation
-would never be cheaper and has no arcs.  This realizes the three constraint
-families: source and target marginals, and net allocation equal to the
-imbalance.
+Nodes are the voxels with flow units of the two measures plus a bank node
+whose net supply is the quantized mass imbalance.  A voxel with units on
+either side is a source site that adds mass from the bank and removes it
+to the bank, and every target (a voxel with target units) has a cost-0
+self arc from its own site, so target-side allocation would never be
+cheaper and has no arcs.  This realizes the three constraint families:
+source and target marginals, and net allocation equal to the imbalance.
+A voxel whose mass quantizes to no unit on either side has no node.
 
 Balanced transport (lambda = inf) is the same network with allocation
 priced at the domain's max cost + 1, past every transport arc.  Quantized
@@ -19,9 +20,9 @@ Two exact reductions keep networks small without changing the optimum:
 * a transport arc with cost greater than twice the allocation cost is
   dominated by removing at its tail and adding at its head, so it is
   pruned (none at lambda = inf, where that bound exceeds every cost);
-* a zero-mass source site can only ever forward freshly added mass, which
-  is never cheaper than adding at the destination itself, so such sites
-  keep only their self arc.
+* a source site without units can only ever forward freshly added mass,
+  which is never cheaper than adding at the destination itself, so such
+  sites keep only their self arc.
 
 Every transport cost is a sum of per-axis squared gaps read from
 ``specs.axis_gap_tables``, so no (n, m, d) coordinate difference is ever
@@ -40,10 +41,12 @@ block's temporaries, so its memory is linear in the arcs kept: 56 MB for
 the 1.15M arcs of a 16^3 blob pair at lambda = 10.  The problem keeps 24
 bytes per arc and the simplex adds about 11, so a solve peaks there too.
 
-The problem also carries a starting tree for the simplex, the bank basis:
-each voxel's target mass is fed in place by its self arc (or by the arc
-from a given feeder voxel) and each site settles the rest with the bank.
-The tree is strongly feasible, and at lambda = 0 it is already optimal.
+The problem also carries a starting tree for the simplex, the bank basis,
+rooted at the bank: each voxel's target mass is fed in place by its self
+arc (or by the arc from a given feeder voxel) and each site settles the
+rest with the bank.  Every node hangs by a real arc, so the bank reaches
+every node; the tree is strongly feasible, and at lambda = 0 it is already
+optimal.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ from .specs import (
     axis_gap_tables,
     quantized_masses,
     sum_axis_gaps,
+    voxel_costs,
 )
 
 # Work of one stencil offset's pass beyond its sources, in cost-matrix
@@ -90,7 +94,7 @@ class FlowProblem:
     mass_per_unit: float
     delta_real: float
     # per node, the arc hanging it from its parent in the simplex's starting
-    # tree, or -1 for its artificial arc to the root
+    # tree; -1 marks the root, the bank in every network of the builder
     basis: np.ndarray
     # lambda = inf: a solution that allocates mass is infeasible
     balanced: bool = False
@@ -151,10 +155,11 @@ def build_unbalanced_problem(
             "infinite allocation cost with unbalanced quantized totals"
         )
 
-    tgt_voxels = np.flatnonzero(z_flat > 0)
-    # allocation sites: union of supports, so every needed voxel can be
-    # served by a self arc fed from the bank
-    src_voxels = np.union1d(np.flatnonzero(w_flat > 0), tgt_voxels)
+    # targets have units; allocation sites are the voxels with units on
+    # either side, so every target can be served by a self arc fed from the
+    # bank
+    tgt_voxels = np.flatnonzero(z_units_full > 0)
+    src_voxels = np.flatnonzero((w_units_full > 0) | (z_units_full > 0))
 
     n_src = len(src_voxels)
     n_tgt = len(tgt_voxels)
@@ -173,8 +178,8 @@ def build_unbalanced_problem(
     supplies[n_src:bank] -= z_units_full[tgt_voxels]
     supplies[bank] = imbalance
 
-    # transport arcs, from sources with units to targets with mass
-    positive_src = src_voxels[w_units_full[src_voxels] > 0]
+    # transport arcs, from sources with units to targets
+    positive_src = np.flatnonzero(w_units_full > 0)
     bound = 2.0 * lam  # prune_bound, without recomputing the max cost
     if allowed_pairs is None:
         pair_i, pair_j, pair_c = _dense_pairs(domain, positive_src, tgt_voxels, bound)
@@ -185,26 +190,26 @@ def build_unbalanced_problem(
         has_units[positive_src] = True
         mask = has_units[pair_i] & (tgt_node[pair_j] >= 0) & (pair_i != pair_j)
         pair_i, pair_j = pair_i[mask], pair_j[mask]
-        pair_c = _voxel_costs(domain, pair_i, pair_j)
+        pair_c = voxel_costs(domain, pair_i, pair_j)
         keep = pair_c <= bound
         pair_i, pair_j, pair_c = pair_i[keep], pair_j[keep], pair_c[keep]
 
-    # self arcs (cost 0) for targets that are also sites, unless the pairs
-    # above already hold one
+    # self arcs (cost 0) for every target, unless the pairs above already
+    # hold one
     paired = np.zeros(len(w_flat), dtype=bool)
     paired[pair_i[pair_i == pair_j]] = True
-    both = tgt_voxels[(src_node[tgt_voxels] >= 0) & ~paired[tgt_voxels]]
+    unpaired = tgt_voxels[~paired[tgt_voxels]]
 
     # arc blocks: transport pairs, self arcs, bank -> site arcs that add mass
     # and site -> bank arcs that remove it
-    n_rem = len(positive_src)
-    tails = np.concatenate((src_node[pair_i], src_node[both], np.full(n_src, bank),
-                            src_node[positive_src]), dtype=np.int64)
+    sites = np.arange(n_src)
+    tails = np.concatenate((src_node[pair_i], src_node[unpaired], np.full(n_src, bank),
+                            sites), dtype=np.int64)
     del pair_i
-    heads = np.concatenate((tgt_node[pair_j], tgt_node[both], np.arange(n_src),
-                            np.full(n_rem, bank)), dtype=np.int64)
+    heads = np.concatenate((tgt_node[pair_j], tgt_node[unpaired], sites,
+                            np.full(n_src, bank)), dtype=np.int64)
     del pair_j
-    costs = np.concatenate((pair_c, np.zeros(len(both)), np.full(n_src + n_rem, lam)),
+    costs = np.concatenate((pair_c, np.zeros(len(unpaired)), np.full(2 * n_src, lam)),
                            dtype=np.float64)
     del pair_c
     problem = FlowProblem(
@@ -291,16 +296,6 @@ def _matrix_pairs(domain, sources, targets, bound):
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _voxel_costs(domain, a, b):
-    """Costs between matching voxel index arrays, from the gap tables."""
-    gaps = []
-    for table, stride, n in zip(axis_gap_tables(domain), _strides(domain.dims), domain.dims):
-        index = a // stride % n * n
-        index += b // stride % n
-        gaps.append(table.ravel()[index])
-    return sum_axis_gaps(gaps)
-
-
 def _strides(dims):
     """Linear-index stride of each axis of a C-order grid."""
     return [int(np.prod(dims[k + 1:])) for k in range(len(dims))]
@@ -382,45 +377,42 @@ def keeps_only_self_arcs(cost: CostSpec, alloc: AllocationSpec, domain) -> bool:
 
 
 def _bank_basis(problem: FlowProblem, feeder=None) -> np.ndarray:
-    """Strongly feasible starting tree of a network.
+    """Strongly feasible starting tree of a network, rooted at the bank.
 
     Read from the arcs and node voxels alone, in any arc order.  Each
-    target with demand hangs from a site by a transport arc: the arc from
+    target hangs from a site by a transport arc: the arc from
     ``feeder[voxel]`` where one was built, else its self arc (both ends on
     one voxel).  Each site hangs from the bank by its remove arc (into the
     bank) when its supply covers the demand hung on it, else by its add arc
-    (out of the bank); the bank node, targets without demand and sites with
-    neither supply nor demand hang from the simplex's root.  Every tree
-    flow is then >= 0 and every zero-flow tree arc points towards the root.
-    At lambda = 0 this tree is optimal: keeping mass in place beats every
-    other arc.  The simplex computes the potentials from the tree before the
-    first pivot and every max(64, n) pivots.
+    (out of the bank).  The bank is the only node without an arc (-1).
+    Every tree flow is then >= 0 and every zero-flow tree arc is a remove
+    arc, pointing towards the root.  At lambda = 0 this tree is optimal:
+    keeping mass in place beats every other arc.
     """
     tails, heads, supply = problem.tails, problem.heads, problem.supplies
     bank = problem.n_nodes - 1
     add = np.flatnonzero(tails == bank)
     remove = np.flatnonzero(heads == bank)
-    sites = heads[add]
     # per node, the voxels whose site may hang it: its own, then its
     # feeder's; the bank's -1 stays -1
     voxel = problem.node_voxel
     sources = [voxel] if feeder is None else [voxel, np.append(feeder, -1)[voxel]]
     # voxel -> its site node, or -1; index -1 reads the extra last entry
     site = np.full(max(source.max() for source in sources) + 2, -1)
-    site[voxel[sites]] = sites
+    site[voxel[heads[add]]] = heads[add]
     basis = np.full(problem.n_nodes, -1, dtype=np.int64)
     for source in sources:
         # the arcs from the site on each head's source voxel
         arcs = np.flatnonzero(tails == site[source][heads])
         basis[heads[arcs]] = arcs
-    basis[supply >= 0] = -1
-    hanging = np.flatnonzero(basis >= 0)
+    targets = np.flatnonzero(basis >= 0)
     hung = np.zeros(problem.n_nodes, dtype=np.int64)
-    np.add.at(hung, tails[basis[hanging]], -supply[hanging])
+    np.add.at(hung, tails[basis[targets]], -supply[targets])
 
-    basis[sites] = np.where((supply[sites] > 0) | (hung[sites] > 0), add, -1)
-    covered = supply[tails[remove]] >= hung[tails[remove]]
-    basis[tails[remove[covered]]] = remove[covered]
+    basis[heads[add]] = add
+    sites = tails[remove]
+    covered = supply[sites] >= hung[sites]
+    basis[sites[covered]] = remove[covered]
     return basis
 
 

@@ -1,23 +1,23 @@
 """Primal network simplex for uncapacitated min-cost flow on integer supplies.
 
 Flows are exact integers (int64); arc costs are float64.  The basis is a
-spanning tree over the nodes and an artificial root, stored per node: its
-parent, its tree arc, whether that arc points up to the parent, the arc's
-flow, and the subtree's size and thread (preorder successor, predecessor
-and last node).  In an uncapacitated simplex every non-tree arc carries no
-flow, so there is no flow array over the arcs: the arc flows are scattered
-from the tree once, after the last pivot, and an artificial arc still
-carrying flow then means the supplies cannot be met.  The solve starts from
-the problem's ``basis``, which names for each node the arc hanging it from
-its parent, or -1 for a big-M artificial arc to the root.  One DFS from the
-root builds the tree from it; each tree arc carries its subtree's supply
-and each artificial arc is directed so that its flow is non-negative.
-Artificial arcs are never priced, so they exist only as tree arcs (node v's
-is arc e + v) and no arc array is copied.  The start must be strongly
-feasible (every zero-flow tree arc points towards the root); a basis that
-is not is a ``SolverError``.  The all -1 basis is the classic artificial
-star.  The solve returns its final tree in the same form, a strongly
-feasible start for the same problem.
+spanning tree over the nodes, rooted at the one node without a tree arc,
+stored per node: its parent, its tree arc, whether that arc points up to
+the parent, the arc's flow, and the subtree's size and thread (preorder
+successor, predecessor and last node).  In an uncapacitated simplex every
+non-tree arc carries no flow, so there is no flow array over the arcs: the
+arc flows are scattered from the tree once, after the last pivot.  The
+solve starts from the problem's ``basis``, which names for each node the
+arc hanging it from its parent, and -1 for the root alone (the bank, in
+every network of the builder).  One DFS from the root builds the tree from
+it; each tree arc carries its subtree's supply.  The start must be strongly
+feasible (every tree flow is >= 0 and every zero-flow tree arc points
+towards the root; Ahuja, Magnanti & Orlin 1993, *Network Flows*, ch. 11);
+a basis that is not, or that has no root or more than one, is a
+``SolverError``.  A strongly feasible tree is a feasible flow, so no
+artificial arc is needed and the potentials, 0 at the root, are sums of
+real arc costs along tree paths.  The solve returns its final tree in the
+same form, a strongly feasible start for the same problem.
 
 Pivot rule.  The entering arc is chosen by the block-search rule of LEMON's
 network simplex: arcs are scanned cyclically in fixed index order in blocks
@@ -69,23 +69,18 @@ def solve_min_cost_flow(problem: FlowProblem):
     ``flows`` is an int64 array over the problem's arcs; ``objective_units``
     is the float cost of the flow in quantization units.  ``basis`` is the
     final tree in the form of ``FlowProblem.basis``: per node, the arc
-    hanging it from its parent, or -1 for its artificial arc.
+    hanging it from its parent, -1 at the root.
     """
     n = problem.n_nodes
     e = problem.n_arcs
-    if n == 0:
-        return np.zeros(0, dtype=np.int64), 0.0, np.zeros(0, dtype=np.int64)
-    b = problem.supplies
-    if int(b.sum()) != 0:
+    if int(problem.supplies.sum()) != 0:
         raise InfeasibleError("node supplies do not balance")
 
-    root = n
     max_cost = float(np.max(problem.costs)) if e else 0.0
-    faux = 1.0 + 3.0 * (n + 1) * max(max_cost, 1.0)
     S, T, C = problem.tails, problem.heads, problem.costs
-    parent, tree_arc, up, tree_flow, size, next_, prev, last = _start(problem)
+    root, parent, tree_arc, up, tree_flow, size, next_, prev, last = _start(problem)
     edge, up, tf = tree_arc.tolist(), up.tolist(), tree_flow.tolist()
-    pi = np.zeros(n + 1)
+    pi = np.zeros(n)
     Sv, Tv, Cv, piv = (memoryview(a) for a in (S, T, C, pi))
     # above every tree flow, which is an int64
     no_arc = 1 << 63
@@ -100,11 +95,11 @@ def solve_min_cost_flow(problem: FlowProblem):
     while True:
         if pivots % refresh_every == 0:
             # exact potentials from the tree (thread order visits parents
-            # first); an artificial arc costs faux
+            # first)
             piv[root] = 0.0
             v = next_[root]
             while v != root:
-                c = Cv[edge[v]] if edge[v] < e else faux
+                c = Cv[edge[v]]
                 piv[v] = piv[parent[v]] + (c if up[v] else -c)
                 v = next_[v]
 
@@ -285,86 +280,84 @@ def solve_min_cost_flow(problem: FlowProblem):
     # arc flows from the tree: a non-tree arc carries none
     if pivots:
         tree_arc, tree_flow = np.array(edge), np.array(tf)
-    x = np.zeros(e + n, dtype=np.int64)
-    x[tree_arc] = tree_flow
-    if x[e:].any():
-        raise InfeasibleError("no flow satisfies the node supplies")
-    flows = x[:e]
+    hung = tree_arc >= 0
+    flows = np.zeros(e, dtype=np.int64)
+    flows[tree_arc[hung]] = tree_flow[hung]
     nz = np.flatnonzero(flows > 0)
     objective_units = float(np.dot(C[nz], flows[nz].astype(np.float64)))
-    return flows, objective_units, np.where(tree_arc < e, tree_arc, -1)
+    return flows, objective_units, tree_arc
 
 
 def _start(problem: FlowProblem):
     """Per-node tree state of the starting basis.
 
-    Node v hangs from its parent by arc ``problem.basis[v]``, or by its
-    artificial arc (index e + v) to the root where the entry is -1.  The
-    artificial arc runs root -> v when the supply of v's subtree is
-    negative, else v -> root.  Raises ``SolverError`` naming the first
-    node at fault when the basis is not a strongly feasible tree: a
-    node that does not reach the root, a negative tree flow, or a zero-flow
-    tree arc directed away from the root.
+    Node v hangs from its parent by arc ``problem.basis[v]``; the one node
+    whose entry is -1 is the root.  Raises ``SolverError`` naming the first
+    node at fault when the basis is not a strongly feasible tree: no root or
+    more than one, a node that does not reach the root, a negative tree
+    flow, or a zero-flow tree arc directed away from the root.
 
-    Returns numpy arrays over the nodes of the tree arc, whether it points
-    up to the parent, and its flow; and lists over the nodes and the root
-    of the parent (``None`` at the root), subtree size and thread (next,
-    previous, last).
+    Returns the root; numpy arrays over the nodes of the tree arc (-1 at the
+    root), whether it points up to the parent, and its flow; and lists over
+    the nodes of the parent (``None`` at the root), subtree size and thread
+    (next, previous, last).
     """
     n = problem.n_nodes
     e = problem.n_arcs
-    root = n
     nodes = np.arange(n, dtype=np.int64)
-    basis = np.asarray(problem.basis, dtype=np.int64)
-    if basis.shape != (n,):
-        raise SolverError(f"basis has shape {basis.shape}, expected ({n},)")
-    bad = np.flatnonzero((basis < -1) | (basis >= e))
+    edge = np.array(problem.basis, dtype=np.int64)
+    if edge.shape != (n,):
+        raise SolverError(f"basis has shape {edge.shape}, expected ({n},)")
+    bad = np.flatnonzero((edge < -1) | (edge >= e))
     if len(bad):
-        raise SolverError(f"basis: node {bad[0]} names no arc ({basis[bad[0]]})")
-    real = basis >= 0
-    edge = np.where(real, basis, e + nodes)
-    arc = basis[real]
+        raise SolverError(f"basis: node {bad[0]} names no arc ({edge[bad[0]]})")
+    roots = np.flatnonzero(edge < 0)
+    if len(roots) != 1:
+        raise SolverError(f"basis has {len(roots)} roots (-1 entries), expected one")
+    root = int(roots[0])
+    real = edge >= 0
+    arc = edge[real]
     tails = problem.tails[arc]
     heads = problem.heads[arc]
     bad = np.flatnonzero((tails != nodes[real]) & (heads != nodes[real]))
     if len(bad):
         v = nodes[real][bad[0]]
-        raise SolverError(f"basis: arc {basis[v]} of node {v} does not touch it")
-    parent = np.full(n + 1, root, dtype=np.int64)
-    parent[:n][real] = np.where(tails == nodes[real], heads, tails)
+        raise SolverError(f"basis: arc {edge[v]} of node {v} does not touch it")
+    # the root's parent n sorts it after every node's children
+    parent = np.full(n, n, dtype=np.int64)
+    parent[real] = np.where(tails == nodes[real], heads, tails)
 
     # preorder from the root, children in increasing node order
-    order = np.lexsort((-nodes, parent[:n]))
+    order = np.lexsort((-nodes, parent))
     kids = order.tolist()
-    first = np.searchsorted(parent[order], np.arange(n + 2)).tolist()
+    first = np.searchsorted(parent[order], np.arange(n + 1)).tolist()
     thread = []
     stack = [root]
     while stack:
         u = stack.pop()
         thread.append(u)
         stack.extend(kids[first[u] : first[u + 1]])
-    if len(thread) <= n:
-        reached = np.zeros(n + 1, dtype=bool)
+    if len(thread) < n:
+        reached = np.zeros(n, dtype=bool)
         reached[thread] = True
         v = int(np.argmin(reached))
         raise SolverError(f"basis: node {v} does not reach the root (cycle)")
 
     # subtree supplies and sizes, children before parents
     par = parent.tolist()
-    sub = problem.supplies.tolist() + [0]
-    size = [1] * (n + 1)
+    sub = problem.supplies.tolist()
+    size = [1] * n
     for u in reversed(thread[1:]):
         p = par[u]
         sub[p] += sub[u]
         size[p] += size[u]
 
-    subtree = np.array(sub[:n], dtype=np.int64)
-
-    # each tree arc carries its subtree's supply towards the root; an
-    # artificial arc points up unless its subtree's supply is negative
-    up = subtree >= 0
+    # each tree arc carries its subtree's supply towards the root
+    up = np.ones(n, dtype=bool)
     up[real] = tails == nodes[real]
+    subtree = np.array(sub, dtype=np.int64)
     flow = np.where(up, subtree, -subtree)
+    flow[root] = 0
     bad = np.flatnonzero(flow < 0)
     if len(bad):
         v = bad[0]
@@ -376,13 +369,13 @@ def _start(problem: FlowProblem):
         )
 
     thread = np.array(thread, dtype=np.int64)
-    pos = np.empty(n + 1, dtype=np.int64)
-    pos[thread] = np.arange(n + 1)
-    next_ = np.empty(n + 1, dtype=np.int64)
+    pos = np.empty(n, dtype=np.int64)
+    pos[thread] = np.arange(n)
+    next_ = np.empty(n, dtype=np.int64)
     next_[thread] = np.roll(thread, -1)
-    prev = np.empty(n + 1, dtype=np.int64)
+    prev = np.empty(n, dtype=np.int64)
     prev[thread] = np.roll(thread, 1)
     last = thread[pos + np.array(size) - 1]
 
     par[root] = None
-    return par, edge, up, flow, size, next_.tolist(), prev.tolist(), last.tolist()
+    return root, par, edge, up, flow, size, next_.tolist(), prev.tolist(), last.tolist()

@@ -29,14 +29,8 @@ class CostSpec:
     """Squared Euclidean ground cost c(x, y) = |x - y|^2 on physical coordinates.
 
     Every cost is ``sum_axis_gaps`` of its per-axis squared gaps; on a grid
-    those gaps are the entries of ``axis_gap_tables``.
+    those gaps are the entries of ``axis_gap_tables`` (see ``voxel_costs``).
     """
-
-    def rowwise(self, pos_a: np.ndarray, pos_b: np.ndarray) -> np.ndarray:
-        """Costs between matching rows of two coordinate arrays of shape (n, d)."""
-        diff = pos_a - pos_b
-        diff *= diff
-        return sum_axis_gaps(diff.T)
 
     def max_on_domain(self, domain) -> float:
         """Upper bound of the cost over a grid domain (corner to corner)."""
@@ -70,6 +64,14 @@ def axis_gap_tables(domain) -> tuple[np.ndarray, ...]:
         gap.flags.writeable = False
         tables.append(gap)
     return tuple(tables)
+
+
+def voxel_costs(domain, a, b) -> np.ndarray:
+    """Costs between matching voxel index arrays of a grid domain, from the
+    gap tables."""
+    coords = zip(np.unravel_index(a, domain.dims), np.unravel_index(b, domain.dims))
+    return sum_axis_gaps([table[i, j] for table, (i, j)
+                          in zip(axis_gap_tables(domain), coords)])
 
 
 @dataclass(frozen=True)

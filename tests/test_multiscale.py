@@ -28,6 +28,8 @@ from uotmorph.solver.specs import (
     ARC_REM_SRC,
     ARC_TRANSPORT,
     axis_gap_tables,
+    quantized_masses,
+    voxel_costs,
 )
 
 COST = CostSpec()
@@ -204,21 +206,33 @@ def test_feeder_follows_the_largest_coarse_inflow():
     assert _feeder(plan_solution([]), (2, 2), (3, 3)).tolist() == list(range(9))
 
 
+def _units(mu, nu):
+    """Per voxel, the flow units of ``mu`` and of ``nu``."""
+    return quantized_masses(mu.flat, nu.flat, QUANT.units)[:2]
+
+
 def _target_nodes(problem, mu, nu):
-    """Voxel -> node of the target side, from the builder's node order."""
-    n_src = len(np.union1d(np.flatnonzero(mu.flat), np.flatnonzero(nu.flat)))
-    tgt_voxels = np.flatnonzero(nu.flat)
+    """Voxel -> node of the target side, from the builder's node order:
+    sites (voxels with units on either side), then targets (with units)."""
+    w_units, z_units = _units(mu, nu)
+    n_src = np.count_nonzero((w_units > 0) | (z_units > 0))
+    tgt_voxels = np.flatnonzero(z_units > 0)
     return dict(zip(tgt_voxels.tolist(), range(n_src, n_src + len(tgt_voxels))))
 
 
 def _check_fed_solve(mu, nu, alloc, problem):
-    """The warm-started restricted solve is feasible, matches SSP on the same
-    network and upper-bounds the exact optimum."""
-    flows, _, _ = simplex.solve_min_cost_flow(problem)
+    """The warm-started restricted solve matches SSP on the same network; it
+    is feasible and upper-bounds the exact optimum, unless it is balanced and
+    the restricted arcs route mass through the bank."""
+    flows, objective, _ = simplex.solve_min_cost_flow(problem)
+    assert objective == pytest.approx(ssp.solve_min_cost_flow(problem)[1],
+                                      rel=1e-9, abs=1e-12)
+    if problem.balanced and flows[problem.arc_kind != ARC_TRANSPORT].any():
+        with pytest.raises(InfeasibleError, match="needs allocation"):
+            network.extract_solution(problem, flows)
+        return
     sol = network.extract_solution(problem, flows)
     assert feasibility_violation_units(sol, mu.flat, nu.flat, QUANT.units) == 0
-    oracle = network.extract_solution(problem, ssp.solve_min_cost_flow(problem)[0])
-    assert sol.objective == pytest.approx(oracle.objective, rel=1e-9, abs=1e-12)
     exact = solve_unbalanced(mu, nu, COST, alloc, QUANT)
     assert sol.objective >= exact.objective * (1 - 1e-9)
 
@@ -250,14 +264,22 @@ def fed_cases(draw):
     dims = draw(st.sampled_from([(1, 5), (3, 3), (2, 2, 2)]))
     dom = GridDomain(dims=dims, spacing=(1.0,) * len(dims), origin=(0.0,) * len(dims))
     size = int(np.prod(dims))
-    masses = st.lists(st.integers(0, 4), min_size=size, max_size=size)
-    w = np.array(draw(masses), dtype=float)
-    z = np.array(draw(masses), dtype=float)
-    assume(w.sum() > 0 and z.sum() > 0)
-    alloc = AllocationSpec(lam=draw(st.sampled_from([0.0, 0.6, 2.0, 50.0])))
-    feeder = np.array(
-        draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
-    )
+    # masses of 1e-13 quantize to no unit
+    masses = st.lists(st.sampled_from([0.0, 1e-13, 1.0, 2.0, 3.0, 4.0]),
+                      min_size=size, max_size=size)
+    w = np.array(draw(masses))
+    z = np.array(draw(masses))
+    assume(w.sum() >= 1 and z.sum() >= 1)
+    lam = draw(st.sampled_from([0.0, 0.6, 2.0, 50.0, math.inf]))
+    if math.isinf(lam):
+        # balanced transport: nu rescaled to the mass of mu
+        z *= w.sum() / z.sum()
+    alloc = AllocationSpec(lam=lam)
+    feeder = None
+    if draw(st.booleans()):
+        feeder = np.array(
+            draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+        )
     allowed = None
     if draw(st.booleans()):
         keep = draw(st.lists(st.booleans(), min_size=size * size, max_size=size * size))
@@ -275,16 +297,23 @@ def test_feeder_arcs_or_self_arcs_start_a_feasible_solve(case):
     problem = network.build_unbalanced_problem(
         mu, nu, COST, alloc, QUANT, allowed_pairs=allowed, feeder=feeder
     )
+    # every node but the bank has units, and hangs by an arc from the bank,
+    # the root
+    bank = problem.n_nodes - 1
+    w_units, z_units = _units(mu, nu)
+    voxel = problem.node_voxel[:bank]
+    assert ((w_units + z_units)[voxel] > 0).all() and problem.node_voxel[bank] == -1
+    assert np.flatnonzero(problem.basis < 0).tolist() == [bank]
+    assert simplex._start(problem)[0] == bank
     kind, vox_a, vox_b = problem.arc_voxels()
     transport = kind == ARC_TRANSPORT
-    demand = {v: int(-problem.supplies[n]) for v, n in _target_nodes(problem, mu, nu).items()}
     for v, n in _target_nodes(problem, mu, nu).items():
+        assert -problem.supplies[n] == z_units[v] > 0
         a = problem.basis[n]
-        if demand[v] == 0:
-            assert a == -1
-            continue
         built = transport & (vox_b == v)
-        want = feeder[v] if (built & (vox_a == feeder[v])).any() else v
+        want = v
+        if feeder is not None and (built & (vox_a == feeder[v])).any():
+            want = feeder[v]
         assert transport[a] and vox_b[a] == v
         assert vox_a[a] == want
     _check_fed_solve(mu, nu, alloc, problem)
@@ -374,7 +403,7 @@ def refinement_cases(draw):
         assume(size > 1)
         pair = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2,
                              unique=True))
-        lam = COST.rowwise(*(voxel_positions(dom, [v]) for v in pair))[0] / 2
+        lam = voxel_costs(dom, pair[:1], pair[1:])[0] / 2
     if math.isinf(lam):
         # balanced transport needs equal totals: move the same masses around
         z = np.array(draw(st.permutations(w.tolist())))

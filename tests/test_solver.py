@@ -37,6 +37,7 @@ from uotmorph.solver.specs import (
     ARC_REM_SRC,
     ARC_TRANSPORT,
     quantized_masses,
+    voxel_costs,
 )
 
 COST = CostSpec()
@@ -404,9 +405,28 @@ def test_feasibility_violation_counts_units():
         assert violation(allocation=np.vstack((sol.allocation, extra))) == 5
 
 
-def flow_problem(n_nodes, arcs, supplies):
-    """Hand-built FlowProblem from (tail, head, cost) triples."""
-    tails, heads, costs = zip(*arcs) if arcs else ((), (), ())
+def flow_problem(n_nodes, arcs, supplies, basis=None):
+    """Hand-built FlowProblem from (tail, head, cost) triples.
+
+    With ``basis`` (-1 at the root) the problem has just these nodes and
+    arcs.  Without, it gets a hub: one more node, with arcs to and from
+    every node that cost more than any path, appended after the given arcs
+    as (v, hub), (hub, v) for each node v.  Every node hangs from the hub
+    by the one of its two arcs that carries its supply, the hub is the root.
+    """
+    tails, heads, costs = (list(column) for column in zip(*arcs)) if arcs else ([], [], [])
+    supplies = list(supplies)
+    if basis is None:
+        hub = n_nodes
+        big = 1.0 + n_nodes * max(map(abs, costs), default=1.0)
+        basis = [len(tails) + 2 * v + (supply < 0) for v, supply in enumerate(supplies)]
+        basis.append(-1)
+        for v in range(n_nodes):
+            tails += [v, hub]
+            heads += [hub, v]
+            costs += [big, big]
+        n_nodes += 1
+        supplies.append(0)
     return network.FlowProblem(
         n_nodes=n_nodes,
         tails=np.asarray(tails, dtype=np.int64),
@@ -416,7 +436,7 @@ def flow_problem(n_nodes, arcs, supplies):
         node_voxel=np.arange(n_nodes, dtype=np.int64),
         mass_per_unit=1.0,
         delta_real=0.0,
-        basis=np.full(n_nodes, -1, dtype=np.int64),
+        basis=np.asarray(basis, dtype=np.int64),
     )
 
 
@@ -427,21 +447,16 @@ def net_outflow(problem, flows):
     return out
 
 
-def test_simplex_no_arcs_zero_supplies():
-    flows, objective, _ = simplex.solve_min_cost_flow(flow_problem(3, [], [0, 0, 0]))
+def test_simplex_lone_root_without_arcs():
+    flows, objective, basis = simplex.solve_min_cost_flow(
+        flow_problem(1, [], [0], basis=[-1]))
     assert flows.dtype == np.int64 and len(flows) == 0
-    assert objective == 0.0
+    assert objective == 0.0 and basis.tolist() == [-1]
 
 
 def test_simplex_unbalanced_supplies_infeasible():
     with pytest.raises(InfeasibleError):
         simplex.solve_min_cost_flow(flow_problem(2, [(0, 1, 1.0)], [2, -1]))
-
-
-def test_simplex_disconnected_pair_infeasible():
-    # the only arc points from the demand node to the supply node
-    with pytest.raises(InfeasibleError):
-        simplex.solve_min_cost_flow(flow_problem(2, [(1, 0, 1.0)], [1, -1]))
 
 
 def test_simplex_negative_forward_cycle_unbounded():
@@ -451,12 +466,13 @@ def test_simplex_negative_forward_cycle_unbounded():
 
 
 def test_simplex_leaving_arc_tie_goes_to_the_head_side():
-    # tree: node 1 -> 0 and 0 -> 2, each carrying one unit, with node 0
-    # hanging from the root.  Entering arc 1 -> 2 closes a cycle whose
-    # tail-side (1 -> 0) and head-side (0 -> 2) arcs both block at one unit;
-    # the head-side arc leaves, so node 2 hangs from node 1 by arc 2.
-    problem = flow_problem(3, [(1, 0, 1.0), (0, 2, 1.0), (1, 2, 0.0)], [0, 1, -1])
-    flows, objective, basis = simplex.solve_min_cost_flow(with_basis(problem, [-1, 0, 1]))
+    # tree: node 1 -> 0 and 0 -> 2, each carrying one unit, with node 0 the
+    # root.  Entering arc 1 -> 2 closes a cycle whose tail-side (1 -> 0) and
+    # head-side (0 -> 2) arcs both block at one unit; the head-side arc
+    # leaves, so node 2 hangs from node 1 by arc 2.
+    problem = flow_problem(3, [(1, 0, 1.0), (0, 2, 1.0), (1, 2, 0.0)], [0, 1, -1],
+                           basis=[-1, 0, 1])
+    flows, objective, basis = simplex.solve_min_cost_flow(problem)
     assert flows.tolist() == [0, 0, 1] and objective == 0.0
     assert basis.tolist() == [-1, 0, 2]
 
@@ -466,7 +482,8 @@ def pricing_block(e):
 
 
 def assert_matches_ssp(n_src, n_tgt, extra, seed):
-    """Random costs and supplies on all source-target pairs plus ``extra``."""
+    """Random costs and supplies on all source-target pairs plus ``extra``,
+    solved from the hub's star basis; returns the number of arcs."""
     rng = np.random.default_rng(seed)
     pairs = [(s, t) for s in range(n_src) for t in range(n_src, n_src + n_tgt)]
     pairs += extra
@@ -478,26 +495,27 @@ def assert_matches_ssp(n_src, n_tgt, extra, seed):
         problem = flow_problem(n_src + n_tgt, arcs, [*supply, *(-demand)])
         flows, objective, _ = simplex.solve_min_cost_flow(problem)
         assert (net_outflow(problem, flows) == problem.supplies).all()
+        assert not flows[len(arcs):].any()  # the hub's arcs stay empty
         assert objective == pytest.approx(
             ssp.solve_min_cost_flow(problem)[1], rel=1e-12, abs=1e-12
         )
+    return problem.n_arcs
 
 
 def test_simplex_wrapped_pricing_block_matches_ssp():
-    # 30 arcs in blocks shorter than 30 that do not divide it: the last
-    # scan prices ceil(30 / block) blocks, more than 30 arcs in a row, so
-    # at least one block wraps past the last arc
+    # 48 arcs (30 and the hub's 18) in blocks shorter than 48 that do not
+    # divide it: the last scan prices ceil(48 / block) blocks, more than 48
+    # arcs in a row, so at least one block wraps past the last arc
     extra = [(0, 1), (1, 0), (2, 3), (3, 2), (1, 2),
              (4, 5), (6, 5), (7, 8), (8, 7), (6, 7)]
-    block = pricing_block(30)
-    assert block < 30 and 30 % block != 0
-    assert_matches_ssp(4, 5, extra, seed=5)
+    e = assert_matches_ssp(4, 5, extra, seed=5)
+    assert e == 48 and pricing_block(e) < e and e % pricing_block(e) != 0
 
 
 def test_simplex_capped_pricing_block_matches_ssp():
-    # 10 arcs: the block is capped at the whole arc list
-    assert pricing_block(10) == 10
-    assert_matches_ssp(2, 3, [(0, 1), (1, 0), (2, 3), (4, 3)], seed=5)
+    # 15 arcs (7 and the hub's 8): the block is capped at the whole arc list
+    e = assert_matches_ssp(2, 2, [(0, 1), (2, 3), (3, 2)], seed=5)
+    assert e == 15 and math.ceil(simplex.BLOCK_FACTOR * math.sqrt(e)) > e
 
 
 def test_simplex_flows_exact_at_max_units():
@@ -512,56 +530,43 @@ def test_simplex_flows_exact_at_max_units():
     assert feasibility_violation_units(sol, mu.flat, nu.flat, quant.units) == 0
 
 
-def with_basis(problem, basis):
-    return dataclasses.replace(problem, basis=np.asarray(basis, dtype=np.int64))
+@pytest.mark.parametrize("basis, roots", [([0, 1], 0), ([-1, -1], 2)])
+def test_simplex_rejects_basis_without_one_root(basis, roots):
+    problem = flow_problem(2, [(0, 1, 1.0), (1, 0, 1.0)], [1, -1], basis=basis)
+    with pytest.raises(SolverError, match=f"basis has {roots} roots"):
+        simplex.solve_min_cost_flow(problem)
 
 
 def test_simplex_rejects_basis_with_cycle():
-    # node 0 hangs from node 1 and node 1 from node 0
-    problem = flow_problem(2, [(0, 1, 1.0), (1, 0, 1.0)], [1, -1])
+    # node 0 hangs from node 1 and node 1 from node 0; node 2 is the root
+    problem = flow_problem(3, [(0, 1, 1.0), (1, 0, 1.0)], [1, -1, 0], basis=[0, 1, -1])
     with pytest.raises(SolverError, match="node 0 does not reach the root"):
-        simplex.solve_min_cost_flow(with_basis(problem, [0, 1]))
+        simplex.solve_min_cost_flow(problem)
 
 
 def test_simplex_rejects_basis_with_negative_flow():
     # node 1 (demand 1) would have to send its subtree supply up arc 1 -> 0
-    problem = flow_problem(2, [(1, 0, 1.0), (0, 1, 1.0)], [1, -1])
+    problem = flow_problem(2, [(1, 0, 1.0), (0, 1, 1.0)], [1, -1], basis=[-1, 0])
     with pytest.raises(SolverError, match="negative flow -1 on the arc of node 1"):
-        simplex.solve_min_cost_flow(with_basis(problem, [-1, 0]))
+        simplex.solve_min_cost_flow(problem)
 
 
 def test_simplex_rejects_zero_flow_arc_away_from_root():
-    problem = flow_problem(3, [(0, 1, 1.0), (2, 0, 1.0)], [0, 0, 0])
+    arcs = [(0, 1, 1.0), (2, 0, 1.0)]
     with pytest.raises(SolverError, match="zero-flow arc of node 1 points away"):
-        simplex.solve_min_cost_flow(with_basis(problem, [-1, 0, -1]))
-    # a zero-flow arc pointing up (2 -> 0) is accepted
-    flows, objective, _ = simplex.solve_min_cost_flow(with_basis(problem, [-1, -1, 1]))
+        simplex.solve_min_cost_flow(flow_problem(3, arcs, [0, 0, 0], basis=[-1, 0, 1]))
+    # zero-flow arcs pointing up (0 -> 1 to root 1, 2 -> 0) are accepted
+    flows, objective, _ = simplex.solve_min_cost_flow(
+        flow_problem(3, arcs, [0, 0, 0], basis=[0, -1, 1]))
     assert flows.tolist() == [0, 0] and objective == 0.0
 
 
 def test_simplex_rejects_basis_arc_not_at_node():
-    problem = flow_problem(3, [(0, 1, 1.0)], [1, -1, 0])
+    arcs = [(0, 1, 1.0)]
     with pytest.raises(SolverError, match="arc 0 of node 2 does not touch it"):
-        simplex.solve_min_cost_flow(with_basis(problem, [-1, 0, 0]))
-    with pytest.raises(SolverError, match="node 1 names no arc"):
-        simplex.solve_min_cost_flow(with_basis(problem, [-1, 1, -1]))
-
-
-def test_all_artificial_basis_equals_default_start():
-    # the artificial star and the builder's bank basis reach one optimum
-    rng = np.random.default_rng(8)
-    for lam in (0.5, 3.0, 30.0):
-        mu, nu = random_measure_pair(rng, dims=(4, 4))
-        problem = network.build_unbalanced_problem(
-            mu, nu, COST, AllocationSpec(lam=lam), QUANT
-        )
-        star = np.full(problem.n_nodes, -1)
-        flows, objective, _ = simplex.solve_min_cost_flow(problem)
-        flows_star, objective_star, _ = simplex.solve_min_cost_flow(
-            with_basis(problem, star)
-        )
-        assert (net_outflow(problem, flows_star) == problem.supplies).all()
-        assert objective_star == pytest.approx(objective, rel=1e-9, abs=1e-12)
+        simplex.solve_min_cost_flow(flow_problem(3, arcs, [1, -1, 0], basis=[-1, 0, 0]))
+    with pytest.raises(SolverError, match="node 2 names no arc"):
+        simplex.solve_min_cost_flow(flow_problem(3, arcs, [1, -1, 0], basis=[-1, 0, 1]))
 
 
 def test_bank_basis_is_optimal_at_lambda_zero():
@@ -642,8 +647,8 @@ def test_every_network_has_a_bank_and_a_bank_basis(lam):
     assert problem.node_voxel.tolist() == [0, 1, 2, 1, 2, -1]
     assert set(problem.tails[problem.arc_kind == ARC_ADD_SRC].tolist()) == {bank}
     assert problem.balanced == (lam == math.inf)
-    assert problem.basis.shape == (problem.n_nodes,) and (problem.basis >= 0).any()
-    simplex._start(problem)
+    assert np.flatnonzero(problem.basis < 0).tolist() == [bank]
+    assert simplex._start(problem)[0] == bank
     if lam == math.inf:
         # unequal quantized totals still have no balanced solution
         with pytest.raises(InfeasibleError, match="unbalanced quantized totals"):
@@ -653,8 +658,8 @@ def test_every_network_has_a_bank_and_a_bank_basis(lam):
 
 
 def test_network_allocation_is_source_side_only():
-    # one bank; every site of either support adds mass from it, every site
-    # with mass removes to it, and no allocation arc touches a target node
+    # one bank; every site of either support has one add arc from it and one
+    # remove arc to it, and no allocation arc touches a target node
     rng = np.random.default_rng(44)
     for lam in (0.0, 0.3, 1.5, 12.0):
         mu, nu = random_measure_pair(rng, dims=(4, 4), density=0.6)
@@ -674,7 +679,7 @@ def test_network_allocation_is_source_side_only():
         assert (problem.tails[add] == bank).all()
         assert (vox_a[add] == sites).all()
         assert (problem.heads[remove] == bank).all()
-        assert (vox_a[remove] == sites[problem.supplies[:len(sites)] > 0]).all()
+        assert (vox_a[remove] == sites).all()
         arc_cost = alloc.effective_lambda(COST.max_on_domain(mu.domain))
         assert (problem.costs[add | remove] == arc_cost).all()
         assert (vox_b[add | remove] == -1).all()
@@ -749,6 +754,42 @@ def test_dense_network_matches_einsum_oracle(monkeypatch, offset_cost):
     assert paths == {"_stencil_pairs" if offset_cost < 0 else "_matrix_pairs"}
 
 
+def tree_potentials(problem, basis):
+    """Node potentials of a tree basis, 0 at its root, under which every
+    tree arc's reduced cost ``C - pi[tail] + pi[head]`` is 0."""
+    child = np.flatnonzero(basis >= 0)
+    arc = basis[child]
+    up = problem.tails[arc] == child
+    parent = np.where(up, problem.heads[arc], problem.tails[arc])
+    step = np.where(up, problem.costs[arc], -problem.costs[arc])
+    pi = np.where(basis < 0, 0.0, np.nan)
+    # one tree level per pass, from the root down
+    while np.isnan(pi).any():
+        ready = np.isnan(pi[child]) & ~np.isnan(pi[parent])
+        assert ready.any(), "the basis is not a tree"
+        pi[child[ready]] = pi[parent[ready]] + step[ready]
+    return pi
+
+
+def test_returned_tree_prices_every_arc_non_negative():
+    # dual feasibility of the final tree: potentials computed afresh from the
+    # returned basis price no arc below the simplex's tolerance
+    rng = np.random.default_rng(2029)
+    cases = list(fuzz_networks(rng, 40))
+    for seed, dims, lams in ((7, (12, 12), (10.0, 2000.0)), (8, (5, 5, 5), (10.0,)),
+                             (9, (15, 15), (2000.0,)), (10, (10, 10, 10), (3.0,))):
+        (mu, nu), = _blob_pairs(seed, 1, dims)
+        cases += [(mu, nu, AllocationSpec(lam=lam), QuantizationSpec(10**6))
+                  for lam in lams]
+    for mu, nu, alloc, quant in cases:
+        problem = network.build_unbalanced_problem(mu, nu, COST, alloc, quant)
+        assert problem.n_arcs <= 64_000
+        _, _, basis = simplex.solve_min_cost_flow(problem)
+        pi = tree_potentials(problem, basis)
+        reduced = problem.costs - pi[problem.tails] + pi[problem.heads]
+        assert reduced.min() >= -1e-11 * (1.0 + problem.costs.max())
+
+
 def test_costs_sum_axis_gaps_in_einsum_order():
     # on non-binary 3D coordinates the order of the sum moves costs by an
     # ulp; every cost must equal numpy's einsum, which sums (x + z) + y
@@ -760,8 +801,7 @@ def test_costs_sum_axis_gaps_in_einsum_order():
     oracle = np.einsum("ij,ij->i", diff, diff)
     squares = diff * diff
     assert (oracle != (squares[:, 0] + squares[:, 1]) + squares[:, 2]).sum() > 1000
-    assert np.array_equal(COST.rowwise(pos_a, pos_b), oracle)
-    assert np.array_equal(network._voxel_costs(dom, a, b), oracle)
+    assert np.array_equal(voxel_costs(dom, a, b), oracle)
     src, tgt = np.arange(dom.size), np.unique(b)
     matrix = pairwise_costs(voxel_positions(dom, src), voxel_positions(dom, tgt))
     for pairs in (network._matrix_pairs, network._stencil_pairs):

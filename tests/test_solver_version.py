@@ -93,6 +93,40 @@ PLAN_DIGESTS = {
         "non-binary 6x5x4 lam=40.0":
             "3403bf13e7afa4141852136d010c13ddae26dd630d4171014ce0646378a12a8f",
     },
+    6: {
+        "blobs 12x12 lam=0.0":
+            "0e2c749badd8cf760c8f0b9b92b972ce7c01994a8d96d30b14a1be9560813814",
+        "blobs 12x12 lam=10.0":
+            "15cbe09ae47eb7be0a5d9336320295b268c0642abc3cd33a391a3c688622007a",
+        "blobs 12x12 lam=100.0":
+            "a2e50dec2f278521a127e37c952a74e7f061722ca4cda4900a51b5c1e68126b6",
+        "blobs 12x12 lam=2000.0":
+            "9204ffa31b3bf8155386c2f472f556176f23be71bf87c19c4c459bf9a6bd61fe",
+        "multiscale 5x5x5 lam=0.0":
+            "8e1bafd12ee6baeb0a34abbf28410802a91ff0e99fdaa866d0b0c9910ca234b4",
+        "multiscale 5x5x5 lam=10.0":
+            "1b1452ee0fbbffa3bedbd97a89e88bdc8d093cdc31916f644b840fe5fb3bc861",
+        "multiscale 5x5x5 lam=2000.0":
+            "13b9ad90a4dd5e50c55bce8f747dedd848895862cd7a6b1a93d090095f2d21f2",
+        "multiscale 5x5x5 balanced lam=inf":
+            "b56685a73101fb44bd964c0345d2a2ff308cf436873f3a594ee9eea4d357dcc7",
+        "anisotropic 7x5x3 lam=0.0":
+            "0adf35151fdb302163f785666b71fc488820a4d11ec81c32a1f997c047f99206",
+        "anisotropic 7x5x3 lam=2.5":
+            "b142658999d4aff5e31b8686617fee7ec729dc2f97db897974ccdfb79b8837b6",
+        "anisotropic 7x5x3 lam=40.0":
+            "803e8a29a837c7a24857a159569129b5b037439506fd15c2faa05c569a60559a",
+        "anisotropic 7x5x3 permuted lam=inf":
+            "251fbc3dc4f2024be1508c3525b9c44b1bcc1a8e2f85904e7247f02b49b88bda",
+        "non-binary 6x5x4 lam=0.0":
+            "f607e01a188bce551f62a6cbf9f88f709eb88567c01ef830d500d5d65ad95302",
+        "non-binary 6x5x4 lam=0.7":
+            "8078819055ac5293f743ccbb44f4ada9dc88dda464e90f79034363b2449b2d5e",
+        "non-binary 6x5x4 lam=3.1":
+            "7ca0b0b43bfa335b8fcc8598f0af119e46ee617ad1e6334e014628cdec1a6853",
+        "non-binary 6x5x4 lam=40.0":
+            "99f5bc15ab33a9885a9e42507140ce7856537dccf30b57a4aa0dbd4ad6b3758f",
+    },
 }
 
 # SOLVER_VERSION -> case -> sha256 over NETWORK_FIELDS of the networks of
@@ -124,6 +158,32 @@ NETWORK_DIGESTS = {
             "75e5fba110e37603479167da45a16431e1e0387ad70cdd65e127dd037d59c2e4",
         "non-binary 6x5x4 lam=40.0":
             "7a2b151416a744278a570d34dad225b481c5cba4efdf9de2cf3b2eeb305f8eff",
+    },
+    6: {
+        "blobs 12x12 lam=0.0":
+            "ee68e46a59687ed3a449f90ed09097c8c2e049a003aa00dbf23bbe0adecb5c48",
+        "blobs 12x12 lam=10.0":
+            "8b501b2d2c2ac44be90bd042f1f30563b4ab39c838560f8bc0406952e48d4898",
+        "blobs 12x12 lam=100.0":
+            "4f9055df9cae4e5fca6b9aa75b106e3eb529f2bd0584778482aaf29a94346227",
+        "blobs 12x12 lam=2000.0":
+            "40528d6c23d905ff467a5abe4344ff743ff94d32a57d9d6af218a399d0d97204",
+        "anisotropic 7x5x3 lam=0.0":
+            "abd4d23677e61a0e4402d307cbcfd841e1dcbdd5102e7cbdbd950c43a1840887",
+        "anisotropic 7x5x3 lam=2.5":
+            "e3b54c9d39fe9c31954cccd19164411058524422a7975e69ab4d1b07bf73985f",
+        "anisotropic 7x5x3 lam=40.0":
+            "31a45f0beddb2bfc95f678e5801366aa454fe490fc3ee2ca09d00e7f20da4e76",
+        "anisotropic 7x5x3 permuted lam=inf":
+            "c0f135a175784a82a71b6c0756c2acc058b66d84fef16453ea67dd96c42ce1dd",
+        "non-binary 6x5x4 lam=0.0":
+            "db8bd61970fe612b2ab2b1e6d13c3deb8b84a26affca70c7c7d9d0b3576a88c2",
+        "non-binary 6x5x4 lam=0.7":
+            "7b1af520fa1fe4bc4295a5259ecc1b519878813f337139ac3a3a3e0131a07ad4",
+        "non-binary 6x5x4 lam=3.1":
+            "c80a41117139c35fb5b56910bd2109a107f09b462c5a0f48523b04c748f5e914",
+        "non-binary 6x5x4 lam=40.0":
+            "5df48d1a14d044d05fbe3dfc62f6dfcf9c9eda65f980ed7e49eaa7a1def0ace9",
     },
 }
 
