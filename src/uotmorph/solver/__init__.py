@@ -22,7 +22,10 @@ from .specs import (
 # Version 6 roots the simplex at the bank and drops voxels without flow units
 # from the network, which changes potentials and arc order, so ties can fall
 # to another optimum.
-SOLVER_VERSION = 6
+# Version 7 stops coarsening a multiscale level that admission could not
+# restrict, so such instances return the exact optimum in place of a
+# restricted upper bound.
+SOLVER_VERSION = 7
 
 __all__ = [
     "SOLVER_VERSION",

@@ -1,7 +1,8 @@
 """Coarse-to-fine acceleration of the unbalanced solver.
 
 Both measures are sum-pooled by factor 2 per level until the larger
-support drops below ``coarsen_threshold``.  The coarsest problem is solved
+support drops below ``coarsen_threshold`` or no coarser level could restrict
+the current one (see below).  The coarsest problem is solved
 exactly; each refinement level admits transport arcs only between children
 of coarse plan arcs whose endpoints are dilated by ``neighborhood_radius``
 coarse cells, and only from a voxel with mass in ``mu`` to one with mass
@@ -21,10 +22,12 @@ route: ``network.extract_solution`` raises InfeasibleError and the level is
 solved exactly.  The final solution is feasible for the full problem and
 its objective upper-bounds the exact optimum.
 
-A lambda whose 2 lambda prune bound reaches no neighbouring voxel
-(``network.keeps_only_self_arcs``, as at lambda = 0) leaves only self and
-bank arcs, which no coarse plan can restrict: such an instance is one
-level, solved exactly, and no pyramid is built.
+Admission pays only where it keeps fewer targets per source than the
+level's own network: a level is not coarsened where the window of 2r + 1
+coarse cells per axis that one coarse arc end admits (r the radius) holds
+at least as many voxels as its target support or its 2 lambda stencil, as
+at lambda = 0 (one offset) or at radius 1 on a 5^3 grid.  An instance left
+with one level is solved exactly.
 
 Each refinement level is warm-started from the coarse plan: a target voxel
 starts fed from the voxel at the same offset in the coarse source cell that
@@ -33,10 +36,12 @@ its own mass), when that arc is in the restricted network, and by its self
 arc otherwise.  This only changes where the simplex starts; the result is
 still an upper bound.  It pays at size: on twenty 32^2 blob pairs at
 lambda = 2000 the finest level's simplex took 3.5 s with it and 5.3 s from
-self arcs alone, though on 5^3 blob pairs it costs about 10 %.
+self arcs alone.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d
@@ -148,6 +153,17 @@ def _feeder(coarse_sol: TransportSolution, coarse_dims, fine_dims):
     return feeder
 
 
+def _admission_restricts(nu: GridMeasure, cost, alloc, radius) -> bool:
+    """Whether admission from a coarser level could keep fewer targets per
+    source on ``nu``'s level than its own 2 lambda bound: whether the window
+    one coarse arc end admits holds fewer voxels than both the target
+    support and the bound's stencil."""
+    domain = nu.domain
+    window = math.prod(min(2 * (2 * max(radius, 0) + 1), n) for n in domain.dims)
+    return window < np.count_nonzero(nu.flat) and network.stencil_exceeds(
+        domain, network.prune_bound(cost, alloc, domain), window)
+
+
 def solve_multiscale(
     mu: GridMeasure,
     nu: GridMeasure,
@@ -159,17 +175,15 @@ def solve_multiscale(
 ) -> TransportSolution:
     """Approximate unbalanced solve via coarse-to-fine refinement.
 
-    An instance whose support does not exceed ``coarsen_threshold``, or
-    whose 2 lambda prune bound reaches no neighbouring voxel, has one level,
+    An instance whose support does not exceed ``coarsen_threshold``, or that
+    admission could not restrict (``_admission_restricts``), has one level,
     so it gets the exact solver's solution unchanged.
     """
-    if network.keeps_only_self_arcs(cost, alloc, mu.domain):
-        # self and bank arcs only: no admission can restrict that network
-        return solve_unbalanced(mu, nu, cost, alloc, quant)
     pyramid = [(mu, nu)]
     while max(np.count_nonzero(m.flat) for m in pyramid[-1]) > coarsen_threshold:
         cm, cn = pyramid[-1]
-        if max(cm.domain.dims) <= 1:
+        if max(cm.domain.dims) <= 1 or not _admission_restricts(
+                cn, cost, alloc, neighborhood_radius):
             break
         pyramid.append((downsample(cm, 2), downsample(cn, 2)))
 

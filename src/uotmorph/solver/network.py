@@ -356,24 +356,25 @@ def _read_only(array):
     return array
 
 
+def stencil_exceeds(domain, bound, count) -> bool:
+    """Whether ``_stencil(domain, bound)`` holds more than ``count`` offsets,
+    decided from the box of axis gaps within ``bound``, which holds it, and
+    the box within bound / ndim, which it holds where that box's corner sums
+    to at most the bound (float addition is monotone), before listing it."""
+    inner = bound / domain.ndim
+    outer_box, inner_box = (math.prod(map(len, _axis_candidates(domain, b)))
+                            for b in (bound, inner))
+    if outer_box <= count:
+        return False
+    if inner_box > count and sum_axis_gaps([inner] * domain.ndim) <= bound:
+        return True
+    return len(_stencil(domain, bound)[0]) > count
+
+
 def prune_bound(cost: CostSpec, alloc: AllocationSpec, domain) -> float:
     """Cost above which a transport arc on ``domain`` is dominated and pruned:
     twice the priced lambda."""
     return 2.0 * alloc.effective_lambda(cost.max_on_domain(domain))
-
-
-def keeps_only_self_arcs(cost: CostSpec, alloc: AllocationSpec, domain) -> bool:
-    """Whether the prune bound on ``domain`` keeps no transport arc between
-    two distinct voxels, so that every network on it has self and bank arcs
-    only.
-
-    True when no axis keeps an axis gap but 0 (see ``_axis_candidates``):
-    a pair of distinct voxels has some axis gap of at least one step, and
-    its cost is a sum of non-negative axis gaps, so it costs at least that
-    axis's least squared gap.  The stencil is never listed.
-    """
-    candidates = _axis_candidates(domain, prune_bound(cost, alloc, domain))
-    return all(len(rows) <= 1 for rows in candidates)
 
 
 def _bank_basis(problem: FlowProblem, feeder=None) -> np.ndarray:

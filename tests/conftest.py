@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from uotmorph.grid import GridDomain, GridMeasure
-from uotmorph.solver import TransportSolution
+from uotmorph.grid import GridDomain, GridMeasure, downsample
+from uotmorph.solver import TransportSolution, multiscale
 
 
 @pytest.fixture
@@ -18,6 +18,19 @@ def line_domain(n):
 def line_measure(values):
     values = np.asarray(values, dtype=np.float64)
     return GridMeasure(line_domain(len(values)), values.reshape(1, -1))
+
+
+def record_coarsened(patch):
+    """Patch ``multiscale.downsample`` to record the dims of every measure a
+    multiscale pyramid coarsens, two per level; returns the record."""
+    levels = []
+
+    def counted(measure, factor):
+        levels.append(measure.domain.dims)
+        return downsample(measure, factor)
+
+    patch.setattr(multiscale, "downsample", counted)
+    return levels
 
 
 def pairwise_costs(pos_a, pos_b):

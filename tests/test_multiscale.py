@@ -9,8 +9,10 @@ from conftest import (
     line_measure,
     pairwise_costs,
     plan_solution,
+    record_coarsened,
     same_solution,
 )
+from test_solver_version import _blob_pairs
 from uotmorph.errors import InfeasibleError
 from uotmorph.grid import GridDomain, GridMeasure, downsample, voxel_positions
 from uotmorph.solver import (
@@ -29,6 +31,7 @@ from uotmorph.solver.specs import (
     ARC_TRANSPORT,
     axis_gap_tables,
     quantized_masses,
+    sum_axis_gaps,
     voxel_costs,
 )
 
@@ -66,30 +69,100 @@ def test_passthrough_below_threshold_is_bit_identical(monkeypatch, dims, spacing
     assert same_solution(ms, exact)
 
 
-def test_pyramid_runs_once_the_bound_reaches_a_neighbour(monkeypatch):
-    # 2 lambda = 1.02 s_min^2 reaches the nearest voxel along the 0.7 axis
-    mu, nu = random_pair_on(np.random.default_rng(1), (6, 5, 4), (1.3, 0.7, 1.9))
-    alloc = AllocationSpec(lam=0.51 * 0.7**2)
-    assert not network.keeps_only_self_arcs(COST, alloc, mu.domain)
-    levels = []
-
-    def counted(measure, factor):
-        levels.append(measure.domain.dims)
-        return downsample(measure, factor)
-
-    monkeypatch.setattr(multiscale, "downsample", counted)
+def _check_pyramid(monkeypatch, mu, nu, alloc, pyramid):
+    """Solve with threshold 10 at radius 1: the pyramid runs as expected, a
+    one-level solve is the exact solve, and a pyramid's is a feasible upper
+    bound."""
+    levels = record_coarsened(monkeypatch)
     ms = solve_multiscale(mu, nu, COST, alloc, QUANT, coarsen_threshold=10)
     exact = solve_unbalanced(mu, nu, COST, alloc, QUANT)
-    assert levels
+    assert bool(levels) == pyramid
+    if not pyramid:
+        assert same_solution(ms, exact)
     assert feasibility_violation_units(ms, mu.flat, nu.flat, QUANT.units) == 0
     assert ms.objective >= exact.objective - 1e-9 * max(1.0, exact.objective)
 
 
+# radius 1 admits a 6 x 6 window of fine voxels under each coarse arc end.  On
+# a unit 12 x 12 grid the 2 lambda stencil holds 29 offsets for 2 lambda just
+# below 10, and 37 at 10, the first bound whose stencil exceeds the window
+@pytest.mark.parametrize("lam, offsets, pyramid", [
+    (math.nextafter(5.0, 0.0), 29, False), (5.0, 37, True),
+], ids=["below-the-window", "past-the-window"])
+def test_pyramid_runs_once_the_stencil_exceeds_the_window(monkeypatch, lam, offsets,
+                                                          pyramid):
+    rng = np.random.default_rng(1)
+    mu, nu = (grid_measure((12, 12), rng.random(144) + 0.01) for _ in range(2))
+    alloc = AllocationSpec(lam=lam)
+    stencil = network._stencil(mu.domain, network.prune_bound(COST, alloc, mu.domain))
+    assert len(stencil[0]) == offsets
+    _check_pyramid(monkeypatch, mu, nu, alloc, pyramid)
+
+
+def test_inner_box_counts_only_offsets_within_the_bound(monkeypatch):
+    # each axis step of this grid costs l, and (l + l) + l rounds up, so at a
+    # bound just below that sum the 19 offsets with at most two unit steps
+    # stay.  Every axis step is within bound / 3, whose box holds 27 offsets:
+    # only its corner sum, above the bound, keeps it from counting past the
+    # 6 x 2 x 2 window of radius 1
+    step = 2.0562400459231043
+    dom = GridDomain(dims=(7, 2, 2), spacing=(step,) * 3, origin=(0.0,) * 3)
+    least = [min(np.diagonal(t, 1)) for t in axis_gap_tables(dom)]
+    bound = math.nextafter(float(sum_axis_gaps(least)), 0.0)
+    assert len(network._stencil(dom, bound)[0]) == 19
+    assert [len(c) for c in network._axis_candidates(dom, bound / 3)] == [3, 3, 3]
+    rng = np.random.default_rng(3)
+    mu, nu = (GridMeasure(dom, rng.random((7, 2, 2)) + 0.01) for _ in range(2))
+    _check_pyramid(monkeypatch, mu, nu, AllocationSpec(lam=bound / 2), False)
+
+
+# a stencil is symmetric, so its odd count never equals the even window of a
+# grid wider than the window; the target support can: 36 target voxels fill the
+# 6 x 6 window, so admission cannot restrict them, and 37 do not
+@pytest.mark.parametrize("support, pyramid", [(36, False), (37, True)])
+def test_pyramid_runs_once_the_target_support_exceeds_the_window(monkeypatch, support,
+                                                                 pyramid):
+    rng = np.random.default_rng(2)
+    z = np.zeros(144)
+    z[rng.choice(144, support, replace=False)] = rng.random(support) + 0.01
+    mu, nu = grid_measure((12, 12), rng.random(144) + 0.01), grid_measure((12, 12), z)
+    _check_pyramid(monkeypatch, mu, nu, AllocationSpec(lam=50.0), pyramid)
+
+
+# the 2 lambda bound of a 48^3 pair keeps one offset at lambda = 0 and 789k
+# at lambda = 2000; the boxes of axis gaps decide every level without listing
+# them, down to 6^3 at lambda = 2000 and at once at lambda = 0
+@pytest.mark.parametrize("lam, coarsened, coarsest", [
+    (0.0, [], (48, 48, 48)),
+    (2000.0, [(48, 48, 48), (24, 24, 24), (12, 12, 12)], (6, 6, 6)),
+])
+def test_coarsening_a_large_grid_lists_no_stencil(monkeypatch, lam, coarsened,
+                                                  coarsest):
+    (mu, nu), = _blob_pairs(1, 1, (48, 48, 48))
+    levels = record_coarsened(monkeypatch)
+
+    class Solved(Exception):
+        pass
+
+    def solve_coarsest(coarse_mu, *args):
+        raise Solved(coarse_mu.domain.dims)
+
+    monkeypatch.setattr(multiscale, "solve_unbalanced", solve_coarsest)
+    calls = network._stencil.cache_info()
+    with pytest.raises(Solved) as solved:
+        solve_multiscale(mu, nu, COST, AllocationSpec(lam=lam), QUANT)
+    assert solved.value.args[0] == coarsest
+    after = network._stencil.cache_info()
+    assert (after.hits, after.misses) == (calls.hits, calls.misses)
+    assert levels[::2] == coarsened
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_keeps_only_self_arcs_matches_the_builder(data):
-    # the predicate holds exactly when the builder, on full supports, keeps
-    # no pair of distinct voxels
+def test_a_bound_without_transport_arcs_builds_no_pyramid(data):
+    # where the builder, on full supports, keeps no pair of distinct voxels,
+    # no admission can restrict the network: even the smallest window and
+    # threshold build no pyramid, and the solve is the exact one
     ndim = data.draw(st.sampled_from([2, 3]))
     dims = tuple(data.draw(st.lists(st.integers(1, 5), min_size=ndim, max_size=ndim)))
     spacing = data.draw(st.lists(st.floats(0.3, 3.0), min_size=ndim, max_size=ndim))
@@ -105,7 +178,47 @@ def test_keeps_only_self_arcs_matches_the_builder(data):
     every = np.arange(dom.size)
     src, tgt, _ = network._matrix_pairs(dom, every, every,
                                         network.prune_bound(COST, alloc, dom))
-    assert network.keeps_only_self_arcs(COST, alloc, dom) == bool(np.all(src == tgt))
+    if not np.all(src == tgt):
+        return
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mu, nu = (GridMeasure(dom, rng.random(dims) + 0.01) for _ in range(2))
+    if math.isinf(lam):
+        # balanced transport needs equal totals
+        nu = GridMeasure(dom, nu.values * (mu.total_mass / nu.total_mass))
+    exact = solve_unbalanced(mu, nu, COST, alloc, QUANT)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(multiscale, "downsample", _pyramid_ran)
+        ms = solve_multiscale(mu, nu, COST, alloc, QUANT, coarsen_threshold=0,
+                              neighborhood_radius=0)
+    assert same_solution(ms, exact)
+
+
+def test_one_level_solves_are_the_exact_solve():
+    # a seeded fuzz over grids, radii and lambdas on both sides of the stop:
+    # a solve that builds no pyramid is the exact solve, bit for bit, and one
+    # that builds a pyramid is a feasible upper bound
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for case in range(60):
+        ndim = 2 + case % 2
+        dims = tuple(int(d) for d in rng.integers(2, 13 if ndim == 2 else 7, size=ndim))
+        mu, nu = random_pair_on(rng, dims, tuple(rng.uniform(0.3, 2.0, ndim)))
+        max_cost = COST.max_on_domain(mu.domain)
+        lam = float(rng.choice([0.0, 0.02 * max_cost, 0.2 * max_cost, math.inf]))
+        if math.isinf(lam):
+            nu = GridMeasure(nu.domain, nu.values * (mu.total_mass / nu.total_mass))
+        alloc = AllocationSpec(lam=lam)
+        with pytest.MonkeyPatch.context() as patch:
+            levels = record_coarsened(patch)
+            ms = solve_multiscale(mu, nu, COST, alloc, QUANT, coarsen_threshold=8,
+                                  neighborhood_radius=int(rng.integers(3)))
+        exact = solve_unbalanced(mu, nu, COST, alloc, QUANT)
+        outcomes.add(bool(levels))
+        if not levels:
+            assert same_solution(ms, exact)
+        assert feasibility_violation_units(ms, mu.flat, nu.flat, QUANT.units) == 0
+        assert ms.objective >= exact.objective - 1e-9 * max(1.0, exact.objective)
+    assert outcomes == {False, True}
 
 
 def test_identity_zero_at_every_scale():
@@ -496,12 +609,16 @@ def test_restricted_build_drops_zero_unit_sources_like_the_dense_build():
 
 
 def test_radius_beyond_the_grid_is_clamped():
-    # the finest coarse grid of a 5^3 pyramid is 3^3, so radius 3 already
-    # admits every coarse pair; a huge radius must not build a huge window
+    # a 3^3 coarse grid: radius 2 already admits every coarse pair, and so do
+    # radius 3 and a huge radius, which must not build a huge window
     rng = np.random.default_rng(5)
     mu, nu = (grid_measure((5, 5, 5), rng.random(125) * (rng.random(125) < 0.7))
               for _ in range(2))
     alloc = AllocationSpec(lam=10.0)
-    wide, huge = (solve_multiscale(mu, nu, COST, alloc, QUANT, coarsen_threshold=20,
-                                   neighborhood_radius=r) for r in (3, 10**6))
-    assert same_solution(wide, huge)
+    coarse = solve_unbalanced(downsample(mu, 2), downsample(nu, 2), COST, alloc, QUANT)
+    bound = network.prune_bound(COST, alloc, mu.domain)
+    spans, wide, huge = (_admitted_pairs(coarse, (3, 3, 3), mu, nu, r, bound)
+                         for r in (2, 3, 10**6))
+    assert len(spans[0]) > 0
+    for pairs in (wide, huge):
+        assert all(np.array_equal(a, b) for a, b in zip(pairs, spans))

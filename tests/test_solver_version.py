@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from conftest import record_coarsened
 from uotmorph.grid import GridDomain, GridMeasure
 from uotmorph.solver import (
     SOLVER_VERSION,
@@ -127,6 +128,44 @@ PLAN_DIGESTS = {
         "non-binary 6x5x4 lam=40.0":
             "99f5bc15ab33a9885a9e42507140ce7856537dccf30b57a4aa0dbd4ad6b3758f",
     },
+    7: {
+        "blobs 12x12 lam=0.0":
+            "0e2c749badd8cf760c8f0b9b92b972ce7c01994a8d96d30b14a1be9560813814",
+        "blobs 12x12 lam=10.0":
+            "15cbe09ae47eb7be0a5d9336320295b268c0642abc3cd33a391a3c688622007a",
+        "blobs 12x12 lam=100.0":
+            "a2e50dec2f278521a127e37c952a74e7f061722ca4cda4900a51b5c1e68126b6",
+        "blobs 12x12 lam=2000.0":
+            "9204ffa31b3bf8155386c2f472f556176f23be71bf87c19c4c459bf9a6bd61fe",
+        "multiscale 5x5x5 lam=0.0":
+            "8e1bafd12ee6baeb0a34abbf28410802a91ff0e99fdaa866d0b0c9910ca234b4",
+        "multiscale 5x5x5 lam=10.0":
+            "b10b91defdeef4bfca2d5b54ff68a6eb225f80c4fa3769b09f4c801a0c930128",
+        "multiscale 5x5x5 lam=2000.0":
+            "bae064d63af564b5af8c4a60dbeb1feb3e0c08c9ae32fee8301e16b809162cca",
+        "multiscale 5x5x5 balanced lam=inf":
+            "bf2e085da5f0b49f12e0e866a0d63da1cc99c40f3ce307b495d5b68fad8870b9",
+        "anisotropic 7x5x3 lam=0.0":
+            "0adf35151fdb302163f785666b71fc488820a4d11ec81c32a1f997c047f99206",
+        "anisotropic 7x5x3 lam=2.5":
+            "b142658999d4aff5e31b8686617fee7ec729dc2f97db897974ccdfb79b8837b6",
+        "anisotropic 7x5x3 lam=40.0":
+            "803e8a29a837c7a24857a159569129b5b037439506fd15c2faa05c569a60559a",
+        "anisotropic 7x5x3 permuted lam=inf":
+            "251fbc3dc4f2024be1508c3525b9c44b1bcc1a8e2f85904e7247f02b49b88bda",
+        "non-binary 6x5x4 lam=0.0":
+            "f607e01a188bce551f62a6cbf9f88f709eb88567c01ef830d500d5d65ad95302",
+        "non-binary 6x5x4 lam=0.7":
+            "68178a6ca5dbe7dd76688d68a2a7f6ab88d42af2dbf751077fc75730606bbe2f",
+        "non-binary 6x5x4 lam=3.1":
+            "7e59d24ac82367fd3f6885a7cf2b1a73e20687d666bbe4fdd93272c44a623780",
+        "non-binary 6x5x4 lam=40.0":
+            "e6b622ad875effd6614012f1c95a3e5ce5cde9333634bfc2bb17c13d8f939558",
+        "pyramid 16x16 lam=30.0":
+            "a6e6624e192d950e196e0aa27c6d765197593012c85ed78f3564393a0e9e27f2",
+        "pyramid 16x16 balanced lam=inf":
+            "be33b0a790d95a443223544c74bb7001b20bf55fedd44b4743a906658144214b",
+    },
 }
 
 # SOLVER_VERSION -> case -> sha256 over NETWORK_FIELDS of the networks of
@@ -188,6 +227,10 @@ NETWORK_DIGESTS = {
 }
 
 
+# version 7 changed only which multiscale instances coarsen
+NETWORK_DIGESTS[7] = NETWORK_DIGESTS[6]
+
+
 def _blob_field(rng, dims):
     field = np.full(dims, 0.05)
     axes = np.meshgrid(*(np.arange(d, dtype=float) for d in dims), indexing="ij")
@@ -231,13 +274,19 @@ def _multiscale(mu, nu, alloc, quant):
     return solve_multiscale(mu, nu, COST, alloc, quant, coarsen_threshold=20)
 
 
+def _pyramid(mu, nu, alloc, quant):
+    # these instances coarsen: test_plans_pinned_to_solver_version checks it,
+    # so the feeder and admission stay pinned
+    return solve_multiscale(mu, nu, COST, alloc, quant, coarsen_threshold=40)
+
+
 def _exact(mu, nu, alloc, quant):
     return solve_unbalanced(mu, nu, COST, alloc, quant)
 
 
 def _cases():
     """case name -> list of (solver, mu, nu, lam), in a fixed order; the
-    solver is ``_exact`` or ``_multiscale``."""
+    solver is ``_exact``, ``_multiscale`` or ``_pyramid``."""
     cases = {}
     pairs = _blob_pairs(2024, 8, (12, 12))
     for lam in (0.0, 10.0, 100.0, 2000.0):
@@ -272,6 +321,15 @@ def _cases():
         cases[f"non-binary 6x5x4 lam={lam!r}"] = [
             (_exact, mu, nu, lam), (_multiscale, mu, nu, lam),
         ]
+    # the cases above are too small for a pyramid; these build 16^2, 8^2 and
+    # 4^2 levels
+    pairs = _blob_pairs(2028, 4, (16, 16))
+    cases["pyramid 16x16 lam=30.0"] = [(_pyramid, mu, nu, 30.0) for mu, nu in pairs]
+    balanced = [(mu, GridMeasure(nu.domain, nu.values * (mu.total_mass / nu.total_mass)))
+                for mu, nu in pairs]
+    cases["pyramid 16x16 balanced lam=inf"] = [
+        (_pyramid, mu, nu, math.inf) for mu, nu in balanced
+    ]
     return cases
 
 
@@ -290,12 +348,17 @@ def _assert_pinned(digests, table, what):
     )
 
 
-def test_plans_pinned_to_solver_version():
-    digests = {
-        name: _digest([solve(mu, nu, AllocationSpec(lam=lam), QUANT)
-                       for solve, mu, nu, lam in solves])
-        for name, solves in _cases().items()
-    }
+def test_plans_pinned_to_solver_version(monkeypatch):
+    coarsened = record_coarsened(monkeypatch)
+    digests = {}
+    for name, solves in _cases().items():
+        solutions = []
+        for solve, mu, nu, lam in solves:
+            before = len(coarsened)
+            solutions.append(solve(mu, nu, AllocationSpec(lam=lam), QUANT))
+            assert solve is not _pyramid or len(coarsened) > before, (
+                f"{name}: the pinned pyramid solve built no pyramid")
+        digests[name] = _digest(solutions)
     _assert_pinned(digests, PLAN_DIGESTS, "plans")
 
 
