@@ -9,29 +9,34 @@ non-tree arc carries no flow, so there is no flow array over the arcs: the
 arc flows are scattered from the tree once, after the last pivot.  The
 solve starts from the problem's ``basis``, which names for each node the
 arc hanging it from its parent, and -1 for the root alone (the bank, in
-every network of the builder).  One DFS from the root builds the tree from
-it; each tree arc carries its subtree's supply.  The start must be strongly
-feasible (every tree flow is >= 0 and every zero-flow tree arc points
-towards the root; Ahuja, Magnanti & Orlin 1993, *Network Flows*, ch. 11);
-a basis that is not, or that has no root or more than one, is a
-``SolverError``.  A strongly feasible tree is a feasible flow, so no
-artificial arc is needed and the potentials, 0 at the root, are sums of
-real arc costs along tree paths.  The solve returns its final tree in the
-same form, a strongly feasible start for the same problem.
+every network of the builder).  One numpy pass per tree level builds the
+tree from it: each tree arc carries its subtree's supply, and each node's
+potential is its parent's plus the arc's signed cost, the addition the
+thread walk below makes.  The start must be strongly feasible (every tree
+flow is >= 0 and every zero-flow tree arc points towards the root; Ahuja,
+Magnanti & Orlin 1993, *Network Flows*, ch. 11); a basis that is not, or
+that has no root or more than one, is a ``SolverError``.  A strongly
+feasible tree is a feasible flow, so no artificial arc is needed and the
+potentials, 0 at the root, are sums of real arc costs along tree paths.
+The start is priced before the pivots' Python lists are built, so a start
+that no arc improves (the bank basis at lambda = 0) returns as it stands.
+The solve returns its final tree in the same form, a strongly feasible
+start for the same problem.
 
 Pivot rule.  The entering arc is chosen by the block-search rule of LEMON's
 network simplex: arcs are scanned cyclically in fixed index order in blocks
 of min(e, ceil(BLOCK_FACTOR * sqrt(e))) of the e arcs, taking the most
 negative reduced cost ``C - pi[S] + pi[T]`` of the first block that has
-one below -tol, ties broken by lowest arc index (so on a block that wraps
-past the last arc, the wrapped part wins ties).  The cap at e keeps a block
-from pricing an arc twice.  The rule is usually run with blocks of about
-sqrt(e) arcs, but here pricing a block costs a few microseconds of numpy
-per-call overhead whatever its length, so blocks of 4 sqrt(e) arcs take
-fewer pivots and less time.  The leaving arc is the last blocking arc
-around the cycle, which preserves strong feasibility and prevents cycling.
-Potentials are computed exactly from the tree before the first pivot and
-every max(64, n) pivots; in between, each pivot shifts them in place.
+one below -tol, tol = 1e-11 (1 + the largest |cost|), ties broken by
+lowest arc index (so on a block that wraps past the last arc, the wrapped
+part wins ties).  The cap at e keeps a block from pricing an arc twice.
+The rule is usually run with blocks of about sqrt(e) arcs, but here pricing
+a block costs a few microseconds of numpy per-call overhead whatever its
+length, so blocks of 4 sqrt(e) arcs take fewer pivots and less time.  The
+leaving arc is the last blocking arc around the cycle, which preserves
+strong feasibility and prevents cycling.  Potentials are exact at the start
+and, by a walk along the thread, after every max(64, n) pivots; in between,
+each pivot shifts them in place.
 
 Each pivot walks only the cycle, the re-rooted path and the thread of the
 moved subtree, and builds no list of the cycle.  One walk up from both
@@ -76,11 +81,9 @@ def solve_min_cost_flow(problem: FlowProblem):
     if int(problem.supplies.sum()) != 0:
         raise InfeasibleError("node supplies do not balance")
 
-    max_cost = float(np.max(problem.costs)) if e else 0.0
     S, T, C = problem.tails, problem.heads, problem.costs
-    root, parent, tree_arc, up, tree_flow, size, next_, prev, last = _start(problem)
-    edge, up, tf = tree_arc.tolist(), up.tolist(), tree_flow.tolist()
-    pi = np.zeros(n)
+    max_cost = max(float(C.max()), -float(C.min())) if e else 0.0
+    root, parent, tree_arc, up, tree_flow, size, pos, pi = _start(problem)
     Sv, Tv, Cv, piv = (memoryview(a) for a in (S, T, C, pi))
     # above every tree flow, which is an int64
     no_arc = 1 << 63
@@ -93,7 +96,7 @@ def solve_min_cost_flow(problem: FlowProblem):
     f = 0
     pivots = 0
     while True:
-        if pivots % refresh_every == 0:
+        if pivots and pivots % refresh_every == 0:
             # exact potentials from the tree (thread order visits parents
             # first)
             piv[root] = 0.0
@@ -134,6 +137,10 @@ def solve_min_cost_flow(problem: FlowProblem):
                 break
         if i < 0:
             break
+        if not pivots:
+            # the start is not optimal: pivot on its tree as Python lists
+            parent, edge, up, tf, size, next_, prev, last = _tree_lists(
+                root, parent, tree_arc, up, tree_flow, size, pos)
 
         # one walk up from both ends of arc i (p -> q) finds the apex of the
         # cycle and its leaving arc: the last blocking arc in cycle order
@@ -289,7 +296,7 @@ def solve_min_cost_flow(problem: FlowProblem):
 
 
 def _start(problem: FlowProblem):
-    """Per-node tree state of the starting basis.
+    """Per-node state of the starting tree, from one numpy pass per level.
 
     Node v hangs from its parent by arc ``problem.basis[v]``; the one node
     whose entry is -1 is the root.  Raises ``SolverError`` naming the first
@@ -297,85 +304,98 @@ def _start(problem: FlowProblem):
     more than one, a node that does not reach the root, a negative tree
     flow, or a zero-flow tree arc directed away from the root.
 
-    Returns the root; numpy arrays over the nodes of the tree arc (-1 at the
-    root), whether it points up to the parent, and its flow; and lists over
-    the nodes of the parent (``None`` at the root), subtree size and thread
-    (next, previous, last).
+    Returns the root and numpy arrays over the nodes of the parent (n at the
+    root), tree arc (-1 at the root), whether it points up, its flow, the
+    subtree size, the preorder position and the potential (the float of the
+    refresh walk: the parent's plus the arc's signed cost).
     """
     n = problem.n_nodes
-    e = problem.n_arcs
-    nodes = np.arange(n, dtype=np.int64)
     edge = np.array(problem.basis, dtype=np.int64)
     if edge.shape != (n,):
         raise SolverError(f"basis has shape {edge.shape}, expected ({n},)")
-    bad = np.flatnonzero((edge < -1) | (edge >= e))
+    bad = np.flatnonzero((edge < -1) | (edge >= problem.n_arcs))
     if len(bad):
         raise SolverError(f"basis: node {bad[0]} names no arc ({edge[bad[0]]})")
-    roots = np.flatnonzero(edge < 0)
-    if len(roots) != 1:
-        raise SolverError(f"basis has {len(roots)} roots (-1 entries), expected one")
-    root = int(roots[0])
-    real = edge >= 0
-    arc = edge[real]
+    child = np.flatnonzero(edge >= 0)
+    if len(child) != n - 1:
+        raise SolverError(f"basis has {n - len(child)} roots (-1 entries), expected one")
+    root = int(np.argmin(edge))
+    arc = edge[child]
     tails = problem.tails[arc]
     heads = problem.heads[arc]
-    bad = np.flatnonzero((tails != nodes[real]) & (heads != nodes[real]))
+    up_child = tails == child
+    bad = np.flatnonzero(~up_child & (heads != child))
     if len(bad):
-        v = nodes[real][bad[0]]
+        v = child[bad[0]]
         raise SolverError(f"basis: arc {edge[v]} of node {v} does not touch it")
     # the root's parent n sorts it after every node's children
     parent = np.full(n, n, dtype=np.int64)
-    parent[real] = np.where(tails == nodes[real], heads, tails)
+    parent[child] = np.where(up_child, heads, tails)
+    up = np.ones(n, dtype=bool)
+    up[child] = up_child
+    step = np.zeros(n)
+    step[child] = np.where(up_child, problem.costs[arc], -problem.costs[arc])
 
-    # preorder from the root, children in increasing node order
-    order = np.lexsort((-nodes, parent))
-    kids = order.tolist()
-    first = np.searchsorted(parent[order], np.arange(n + 1)).tolist()
-    thread = []
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        thread.append(u)
-        stack.extend(kids[first[u] : first[u + 1]])
-    if len(thread) < n:
-        reached = np.zeros(n, dtype=bool)
-        reached[thread] = True
-        v = int(np.argmin(reached))
-        raise SolverError(f"basis: node {v} does not reach the root (cycle)")
+    # level by level from the root; ``order`` lists each node's children,
+    # in increasing node order, from ``first``
+    order = np.argsort(parent, kind="stable")
+    count = np.bincount(parent, minlength=n + 1)
+    first = np.cumsum(count) - count
+    pi = np.zeros(n)
+    levels = []
+    kids = order[first[root] : first[root] + count[root]]
+    reached = 1 + len(kids)
+    while True:
+        above = parent[kids]
+        pi[kids] = pi[above] + step[kids]
+        levels.append((kids, above))
+        if reached == n:
+            break
+        c = count[kids]
+        start = np.repeat(first[kids] - np.cumsum(c) + c, c)
+        kids = order[start + np.arange(len(start))]
+        if not len(kids):
+            seen = np.concatenate([[root], *(k for k, _ in levels)])
+            v = int(np.setdiff1d(np.arange(n), seen)[0])
+            raise SolverError(f"basis: node {v} does not reach the root (cycle)")
+        reached += len(kids)
 
     # subtree supplies and sizes, children before parents
-    par = parent.tolist()
-    sub = problem.supplies.tolist()
-    size = [1] * n
-    for u in reversed(thread[1:]):
-        p = par[u]
-        sub[p] += sub[u]
-        size[p] += size[u]
+    subtree = problem.supplies.astype(np.int64)
+    size = np.ones(n, dtype=np.int64)
+    for kids, above in reversed(levels):
+        np.add.at(subtree, above, subtree[kids])
+        np.add.at(size, above, size[kids])
 
     # each tree arc carries its subtree's supply towards the root
-    up = np.ones(n, dtype=bool)
-    up[real] = tails == nodes[real]
-    subtree = np.array(sub, dtype=np.int64)
     flow = np.where(up, subtree, -subtree)
     flow[root] = 0
     bad = np.flatnonzero(flow < 0)
     if len(bad):
-        v = bad[0]
-        raise SolverError(f"basis: negative flow {flow[v]} on the arc of node {v}")
+        raise SolverError(f"basis: negative flow {flow[bad[0]]} on the arc of node {bad[0]}")
     bad = np.flatnonzero((flow == 0) & ~up)
     if len(bad):
         raise SolverError(
             f"basis: zero-flow arc of node {bad[0]} points away from the root"
         )
 
-    thread = np.array(thread, dtype=np.int64)
-    pos = np.empty(n, dtype=np.int64)
-    pos[thread] = np.arange(n)
-    next_ = np.empty(n, dtype=np.int64)
-    next_[thread] = np.roll(thread, -1)
-    prev = np.empty(n, dtype=np.int64)
-    prev[thread] = np.roll(thread, 1)
-    last = thread[pos + np.array(size) - 1]
+    # preorder: a node follows its parent and its earlier siblings' subtrees
+    sizes = size[order]
+    before = np.cumsum(sizes) - sizes
+    offset = np.empty(n, dtype=np.int64)
+    offset[order] = before + 1 - before[np.repeat(first, count)]
+    pos = np.zeros(n, dtype=np.int64)
+    for kids, above in levels:
+        pos[kids] = pos[above] + offset[kids]
+    return root, parent, edge, up, flow, size, pos, pi
 
-    par[root] = None
-    return root, par, edge, up, flow, size, next_.tolist(), prev.tolist(), last.tolist()
+
+def _tree_lists(root, parent, edge, up, flow, size, pos):
+    """The start tree as the pivots' Python lists: parent (None at the root),
+    tree arc, up, flow, size and preorder thread (next, previous, last)."""
+    thread = np.empty_like(pos)
+    thread[pos] = np.arange(len(pos))
+    parent = parent.tolist()
+    parent[root] = None
+    ends = thread[(pos + 1) % len(pos)], thread[pos - 1], thread[pos + size - 1]
+    return parent, *(a.tolist() for a in (edge, up, flow, size, *ends))

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -88,3 +91,74 @@ def random_measure_pair(rng, dims=(4, 4), density=0.7, max_support=None):
     if z.sum() == 0:
         z[rng.integers(size)] = 1.0
     return GridMeasure(dom, w.reshape(dims)), GridMeasure(dom, z.reshape(dims))
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the block with ``TimeoutError`` once it has run ``seconds``, so a
+    solver loop that never stops fails its test instead of stalling the
+    suite.  Where the platform has no SIGALRM the block runs unguarded."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def dfs_start(problem):
+    """Tree state of a valid starting basis by a depth-first walk from the
+    root, children in increasing node order: an oracle for the simplex's
+    level-by-level start, built independently of it.
+
+    Returns the root and lists over the nodes of the parent (``None`` at the
+    root), tree arc, whether it points up, its flow, the subtree size and
+    the thread (next, previous and last node in preorder).
+    """
+    n = problem.n_nodes
+    edge = problem.basis.tolist()
+    root = edge.index(-1)
+    parent, up = [None] * n, [True] * n
+    kids = [[] for _ in range(n)]
+    for v, a in enumerate(edge):
+        if a >= 0:
+            up[v] = int(problem.tails[a]) == v
+            parent[v] = int(problem.heads[a] if up[v] else problem.tails[a])
+            kids[parent[v]].append(v)
+    thread, stack = [], [root]
+    while stack:
+        u = stack.pop()
+        thread.append(u)
+        stack.extend(reversed(kids[u]))
+    assert len(thread) == n, "the basis is not a tree"
+    subtree, size = problem.supplies.tolist(), [1] * n
+    for u in reversed(thread[1:]):
+        subtree[parent[u]] += subtree[u]
+        size[parent[u]] += size[u]
+    flow = [0 if v == root else subtree[v] if up[v] else -subtree[v] for v in range(n)]
+    pos = {v: k for k, v in enumerate(thread)}
+    next_ = [thread[(pos[v] + 1) % n] for v in range(n)]
+    prev = [thread[pos[v] - 1] for v in range(n)]
+    last = [thread[pos[v] + size[v] - 1] for v in range(n)]
+    return root, parent, edge, up, flow, size, next_, prev, last
+
+
+def thread_walk_potentials(problem, start):
+    """Potentials of a ``dfs_start`` tree by one walk along its thread, each
+    node's the parent's plus its tree arc's signed cost, 0 at the root."""
+    root, parent, edge, up, _, _, next_, _, _ = start
+    pi = [0.0] * problem.n_nodes
+    v = next_[root]
+    while v != root:
+        c = float(problem.costs[edge[v]])
+        pi[v] = pi[parent[v]] + (c if up[v] else -c)
+        v = next_[v]
+    return np.array(pi)

@@ -10,11 +10,14 @@ from scipy.optimize import linprog
 
 from conftest import (
     allocated,
+    dfs_start,
     line_measure,
     pairwise_costs,
     plan_masses,
     random_measure_pair,
     same_solution,
+    thread_walk_potentials,
+    time_limit,
 )
 from test_solver_version import _blob_pairs
 from uotmorph.errors import DataError, InfeasibleError, SolverError
@@ -30,7 +33,7 @@ from uotmorph.solver import (
     quantize_to_total,
     solve_unbalanced,
 )
-from uotmorph.solver import network, simplex, ssp
+from uotmorph.solver import multiscale, network, simplex, ssp
 from uotmorph.solver.api import _run
 from uotmorph.solver.specs import (
     ARC_ADD_SRC,
@@ -567,6 +570,110 @@ def test_simplex_rejects_basis_arc_not_at_node():
         simplex.solve_min_cost_flow(flow_problem(3, arcs, [1, -1, 0], basis=[-1, 0, 0]))
     with pytest.raises(SolverError, match="node 2 names no arc"):
         simplex.solve_min_cost_flow(flow_problem(3, arcs, [1, -1, 0], basis=[-1, 0, 1]))
+
+
+def test_simplex_stops_when_every_cost_is_below_minus_one():
+    # the stopping tolerance scales with the largest |cost|: scaled by the
+    # largest cost, -2 here, it turns positive, and a tree arc, which prices
+    # at 0, enters again and again
+    problem = flow_problem(3, [(0, 1, -2.0), (1, 2, -2.0), (0, 2, -3.0)], [1, 0, -1],
+                           basis=[2, 1, -1])
+    with time_limit(5):
+        flows, objective, basis = simplex.solve_min_cost_flow(problem)
+    assert flows.tolist() == [1, 1, 0] and objective == -4.0
+    assert basis.tolist() == [0, 1, -1]
+
+
+def start_flows(problem):
+    """Arc flows and objective of the starting tree as it stands."""
+    _, _, edge, _, flow, *_ = dfs_start(problem)
+    flows = np.zeros(problem.n_arcs, dtype=np.int64)
+    for arc, units in zip(edge, flow):
+        if arc >= 0:
+            flows[arc] = units
+    nz = np.flatnonzero(flows > 0)
+    return flows, float(np.dot(problem.costs[nz], flows[nz].astype(np.float64)))
+
+
+def test_optimal_start_returns_before_building_the_tree(monkeypatch):
+    # a start that prices no arc below the tolerance, as the bank basis at
+    # lambda = 0, is returned with its flows and objective, and the pivots'
+    # Python tree is never built
+    def refuse(*args):
+        raise AssertionError("an optimal start built the pivots' tree")
+
+    monkeypatch.setattr(simplex, "_tree_lists", refuse)
+    lam0 = AllocationSpec(lam=0.0)
+    # the lone root, and the basis of zero-flow arcs pointing up
+    problems = [flow_problem(1, [], [0], basis=[-1]),
+                flow_problem(3, [(0, 1, 1.0), (2, 0, 1.0)], [0, 0, 0], basis=[0, -1, 1])]
+    for dims in ((12, 12), (5, 5, 5)):
+        for mu, nu in _blob_pairs(3, 4, dims):
+            problem = network.build_unbalanced_problem(mu, nu, COST, lam0, QUANT)
+            problems.append(problem)
+            with time_limit(10):
+                sol = solve_unbalanced(mu, nu, COST, lam0, QUANT)
+            want = network.extract_solution(problem, start_flows(problem)[0])
+            assert same_solution(sol, want)
+    for problem in problems:
+        with time_limit(10):
+            flows, objective, basis = simplex.solve_min_cost_flow(problem)
+        want_flows, want_objective = start_flows(problem)
+        assert np.array_equal(flows, want_flows) and objective == want_objective
+        assert np.array_equal(basis, problem.basis)
+
+
+def fuzzed_bases(rng, count):
+    """Networks starting from bank bases, from feeder bases and from bases
+    that ``solve_min_cost_flow`` returns, which are deep trees."""
+    for mu, nu, alloc, quant in fuzz_networks(rng, count):
+        problem = network.build_unbalanced_problem(mu, nu, COST, alloc, quant)
+        yield problem
+        size = mu.domain.size
+        pairs = np.divmod(np.flatnonzero(rng.random(size * size) < 0.3), size)
+        yield network.build_unbalanced_problem(
+            mu, nu, COST, alloc, quant,
+            allowed_pairs=pairs, feeder=rng.integers(size, size=size))
+        yield dataclasses.replace(problem, basis=simplex.solve_min_cost_flow(problem)[2])
+
+
+def tree_depth(parent):
+    """Arcs on the longest path from a node up to the root (parent None)."""
+    depth = 0
+    for v in range(len(parent)):
+        steps = 0
+        while parent[v] is not None:
+            v = parent[v]
+            steps += 1
+        depth = max(depth, steps)
+    return depth
+
+
+def test_start_matches_a_depth_first_walk(monkeypatch):
+    # the level-by-level start gives the tree of a DFS from the root and
+    # potentials that are the floats of a walk along its thread
+    rng = np.random.default_rng(2031)
+    problems = list(fuzzed_bases(rng, 24))
+    # the feeder bases of pyramid levels
+    def recorded(problem):
+        problems.append(problem)
+        return simplex.solve_min_cost_flow(problem)
+
+    monkeypatch.setattr(multiscale, "solve_min_cost_flow", recorded)
+    for mu, nu in _blob_pairs(2028, 2, (16, 16)):
+        multiscale.solve_multiscale(mu, nu, COST, AllocationSpec(lam=30.0), QUANT,
+                                    coarsen_threshold=40)
+    depths = []
+    for problem in problems:
+        with time_limit(10):
+            root, parent, edge, up, flow, size, pos, pi = simplex._start(problem)
+        want = dfs_start(problem)
+        assert root == want[0]
+        assert simplex._tree_lists(root, parent, edge, up, flow, size, pos) == want[1:]
+        assert np.array_equal(pi, thread_walk_potentials(problem, want))
+        depths.append(tree_depth(want[1]))
+    # bank and feeder bases are two levels deep, returned ones deeper
+    assert min(depths) == 2 and max(depths) > 20
 
 
 def test_bank_basis_is_optimal_at_lambda_zero():
